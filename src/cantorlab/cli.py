@@ -433,7 +433,10 @@ def dispatch(subcommand: str, doc: dict, decimal: bool = False) -> tuple[dict, i
     header = {"subcommand": subcommand, "parameters": fmt(doc)}
     try:
         output, rep = handler(doc)
-    except CantorLabError as err:
+    except (CantorLabError, ValueError, TypeError, KeyError) as err:
+        # Malformed input surfaces from the handlers as ValueError (a bad
+        # bit string, a negative index), TypeError or KeyError (a missing
+        # document field): an error report, never a traceback.
         out = dict(header)
         out["result"] = "ERROR"
         out["error"] = {"type": type(err).__name__, "message": str(err)}
@@ -480,19 +483,18 @@ def main(argv=None) -> int:
             doc = json.loads(text) if text else {}
         if not isinstance(doc, dict):
             raise ParseError("job document must be a JSON object")
-    except (json.JSONDecodeError, OSError) as err:
+    except (json.JSONDecodeError, OSError, ParseError) as err:
         report = {"subcommand": args.subcommand, "result": "ERROR",
                   "error": {"type": "ParseError", "message": str(err)}}
-        sys.stdout.write(dumps(report))
-        return 2
-
-    try:
-        merged = _merged(doc, args, _HANDLERS.get(args.subcommand, (None, []))[1])
-        report, status = dispatch(args.subcommand, merged, decimal=args.decimal)
-    except UnknownSubcommand as err:
-        report = {"subcommand": args.subcommand, "result": "ERROR",
-                  "error": {"type": "UnknownSubcommand", "message": str(err)}}
         status = 2
+    else:
+        try:
+            merged = _merged(doc, args, _HANDLERS.get(args.subcommand, (None, []))[1])
+            report, status = dispatch(args.subcommand, merged, decimal=args.decimal)
+        except UnknownSubcommand as err:
+            report = {"subcommand": args.subcommand, "result": "ERROR",
+                      "error": {"type": "UnknownSubcommand", "message": str(err)}}
+            status = 2
 
     text = dumps(report)
     if args.output:

@@ -38,7 +38,16 @@ from .martingales import (
 )
 from .reports import Report
 from . import space
-from .space import EMPTY_SET, PrefixFreeSet, StagedOpenSet, condition, covers, measure, union
+from .space import (
+    EMPTY_SET,
+    PrefixFreeSet,
+    StagedOpenSet,
+    condition,
+    covers,
+    measure,
+    strings_to_depth,
+    union,
+)
 
 
 def _least_slack(m: Fraction) -> int:
@@ -49,14 +58,6 @@ def _least_slack(m: Fraction) -> int:
     while m >= 1 - Fraction(1, 2 ** k):
         k += 1
     return k
-
-
-def _strings_to_depth(depth: int):
-    frontier = [""]
-    yield ""
-    for _ in range(depth):
-        frontier = [s + b for s in frontier for b in "01"]
-        yield from frontier
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +103,7 @@ def p2_mlr(u: PrefixFreeSet, q: Fraction) -> tuple[PrefixFreeSet, Report]:
     rep.record("V covers U", covers(v, u))
     full_ok = all(
         measure(condition(v, s)) == 1
-        for s in _strings_to_depth(depth)
+        for s in strings_to_depth(depth)
         if measure(condition(u, s)) == 1
     )
     rep.record("full cylinders within depth covered", full_ok)
@@ -245,7 +246,7 @@ def p2_sr(u: StagedOpenSet, k: int, depth: int) -> tuple[PrefixFreeSet, Report]:
     if mu_final >= 1 - Fraction(1, 2 ** k):
         raise SlackViolated(f"measure(U) = {mu_final} >= 1 - 2^-{k}")
     admitted: list[str] = []
-    for s in _strings_to_depth(depth):
+    for s in strings_to_depth(depth):
         gap = Fraction(1, 2 ** (2 * len(s) + k + 1))
         stage_idx = next(
             i for i, st in enumerate(u.stages) if mu_final - measure(st) < gap
@@ -259,7 +260,7 @@ def p2_sr(u: StagedOpenSet, k: int, depth: int) -> tuple[PrefixFreeSet, Report]:
     rep.put("depth", depth)
     full_ok = all(
         measure(condition(v, s)) == 1
-        for s in _strings_to_depth(depth)
+        for s in strings_to_depth(depth)
         if measure(condition(final, s)) == 1
     )
     rep.record("full cylinders within depth covered", full_ok)
@@ -360,7 +361,7 @@ class CRProvider(ClosureProvider):
         rep = Report("p2-cr-closure")
         # For winning sets, P2 needs no new set: a full conditional forces the
         # capital over the threshold, so the full cylinders already sit inside.
-        for s in _strings_to_depth(min(self.depth, state.generators.maxlen)):
+        for s in strings_to_depth(min(self.depth, state.generators.maxlen)):
             if measure(condition(state.generators, s)) == 1:
                 rep.check(f"d({s!r}) >= q", d.value(s), ">=", q)
         rep.record("P2 realized by the set itself", True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import NonMonotone, NTooSmall, WeightOverflow
+from .errors import AllocationFailed, NonMonotone, NTooSmall, SumMismatch, WeightOverflow
 from .pairing import cantor_pair, cantor_unpair
 from .reports import Report
 from .space import check_bits, cylinder_measure, lenlex_key
@@ -90,7 +90,9 @@ def kc_build(requests: KCRequestList | Iterable[tuple[int, str]]) -> Machine:
     for k, sigma in requests:
         idx = next((i for i, rho in enumerate(free) if len(rho) <= k), None)
         # Admissibility (checked at construction) rules out failure here.
-        assert idx is not None, "leftmost fit failed on an admissible list"
+        if idx is None:
+            raise AllocationFailed(
+                f"leftmost fit found no free interval for length {k} ({sigma!r})")
         rho = free.pop(idx)
         code = rho + "0" * (k - len(rho))
         fragments = [rho + "0" * j + "1" for j in range(k - len(rho))]
@@ -248,7 +250,9 @@ def flatten_staged(stages: Sequence[DyadicFunction]) -> DyadicFunction:
                 out[cantor_pair(i, t)] = cur - prev
             prev = cur
     flat = DyadicFunction(out)
-    assert flat.declared_sum == stages[-1].declared_sum
+    if flat.declared_sum != stages[-1].declared_sum:
+        raise SumMismatch(f"flattened sum {flat.declared_sum} != last stage sum "
+                          f"{stages[-1].declared_sum}")
     return flat
 
 

@@ -160,21 +160,19 @@ def schnorr_merge(v: TestFamily, k_max: int,
     if k_max < 0:
         raise ValueError("negative truncation")
     rep = Report("schnorr-merge")
-    pieces: list[str] = []
+    merged = space.EMPTY_SET
     per_k = []
     for k in range(k_max + 1):
         level = v.level(3 * k + 2)
-        layer: list[str] = []
+        layer_set = space.EMPTY_SET
         for m in range(2 ** k):
             sigma = format(m, f"0{k}b") if k else ""
-            layer.extend(space.condition(level, sigma).elements)
-        layer_set = space.reduce(layer)
+            layer_set = space.union(layer_set, space.condition(level, sigma))
         mk = measure(layer_set)
         bound_k = Fraction(1, 2 ** (k + 2))
         rep.check(f"layer k={k} measure <= 2^-(k+2)", mk, "<=", bound_k)
         per_k.append({"k": k, "measure": mk, "bound": bound_k})
-        pieces.extend(layer_set.elements)
-    merged = space.reduce(pieces)
+        merged = space.union(merged, layer_set)
     total_bound = sum((Fraction(1, 2 ** (k + 2)) for k in range(k_max + 1)),
                       start=Fraction(0))
     rep.check("merged measure <= sum of layer bounds", measure(merged), "<=", total_bound)

@@ -95,6 +95,14 @@ class WeightOverflow(CantorLabError):
     """Kraft weight of a request list exceeds 1."""
 
 
+class AllocationFailed(CantorLabError):
+    """Leftmost fit found no free interval for a request of an admissible list."""
+
+
+class SumMismatch(CantorLabError):
+    """A flattened series lost or gained sum against its last stage."""
+
+
 class NTooSmall(CantorLabError):
     """Normalization target is below the current sum."""
 

@@ -23,17 +23,15 @@ from .errors import (
     ZeroPrefix,
 )
 from .reports import Report
-from .space import PeriodicPoint, PrefixFreeSet, check_bits, cylinder_measure
+from .space import (
+    PeriodicPoint,
+    PrefixFreeSet,
+    check_bits,
+    cylinder_measure,
+    strings_to_depth,
+)
 
 ONE = Fraction(1)
-
-
-def _all_strings(depth: int):
-    yield ""
-    frontier = [""]
-    for _ in range(depth):
-        frontier = [s + b for s in frontier for b in "01"]
-        yield from frontier
 
 
 class MartingaleTable:
@@ -72,7 +70,7 @@ def check_fairness(d: MartingaleTable) -> bool:
     """True iff d(sigma) = (d(sigma0) + d(sigma1)) / 2 at every interior node."""
     return all(
         2 * d[s] == d[s + "0"] + d[s + "1"]
-        for s in _all_strings(d.depth - 1)
+        for s in strings_to_depth(d.depth - 1)
     ) if d.depth > 0 else True
 
 
@@ -276,7 +274,7 @@ class AverageStrategy(BettingStrategy):
         self.base = base
         self.level = level
         self.residual = Fraction(1, 2 ** (level + 1))
-        self._anchors = list(_all_strings(level))
+        self._anchors = list(strings_to_depth(level))
         self._roots = {s: base.value(s) for s in self._anchors}
         if any(v == 0 for v in self._roots.values()):
             raise ZeroPrefix("base has zero capital at some string of length <= L")
@@ -472,4 +470,4 @@ def success_capital(d: BettingStrategy, x: PeriodicPoint, depth: int) -> list[Fr
 
 def table_of(d: BettingStrategy, depth: int) -> MartingaleTable:
     """Tabulate a strategy; lets table-level checks run on any strategy."""
-    return MartingaleTable(depth, {s: d.value(s) for s in _all_strings(depth)})
+    return MartingaleTable(depth, {s: d.value(s) for s in strings_to_depth(depth)})

@@ -4,8 +4,9 @@ Cantor space doubles as a product of unit intervals: coordinate n reads its
 binary digits at the bit positions the diagonal pairing assigns to n.  The
 constraint sets built here (coordinate intervals [0, alpha), all-zero
 interval blocks) are cylinder sets pinned at finitely many positions, and
-unions of them are materialized as prefix-free generator sets by a pruned
-tree walk, so measures stay exact however the constraints interleave.
+unions of them are built as generator tries by a memoized tree walk, so
+measures stay exact however the constraints interleave, and positions no
+constraint pins cost nothing.
 """
 
 from __future__ import annotations
@@ -29,11 +30,17 @@ from .pairing import antidiagonal_pairs, cantor_pair
 from .reports import Report
 from . import space
 from .space import (
+    EMPTY,
     EMPTY_SET,
     FULL_SET,
+    LEAF,
+    NodeTable,
     PeriodicPoint,
     PrefixFreeSet,
     StagedOpenSet,
+    Trie,
+    is_full,
+    kids,
     lenlex_key,
     measure,
 )
@@ -132,14 +139,8 @@ class CylinderConstraintSet:
         return Fraction(1, 2 ** beyond)
 
     def covered_by(self, w: PrefixFreeSet) -> bool:
-        """Z subseteq [W], decided by mu([W] cap Z) = mu(Z) in integer units."""
-        top = max(w.maxlen, self.depth)
-        total = 0
-        for s in w.elements:
-            if self.consistent(s):
-                beyond = sum(1 for p, _ in self.constraints if p >= len(s))
-                total += 2 ** (top - len(s) - beyond)
-        return total == 2 ** (top - len(self.constraints))
+        """Z subseteq [W]: W's trie is full wherever the pinned bits let Z go."""
+        return _covered(w.trie(), dict(self.constraints), self.depth)
 
     def member(self, x: PeriodicPoint) -> bool:
         prefix = x.prefix(self.depth)
@@ -152,12 +153,40 @@ class CylinderConstraintSet:
         return f"CylinderConstraintSet({list(self.constraints)!r})"
 
 
+def _covered(root: Trie, pinned: dict[int, str], depth: int) -> bool:
+    """Every sequence of the constraint set lies in the trie's open set.
+
+    Walks the trie from the root along the pinned bits, both ways at a free
+    position; each (node, bit position) pair is visited once.
+    """
+    seen = set()
+    stack = [(root, 0)]
+    while stack:
+        node, pos = stack.pop()
+        if is_full(node) or (node, pos) in seen:
+            continue
+        if pos >= depth or node is EMPTY:
+            return False
+        seen.add((node, pos))
+        zero, one = kids(node)
+        bit = pinned.get(pos)
+        if bit != "1":
+            stack.append((zero, pos + 1))
+        if bit != "0":
+            stack.append((one, pos + 1))
+    return True
+
+
 def union_generators(terms: Sequence[CylinderConstraintSet]) -> PrefixFreeSet:
     """Minimal prefix-free generators of a union of constraint sets.
 
-    Walks the binary tree once, pruning a subtree as soon as every term is
-    violated and emitting a generator as soon as some term is fully pinned;
-    the visit count stays proportional to the output.
+    Walks the binary tree, pruning a subtree as soon as every term is
+    violated and ending a generator as soon as some term is fully pinned.
+    The walk's state at a node is its bit position and the set of terms
+    still alive (each alive term's remaining count follows from the two),
+    and the walk is memoized on that state: a free position yields one
+    shared subtrie instead of two copies, so the work follows the number of
+    states, not the number of generators.
     """
     terms = list(terms)
     if any(not t.constraints for t in terms):
@@ -165,37 +194,32 @@ def union_generators(terms: Sequence[CylinderConstraintSet]) -> PrefixFreeSet:
     if not terms:
         return EMPTY_SET
     depth = max(t.depth for t in terms)
-    by_pos: list[list[tuple[int, str]]] = [[] for _ in range(depth)]
+    by_pos: list[list[tuple[int, str, bool]]] = [[] for _ in range(depth)]
     for ti, t in enumerate(terms):
+        last = t.constraints[-1][0]
         for p, b in t.constraints:
-            by_pos[p].append((ti, b))
-    all_mask = (1 << len(terms)) - 1
-    out: list[str] = []
+            by_pos[p].append((1 << ti, b, p == last))
 
-    def walk(sigma: str, remaining: list[int], alive: int) -> None:
-        pos = len(sigma)
+    def step(state: tuple[int, int]):
+        """Children of the subtrie at bit position pos with the terms in
+        `alive` unviolated: a leaf where a term is completed, nothing where
+        every term is violated, else the state one position further."""
+        pos, alive = state
+        halves = []
         for bit in "01":
-            rem = remaining
             mask = alive
             done = False
-            if by_pos[pos]:
-                rem = remaining[:]
-                for ti, need in by_pos[pos]:
-                    if not mask & (1 << ti):
-                        continue
-                    if bit == need:
-                        rem[ti] -= 1
-                        if rem[ti] == 0:
-                            done = True
-                    else:
-                        mask &= ~(1 << ti)
-            if done:
-                out.append(sigma + bit)
-            elif mask:
-                walk(sigma + bit, rem, mask)
+            for flag, need, last in by_pos[pos]:
+                if mask & flag:
+                    if bit != need:
+                        mask &= ~flag
+                    elif last:
+                        done = True
+            halves.append(LEAF if done else (pos + 1, mask) if mask else EMPTY)
+        return tuple(halves)
 
-    walk("", [len(t.constraints) for t in terms], all_mask)
-    return PrefixFreeSet(out)
+    root = NodeTable().build((0, (1 << len(terms)) - 1), step, {LEAF: LEAF, EMPTY: EMPTY})
+    return PrefixFreeSet.from_trie(root)
 
 
 def union_measure(terms: Sequence[CylinderConstraintSet]) -> Fraction:

@@ -7,23 +7,52 @@ generator sets (PrefixFreeSet); all measures are Fractions, never floats.
 
 Bit strings are plain Python str over the alphabet {'0', '1'}; the empty
 string is the root cylinder (the whole space).
+
+Set kernel.  A PrefixFreeSet is backed by the binary trie of its
+generators: a generator is a path from the root to a leaf.  Structurally
+identical subtries built by one construction or operation are stored once
+(hash-consed), so a bit position no generator is pinned at costs one node,
+not a doubling of the generator list.  The trie encodes the generator set,
+not the open set: {"0", "1"} stays two generators, as the reports list it.
+Each node caches its generator count, its height (the longest generator)
+and its measure as an integer numerator over 2^height; the kernel
+operations are walks over nodes, memoized on the nodes they visit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import PowerOfEpsilon
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def check_bits(s: str) -> str:
     if not isinstance(s, str) or s.strip("01") != "":
         raise ValueError(f"not a bit string: {s!r}")
     return s
+
+
+def _sorted_bits(strings: Iterable[str]) -> list[str]:
+    """The distinct strings in lexicographic order, checked to be bit strings.
+
+    The check is one scan over the joined strings; only when it fails are
+    the strings checked one by one, so the error names the first bad
+    string in input order.
+    """
+    items = list(strings)
+    try:
+        bad = "".join(items).encode("ascii").translate(None, b"01")
+    except (TypeError, UnicodeEncodeError):
+        bad = True
+    if bad:
+        for s in items:
+            check_bits(s)
+    items.sort()
+    if any(map(str.__eq__, items[1:], items)):
+        items = list(dict.fromkeys(items))
+    return items
 
 
 def lenlex_key(s: str) -> tuple[int, str]:
@@ -35,24 +64,301 @@ def cylinder_measure(s: str) -> Fraction:
     return Fraction(1, 2 ** len(s))
 
 
+def strings_to_depth(depth: int) -> Iterator[str]:
+    """Every bit string of length <= depth, in length-lex order."""
+    yield ""
+    frontier = [""]
+    for _ in range(depth):
+        frontier = [s + b for s in frontier for b in "01"]
+        yield from frontier
+
+
+# ---------------------------------------------------------------------------
+# Trie nodes.  A subtrie is EMPTY (no generator), LEAF (the generator
+# epsilon), a nonempty str (exactly one generator, that string: the tail of
+# a trie is kept as its bits rather than as a chain of one-child nodes), or
+# a TrieNode holding two or more generators.
+
+class TrieNode:
+    """The generators below one trie position, as a 0-subtrie and a 1-subtrie.
+
+    count is the number of generators, height the length of the longest
+    one, and the measure of the generated set is num / 2^height.
+    """
+
+    __slots__ = ("zero", "one", "count", "height", "num")
+
+    def __init__(self, zero, one, count: int, height: int, num: int):
+        self.zero = zero
+        self.one = one
+        self.count = count
+        self.height = height
+        self.num = num
+
+
+# Neither has children: a walk stops at `node.zero is None`.
+LEAF = TrieNode(None, None, 1, 0, 1)
+EMPTY = TrieNode(None, None, 0, 0, 0)
+
+Trie = TrieNode | str
+
+
+def _stats(node: Trie) -> tuple[int, int, int]:
+    """(count, height, num) of a subtrie."""
+    if type(node) is str:
+        return 1, len(node), 1
+    return node.count, node.height, node.num
+
+
+def is_full(node: Trie) -> bool:
+    """The subtrie generates its whole cylinder (measure 1)."""
+    return type(node) is not str and node.num == 1 << node.height
+
+
+def kids(node: Trie) -> tuple[Trie, Trie]:
+    """The 0- and 1-subtries of a node other than LEAF and EMPTY."""
+    if type(node) is str:
+        tail = node[1:] or LEAF
+        return (tail, EMPTY) if node[0] == "0" else (EMPTY, tail)
+    return node.zero, node.one
+
+
+class NodeTable:
+    """Hash-consing table of one construction or one operation.
+
+    Nodes with the same two children are made once; the table is dropped
+    with the construction, so nothing grows across a run.
+    """
+
+    __slots__ = ("nodes",)
+
+    def __init__(self):
+        self.nodes: dict[tuple[Trie, Trie], TrieNode] = {}
+
+    def node(self, zero: Trie, one: Trie) -> Trie:
+        """The subtrie with these children; one generator comes back as a str."""
+        if zero is EMPTY or one is EMPTY:
+            if zero is one:
+                return EMPTY
+            bit, only = ("1", one) if zero is EMPTY else ("0", zero)
+            if only is LEAF:
+                return bit
+            if type(only) is str:
+                return bit + only
+        key = (zero, one)
+        got = self.nodes.get(key)
+        if got is None:
+            zc, zh, zn = _stats(zero)
+            oc, oh, on = _stats(one)
+            h = max(zh, oh)
+            got = self.nodes[key] = TrieNode(zero, one, zc + oc, h + 1,
+                                             (zn << (h - zh)) + (on << (h - oh)))
+        return got
+
+    def build(self, top, expand, done: dict) -> Trie:
+        """The subtrie of subproblem `top`, built bottom-up without recursion.
+
+        expand(key) returns either a finished subtrie or the pair of keys of
+        the 0- and 1-subproblems.  `done` maps solved keys to their subtries
+        and may be seeded with base cases; each key is expanded once, so a
+        subproblem met again is shared, and deep tries need no deep stack.
+        """
+        split = {}
+        stack = [top]
+        while stack:
+            key = stack.pop()
+            if key in done:
+                continue
+            step = split.get(key)
+            if step is not None:
+                # Second visit: the keys pushed above this one are solved.
+                done[key] = self.node(done[step[0]], done[step[1]])
+                continue
+            step = expand(key)
+            if type(step) is not tuple:
+                done[key] = step
+                continue
+            split[key] = step
+            stack += (key, step[1], step[0])
+        return done[top]
+
+
+def _close(word: str, top: int, pending: list[Trie], table: NodeTable) -> Trie:
+    """Subtrie at word[:top] of a word and the 0-subtries pending on its path."""
+    node = None  # the subtrie below the current depth; None: the word's tail alone
+    for d in range(len(word) - 1, top - 1, -1):
+        zero = pending[d]
+        if zero is not EMPTY:
+            node = table.node(zero, (word[d + 1:] or LEAF) if node is None else node)
+        elif node is not None:
+            node = table.node(node, EMPTY) if word[d] == "0" else table.node(EMPTY, node)
+    return (word[top:] or LEAF) if node is None else node
+
+
+def _trie_of(words: list[str]) -> Trie:
+    """Trie of lexicographically sorted, prefix-free bit strings.
+
+    One sweep: pending[d] holds the finished 0-subtrie of the depth-d node
+    on the current word's path.  The next word leaves that path at the
+    first bit where the two differ; everything deeper is then finished.
+    """
+    if not words:
+        return EMPTY
+    table = NodeTable()
+    pending: list[Trie] = [EMPTY] * len(words[0])
+    prev = words[0]
+    for w in words[1:]:
+        c = 0
+        while prev[c] == w[c]:
+            c += 1
+        pending[c] = _close(prev, c + 1, pending, table)
+        del pending[c + 1:]
+        pending.extend([EMPTY] * (len(w) - c - 1))
+        prev = w
+    return _close(prev, 0, pending, table)
+
+
+def _lex_words(root: Trie) -> list[str]:
+    """The generators of a trie in lexicographic order.
+
+    The suffix list of a node is built once from its children's lists,
+    each suffix prefixed by one bit.  A child's list is dropped once its
+    parent has used it, unless several nodes point to that child, so the
+    lists in memory stay a small multiple of the output.
+    """
+    if type(root) is str:
+        return [root]
+    if root.zero is None:
+        return [""] if root is LEAF else []
+    seen: set[TrieNode] = set()
+    shared: set[TrieNode] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for child in {node.zero, node.one}:
+            if type(child) is str or child.zero is None:
+                continue
+            if child in seen:
+                shared.add(child)
+            else:
+                seen.add(child)
+                stack.append(child)
+    lists: dict[TrieNode, list[str]] = {}
+
+    def take(child: Trie) -> list[str]:
+        if type(child) is str:
+            return [child]
+        if child.zero is None:
+            return [""] if child is LEAF else []
+        return lists[child] if child in shared else lists.pop(child)
+
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in lists:
+            stack.pop()
+            continue
+        todo = [c for c in (node.zero, node.one)
+                if type(c) is not str and c.zero is not None and c not in lists]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        zero = take(node.zero)
+        one = zero if node.one is node.zero else take(node.one)
+        lists[node] = ["0" + w for w in zero] + ["1" + w for w in one]
+    return lists[root]
+
+
+def _down(node: Trie, sigma: str) -> Trie:
+    """Subtrie at sigma; LEAF when the path passes through a generator."""
+    for i, bit in enumerate(sigma):
+        if type(node) is str:
+            rest = sigma[i:]
+            if rest.startswith(node):
+                return LEAF
+            return node[len(rest):] if node.startswith(rest) else EMPTY
+        if node.zero is None:
+            return node
+        node = node.zero if bit == "0" else node.one
+    return node
+
+
+def _same(a: Trie, b: Trie) -> bool:
+    """The two tries hold the same generators."""
+    seen = set()
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b or (a, b) in seen:
+            continue
+        if type(a) is str or type(b) is str:
+            if a != b:
+                return False
+            continue
+        if a.count != b.count or a.height != b.height or a.num != b.num or a.zero is None:
+            return False
+        seen.add((a, b))
+        stack += [(a.zero, b.zero), (a.one, b.one)]
+    return True
+
+
 class PrefixFreeSet:
     """Finite antichain of bit strings; stands in for a c.e. open set.
 
-    Elements are deduplicated, validated pairwise prefix-free and stored in
-    length-lex order.  Instances are immutable and hashable.
+    Elements are deduplicated, validated pairwise prefix-free and listed in
+    length-lex order.  A set built from strings keeps the tuple it validated
+    and builds its trie on the first kernel operation; a set a kernel
+    operation returns holds only its trie and lists its generators when
+    `elements` is first read.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("elements",)
+    __slots__ = ("_elements", "_root", "_measure")
 
     def __init__(self, elements: Iterable[str] = ()):
-        elems = sorted({check_bits(e) for e in elements})
+        elems = _sorted_bits(elements)
         # In lexicographic order a prefix violation always shows up between
         # neighbours, so one adjacent sweep suffices.
-        for a, b in zip(elems, elems[1:]):
-            if b.startswith(a):
-                raise ValueError(f"not prefix-free: {a!r} is a prefix of {b!r}")
-        elems.sort(key=lenlex_key)
-        object.__setattr__(self, "elements", tuple(elems))
+        extends = list(map(str.startswith, elems[1:], elems))
+        if any(extends):
+            i = extends.index(True)
+            raise ValueError(f"not prefix-free: {elems[i]!r} is a prefix of {elems[i + 1]!r}")
+        self._set(_lenlex(elems), None)
+
+    def _set(self, elements, root) -> None:
+        object.__setattr__(self, "_elements", elements)
+        object.__setattr__(self, "_root", root)
+        object.__setattr__(self, "_measure", None)
+
+    @classmethod
+    def _listed(cls, lex: list[str]) -> "PrefixFreeSet":
+        """Set of checked, lexicographically sorted, prefix-free strings."""
+        out = object.__new__(cls)
+        out._set(_lenlex(lex), None)
+        return out
+
+    @classmethod
+    def from_trie(cls, root: Trie) -> "PrefixFreeSet":
+        """The set of a trie a kernel walk built; it is listed on demand."""
+        out = object.__new__(cls)
+        out._set(None, root)
+        return out
+
+    def trie(self) -> Trie:
+        """The generator trie, built from the listed strings on first use."""
+        root = self._root
+        if root is None:
+            root = _trie_of(sorted(self._elements))
+            object.__setattr__(self, "_root", root)
+        return root
+
+    @property
+    def elements(self) -> tuple[str, ...]:
+        elems = self._elements
+        if elems is None:
+            elems = _lenlex(_lex_words(self._root))
+            object.__setattr__(self, "_elements", elems)
+        return elems
 
     def __setattr__(self, name, value):
         raise AttributeError("PrefixFreeSet is immutable")
@@ -61,13 +367,30 @@ class PrefixFreeSet:
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        elems = self._elements
+        return len(elems) if elems is not None else _stats(self._root)[0]
 
     def __contains__(self, s: str) -> bool:
-        return s in set(self.elements)
+        """s is a generator: its path ends at a leaf and passes none before."""
+        if not isinstance(s, str):
+            return False
+        node = self.trie()
+        for i, bit in enumerate(s):
+            if type(node) is str:
+                return s[i:] == node
+            if node.zero is None or bit not in "01":
+                return False
+            node = node.zero if bit == "0" else node.one
+        return node is LEAF
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PrefixFreeSet) and self.elements == other.elements
+        if self is other:
+            return True
+        if not isinstance(other, PrefixFreeSet) or len(self) != len(other):
+            return False
+        if self._root is not None and other._root is not None:
+            return _same(self._root, other._root)
+        return self.elements == other.elements
 
     def __hash__(self) -> int:
         return hash(("PrefixFreeSet", self.elements))
@@ -77,35 +400,54 @@ class PrefixFreeSet:
 
     @property
     def maxlen(self) -> int:
-        return max((len(e) for e in self.elements), default=0)
+        elems = self._elements
+        if elems is not None:
+            return len(elems[-1]) if elems else 0
+        return _stats(self._root)[1]
 
 
-EMPTY_SET = PrefixFreeSet()
-FULL_SET = PrefixFreeSet([""])
+def _lenlex(lex: list[str]) -> tuple[str, ...]:
+    """Length-lex order of a lexicographically sorted list, which a stable
+    sort by length gives; the list is sorted in place."""
+    lex.sort(key=len)
+    return tuple(lex)
+
+
+EMPTY_SET = PrefixFreeSet.from_trie(EMPTY)
+FULL_SET = PrefixFreeSet.from_trie(LEAF)
 
 
 def reduce(strings: Iterable[str]) -> PrefixFreeSet:
     """Prefix-minimal elements of an arbitrary finite string set.
 
     The generated open set is unchanged: dropping a string that extends a
-    kept one removes nothing from the union of cylinders.
+    kept one removes nothing from the union of cylinders.  In lexicographic
+    order the extensions of a kept string k form one run right after it,
+    ending before k + "2"; runs are found from the neighbours that extend
+    each other.
     """
-    elems = sorted({check_bits(s) for s in strings})
+    lex = _sorted_bits(strings)
+    extends = list(map(str.startswith, lex[1:], lex))
     kept: list[str] = []
-    for s in elems:
-        if kept and s.startswith(kept[-1]):
-            continue
-        kept.append(s)
-    return PrefixFreeSet(kept)
+    pos = 0
+    while True:
+        try:
+            i = extends.index(True, pos)
+        except ValueError:
+            kept += lex[pos:]
+            return PrefixFreeSet._listed(kept)
+        kept += lex[pos:i + 1]
+        pos = bisect_left(lex, lex[i] + "2", i + 1)
 
 
 def measure(u: PrefixFreeSet) -> Fraction:
     """mu([U]) = sum over generators of 2^-|sigma|, exactly."""
-    if not u.elements:
-        return ZERO
-    top = u.maxlen
-    total = sum(2 ** (top - len(s)) for s in u.elements)
-    return Fraction(total, 2 ** top)
+    mu = u._measure
+    if mu is None:
+        _, height, num = _stats(u.trie())
+        mu = Fraction(num, 1 << height)
+        object.__setattr__(u, "_measure", mu)
+    return mu
 
 
 def condition(u: PrefixFreeSet, sigma: str) -> PrefixFreeSet:
@@ -115,18 +457,15 @@ def condition(u: PrefixFreeSet, sigma: str) -> PrefixFreeSet:
     lies in U, and likewise when the suffixes alone exhaust the space, the
     cylinder [sigma] is swallowed whole.  Either way the identity
     mu(condition(U, sigma)) * 2^-|sigma| = mu([U] cap [sigma]) stays exact.
+    The subtrie at sigma is the answer, reached in |sigma| steps.
     """
     check_bits(sigma)
-    suffixes = []
-    for s in u.elements:
-        if sigma.startswith(s):
-            return FULL_SET
-        if s.startswith(sigma):
-            suffixes.append(s[len(sigma):])
-    out = PrefixFreeSet(suffixes)
-    if measure(out) == 1:
+    node = _down(u.trie(), sigma)
+    if is_full(node):
         return FULL_SET
-    return out
+    if node is EMPTY:
+        return EMPTY_SET
+    return PrefixFreeSet.from_trie(node)
 
 
 def power(u: PrefixFreeSet, n: int) -> PrefixFreeSet:
@@ -135,31 +474,58 @@ def power(u: PrefixFreeSet, n: int) -> PrefixFreeSet:
         raise ValueError("negative power")
     if n >= 2 and "" in u:
         raise PowerOfEpsilon("epsilon in U makes U^n degenerate for n >= 2")
-    words = [""]
+    root = u.trie()
+    table = NodeTable()
+    out: Trie = LEAF
     for _ in range(n):
-        words = [w + s for w in words for s in u.elements]
-    return PrefixFreeSet(words)
+        # U . U^(k-1): every leaf of U's trie replaced by the trie so far.
+        out = table.build(root, kids, {LEAF: out, EMPTY: EMPTY})
+    return PrefixFreeSet.from_trie(out)
+
+
+def _or(pair: tuple[Trie, Trie]):
+    """One step of the OR of two tries, where a leaf absorbs what is below it."""
+    a, b = pair
+    if a is LEAF or b is LEAF:
+        return LEAF
+    if a is EMPTY or a == b:
+        return b
+    if b is EMPTY:
+        return a
+    az, ao = kids(a)
+    bz, bo = kids(b)
+    return (az, bz), (ao, bo)
 
 
 def union(u: PrefixFreeSet, v: PrefixFreeSet) -> PrefixFreeSet:
-    return reduce(list(u.elements) + list(v.elements))
+    """Prefix-minimal generators of [U] cup [V], the same set reduce gives."""
+    return PrefixFreeSet.from_trie(NodeTable().build((u.trie(), v.trie()), _or, {}))
+
+
+def _covers(a: Trie, b: Trie) -> bool:
+    """Every cylinder of trie b lies inside the open set of trie a."""
+    seen = set()
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if b is EMPTY or is_full(a) or (a, b) in seen:
+            continue
+        if a is EMPTY or b is LEAF:
+            return False
+        seen.add((a, b))
+        az, ao = kids(a)
+        bz, bo = kids(b)
+        stack += [(ao, bo), (az, bz)]
+    return True
 
 
 def covers(v: PrefixFreeSet, u: PrefixFreeSet) -> bool:
     """Decidable containment [U] subseteq [V] for finite generator sets.
 
-    [sigma] subseteq [V] iff the conditional measure of V by sigma is 1,
-    which is exact rational arithmetic here.
+    Walks both tries together: where U has a leaf, V's subtrie must have
+    measure 1, which is exact rational arithmetic here.
     """
-    return all(measure(condition(v, s)) == 1 for s in u.elements)
-
-
-def intersection_measure(u: PrefixFreeSet, v: PrefixFreeSet) -> Fraction:
-    """mu([U] cap [V]) via conditioning on the generators of U."""
-    return sum(
-        (measure(condition(v, s)) * cylinder_measure(s) for s in u.elements),
-        start=ZERO,
-    )
+    return _covers(v.trie(), u.trie())
 
 
 class PeriodicPoint:
@@ -242,8 +608,9 @@ def tails(x: PeriodicPoint) -> list[PeriodicPoint]:
 
 
 def member(u: PrefixFreeSet, x: PeriodicPoint) -> bool:
-    """X in [U]: some generator is a prefix of X (only finitely many matter)."""
-    return any(x.prefix(len(s)) == s for s in u.elements)
+    """X in [U]: X's path from the root meets a leaf within maxlen(U) bits."""
+    root = u.trie()
+    return _down(root, x.prefix(_stats(root)[1])) is LEAF
 
 
 class StagedOpenSet:

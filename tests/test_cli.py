@@ -202,3 +202,33 @@ class TestMoreOps:
     def test_dispatch_function_directly(self):
         rep, status = dispatch("measure", {"set": {"elements": []}})
         assert status == 0 and rep["output"]["measure"] == "0"
+
+
+class TestFrontDoorContract:
+    """Malformed jobs exit 2 with a typed error object, never a traceback."""
+
+    @pytest.mark.parametrize("sub,text,error", [
+        ("measure", "{}", "KeyError"),
+        ("power", '{"set": {"elements": ["0"]}, "n": -1}', "ValueError"),
+        ("b-set", '{"n": -1, "alpha": "1/2"}', "ValueError"),
+        ("condition", '{"set": {"elements": ["0"]}, "sigma": "2"}', "ValueError"),
+        ("measure", "[1, 2]", "ParseError"),
+    ])
+    def test_malformed_job(self, capsys, monkeypatch, sub, text, error):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        status = main([sub])
+        rep = json.loads(capsys.readouterr().out)
+        assert status == 2
+        assert rep["result"] == "ERROR"
+        assert rep["error"]["type"] == error and rep["error"]["message"]
+
+    def test_parse_error_report_goes_to_output(self, capsys, tmp_path):
+        inp = tmp_path / "job.json"
+        out = tmp_path / "report.json"
+        inp.write_text("[1, 2]")
+        status = main(["measure", "--input", str(inp), "--output", str(out)])
+        assert status == 2
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["error"]["type"] == "ParseError"

@@ -18,7 +18,13 @@ from cantorlab.coding import (
     machine_to_f,
     normalize_sum,
 )
-from cantorlab.errors import NonMonotone, NTooSmall, WeightOverflow
+from cantorlab.errors import (
+    AllocationFailed,
+    NonMonotone,
+    NTooSmall,
+    SumMismatch,
+    WeightOverflow,
+)
 
 
 class TestKCBuild:
@@ -32,6 +38,14 @@ class TestKCBuild:
     def test_overflow(self):
         with pytest.raises(WeightOverflow):
             KCRequestList([(1, "0"), (1, "1"), (1, "00")])
+
+    def test_failed_fit_is_a_named_error(self):
+        # A request list whose weight check was bypassed: the allocator
+        # itself must still refuse, with or without python -O.
+        reqs = KCRequestList([])
+        reqs.requests = ((0, "0"), (1, "1"))
+        with pytest.raises(AllocationFailed):
+            kc_build(reqs)
 
     def test_out_of_order_sizes(self):
         m = kc_build([(2, "0"), (1, "1"), (2, "00")])
@@ -185,6 +199,13 @@ class TestFlatten:
         with pytest.raises(NonMonotone):
             flatten_staged([DyadicFunction({0: Fraction(1, 2)}),
                             DyadicFunction({0: Fraction(1, 4)})])
+
+    def test_sum_mismatch_is_a_named_error(self):
+        # A last stage whose declared sum was altered after validation.
+        last = DyadicFunction({0: Fraction(1, 2)})
+        last.declared_sum = Fraction(3, 4)
+        with pytest.raises(SumMismatch):
+            flatten_staged([DyadicFunction({0: Fraction(1, 4)}), last])
 
     def test_aggregate_inverts(self):
         rng = Random(9)

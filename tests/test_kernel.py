@@ -1,0 +1,145 @@
+"""The trie set kernel against the scan oracles of tests/util.py.
+
+Every kernel operation must give the same generators, in the same
+length-lex order, as the list scans it replaced; the constraint-set
+operations likewise against the generator walk and the integer-unit scan.
+"""
+
+import gc
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cantorlab.series import CylinderConstraintSet, b_set, encode_series, union_generators
+from cantorlab.space import (
+    PeriodicPoint,
+    PrefixFreeSet,
+    condition,
+    covers,
+    lenlex_key,
+    measure,
+    member,
+    power,
+    reduce,
+    union,
+)
+
+from util import (
+    list_power,
+    list_union,
+    scan_condition,
+    scan_covered_by,
+    scan_covers,
+    scan_measure,
+    scan_member,
+    walk_union_generators,
+)
+
+bits = st.text(alphabet="01", min_size=0, max_size=7)
+prefix_free = st.lists(bits, max_size=10).map(reduce)
+points = st.builds(PeriodicPoint, bits, st.text(alphabet="01", min_size=1, max_size=4))
+terms = st.lists(
+    st.dictionaries(st.integers(0, 9), st.sampled_from("01"), max_size=4)
+    .map(lambda pins: CylinderConstraintSet(pins.items())),
+    max_size=4)
+
+
+def rebuilt(u):
+    """The same set built from its strings, so its trie is built afresh."""
+    return PrefixFreeSet(list(u.elements)[::-1])
+
+
+def same_set(got, want):
+    assert got.elements == want.elements
+    assert len(got) == len(want)
+    assert got.maxlen == max((len(s) for s in want.elements), default=0)
+    assert measure(got) == scan_measure(want)
+    assert got == want and hash(got) == hash(want)
+
+
+class TestAgainstScans:
+    @given(prefix_free)
+    def test_elements_len_maxlen_measure(self, u):
+        assert list(u.elements) == sorted(u.elements, key=lenlex_key)
+        same_set(PrefixFreeSet.from_trie(u.trie()), u)
+
+    @given(prefix_free, bits)
+    def test_condition(self, u, sigma):
+        same_set(condition(u, sigma), scan_condition(u, sigma))
+
+    @given(prefix_free, prefix_free)
+    def test_covers(self, v, u):
+        assert covers(v, u) == scan_covers(v, u)
+
+    @given(prefix_free, points)
+    def test_member(self, u, x):
+        assert member(u, x) == scan_member(u, x)
+
+    @given(prefix_free, prefix_free)
+    def test_union(self, u, v):
+        same_set(union(u, v), list_union(u, v))
+        same_set(union(rebuilt(u), v), list_union(u, v))
+
+    @given(prefix_free, st.integers(0, 4))
+    @settings(max_examples=60)
+    def test_power(self, u, n):
+        if "" in u and n >= 2:
+            return
+        if len(u) ** n > 4096:
+            n = 1
+        same_set(power(u, n), list_power(u, n))
+
+    @given(prefix_free, bits)
+    def test_contains(self, u, s):
+        assert (s in u) == (s in set(u.elements))
+
+    @given(terms, prefix_free)
+    def test_covered_by(self, ts, w):
+        for z in ts:
+            assert z.covered_by(w) == scan_covered_by(z, w)
+
+    @given(terms)
+    def test_union_generators(self, ts):
+        got = union_generators(ts)
+        want = PrefixFreeSet(walk_union_generators(ts))
+        same_set(got, want)
+        for z in ts:
+            assert z.covered_by(got) == scan_covered_by(z, want)
+
+
+class TestSparseSets:
+    def test_large_b_sets_without_listing(self):
+        for n in range(4):
+            u = b_set(n, Fraction(255, 256))
+            assert measure(u) == Fraction(255, 256)
+            assert len(u) > 10 ** 8
+            assert u._elements is None
+
+    def test_sibling_pair_stays_two_generators(self):
+        pair = union(PrefixFreeSet(["0"]), PrefixFreeSet(["1"]))
+        assert pair.elements == ("0", "1") and measure(pair) == 1
+        assert covers(pair, PrefixFreeSet([""]))
+
+    def test_long_generators_need_no_deep_stack(self):
+        deep = "0" * 3000
+        u = PrefixFreeSet([deep + "0", deep + "1", "1"])
+        assert union(u, PrefixFreeSet([deep])).elements == ("1", deep)
+        assert len(power(u, 2)) == 9 and measure(power(u, 2)) == measure(u) ** 2
+        assert condition(u, "0" * 10).elements == (deep[10:] + "0", deep[10:] + "1")
+        assert covers(PrefixFreeSet(["0", "1"]), u) and not covers(u, PrefixFreeSet(["0"]))
+        z = CylinderConstraintSet([(3000, "0")])
+        w = union_generators([z])
+        assert measure(w) == Fraction(1, 2) and z.covered_by(w)
+
+    def test_construction_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()
+        try:
+            u = b_set(0, Fraction(63, 64))
+            v, d, rep = encode_series([4, 3], 2)
+            assert rep.passed and len(u) > 0 and len(v) > 0
+            del u, v, d, rep
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -60,6 +60,13 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce(["0", "2"])
 
+    def test_error_names_first_bad_string(self):
+        for build in (PrefixFreeSet, reduce):
+            with pytest.raises(ValueError, match="'2x'"):
+                build(["0", "2x", "3", "1"])
+            with pytest.raises(ValueError, match="5"):
+                build(["0", 5, "2"])
+
     @given(st.sets(bits, max_size=10))
     def test_idempotent_and_same_open_set(self, strings):
         r = reduce(strings)

@@ -62,3 +62,92 @@ def random_prefix_free(rng: Random, maxlen: int = 5, count: int = 6) -> PrefixFr
         n = rng.randint(1, maxlen)
         words.append("".join(rng.choice("01") for _ in range(n)))
     return reduce(words)
+
+
+# ---------------------------------------------------------------------------
+# Scan oracles: the set kernel as it was before the trie, one pass over the
+# generator lists per call.  The property tests compare the trie kernel
+# with these on random inputs.
+
+def scan_measure(u):
+    if not u.elements:
+        return Fraction(0)
+    top = max(len(s) for s in u.elements)
+    return Fraction(sum(2 ** (top - len(s)) for s in u.elements), 2 ** top)
+
+
+def scan_condition(u, sigma):
+    suffixes = []
+    for s in u.elements:
+        if sigma.startswith(s):
+            return PrefixFreeSet([""])
+        if s.startswith(sigma):
+            suffixes.append(s[len(sigma):])
+    out = PrefixFreeSet(suffixes)
+    return PrefixFreeSet([""]) if scan_measure(out) == 1 else out
+
+
+def scan_covers(v, u):
+    return all(scan_measure(scan_condition(v, s)) == 1 for s in u.elements)
+
+
+def scan_member(u, x):
+    return any(x.prefix(len(s)) == s for s in u.elements)
+
+
+def list_power(u, n):
+    words = [""]
+    for _ in range(n):
+        words = [w + s for w in words for s in u.elements]
+    return PrefixFreeSet(words)
+
+
+def list_union(u, v):
+    return reduce(list(u.elements) + list(v.elements))
+
+
+def scan_covered_by(z, w):
+    """Z subseteq [W] by mu([W] cap Z) = mu(Z) in integer units."""
+    depth = max((len(s) for s in w.elements), default=0)
+    top = max(depth, z.depth)
+    total = 0
+    for s in w.elements:
+        if z.consistent(s):
+            beyond = sum(1 for p, _ in z.constraints if p >= len(s))
+            total += 2 ** (top - len(s) - beyond)
+    return total == 2 ** (top - len(z.constraints))
+
+
+def walk_union_generators(terms):
+    """Generator list of a union of constraint sets, by the pruned tree walk
+    that emits one string per generator."""
+    terms = list(terms)
+    if any(not t.constraints for t in terms):
+        return [""]
+    if not terms:
+        return []
+    depth = max(t.depth for t in terms)
+    by_pos = [[] for _ in range(depth)]
+    for ti, t in enumerate(terms):
+        for p, b in t.constraints:
+            by_pos[p].append((ti, b))
+    out = []
+    stack = [("", [len(t.constraints) for t in terms], (1 << len(terms)) - 1)]
+    while stack:
+        sigma, remaining, alive = stack.pop()
+        pos = len(sigma)
+        for bit in "10":
+            rem, mask, done = remaining[:], alive, False
+            for ti, need in by_pos[pos]:
+                if not mask & (1 << ti):
+                    continue
+                if bit == need:
+                    rem[ti] -= 1
+                    done = done or rem[ti] == 0
+                else:
+                    mask &= ~(1 << ti)
+            if done:
+                out.append(sigma + bit)
+            elif mask:
+                stack.append((sigma + bit, rem, mask))
+    return out
