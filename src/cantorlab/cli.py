@@ -17,13 +17,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields as dataclass_fields
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from . import closure, coding, covers, diagonal, martingales, series, space
 from . import serialize as sz
 from .errors import CantorLabError, NoEscape, ParseError, UnknownSubcommand
 from .reports import Report, dumps, fmt
+
+# Flags that override the document field of the same name, with their types.
+_FLAGS = {"depth": int, "stages": int, "q": str, "k": int, "c": int, "cap": int,
+          "case": str}
 
 
 def _decimal_shadow(doc: Any) -> Any:
@@ -39,65 +44,106 @@ def _decimal_shadow(doc: Any) -> Any:
     return doc
 
 
-def _merged(doc: dict, args, names: list[str]) -> dict:
-    """Document parameters with flag overrides, for dispatch and echo."""
-    out = dict(doc)
-    overrides = {
-        "depth": args.depth, "stages": args.stages, "q": args.q, "k": args.k,
-        "c": args.c, "cap": args.cap, "case": args.case,
-    }
-    for name in names:
-        if overrides.get(name) is not None:
-            out[name] = overrides[name]
-    return out
+# Field parsers beyond serialize's: each takes the raw JSON value.
+
+def _bits(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a bit string")
+    return value
 
 
-def _int(doc: dict, key: str, default=None) -> int:
-    if key not in doc:
-        if default is None:
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError("expected a list")
+    return value
+
+
+def _case(value) -> str:
+    if value not in closure.PROVIDERS:
+        raise ValueError(f"must be one of {', '.join(closure.PROVIDERS)}")
+    return value
+
+
+def _each(parse: Callable) -> Callable:
+    return lambda value: [parse(x) for x in value]
+
+
+def _requests(value):
+    return sz.parse_requests({"requests": value})
+
+
+class _Job:
+    """A job document read through the fields its subcommand declares.
+
+    job(key) parses one field with its declared parser; a missing field, or
+    one its parser rejects, is a ParseError naming the field.
+    """
+
+    __slots__ = ("doc", "fields")
+
+    def __init__(self, doc: dict, fields: dict):
+        self.doc = doc
+        self.fields = fields
+
+    def __call__(self, key: str):
+        if key not in self.doc:
             raise ParseError(f"missing parameter {key!r}")
-        return default
-    try:
-        return int(doc[key])
-    except (TypeError, ValueError):
-        raise ParseError(f"parameter {key!r} must be an integer") from None
+        try:
+            return self.fields[key](self.doc[key])
+        except (TypeError, ValueError) as err:
+            raise ParseError(f"bad parameter {key!r}: {err}") from None
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.doc
+
+    def given(self, *keys: str) -> dict:
+        """The named fields the document holds, parsed, as keyword arguments."""
+        return {key: self(key) for key in keys if key in self.doc}
 
 
-def _frac(doc: dict, key: str, default=None) -> Fraction:
-    if key not in doc:
-        if default is None:
-            raise ParseError(f"missing parameter {key!r}")
-        return default
-    return sz.parse_fraction(doc[key])
+class _Op:
+    """One subcommand: what it calls, the fields it reads, what it outputs.
+
+    fields maps each document field the subcommand reads to its parser; a
+    name ending in "?" is optional.  call is either "module.function",
+    looked up at call time and called with the required fields in order and
+    the optional ones present in the document by keyword, its return values
+    named by outputs and a trailing Report taken as the report; or a handler
+    taking the _Job and returning (output document, Report or None).  The
+    flags that may override the document are the fields named like one.
+    """
+
+    __slots__ = ("call", "fields", "required", "optional", "outputs", "flags")
+
+    def __init__(self, call, fields: dict, *outputs: str):
+        if isinstance(call, str):
+            module, name = call.split(".")
+            call = (globals()[module], name)
+        self.call = call
+        self.fields = {key.rstrip("?"): parse for key, parse in fields.items()}
+        self.required = [key for key in fields if not key.endswith("?")]
+        self.optional = [key[:-1] for key in fields if key.endswith("?")]
+        self.outputs = outputs
+        self.flags = [key for key in self.fields if key in _FLAGS]
+
+    def run(self, doc: dict) -> tuple[dict, Report | None]:
+        job = _Job(doc, self.fields)
+        if not isinstance(self.call, tuple):
+            return self.call(job)
+        module, name = self.call
+        result = getattr(module, name)(*map(job, self.required),
+                                       **job.given(*self.optional))
+        values = result if isinstance(result, tuple) else (result,)
+        rep = None
+        if values and isinstance(values[-1], Report):
+            values, rep = values[:-1], values[-1]
+        return dict(zip(self.outputs, values)), rep
 
 
-def _sigma(doc: dict, key: str = "sigma") -> str:
-    if key not in doc or not isinstance(doc[key], str):
-        raise ParseError(f"missing bit string parameter {key!r}")
-    return doc[key]
+# Handlers that build their own report, branch, or reshape their output.
 
-
-# Each handler: (doc) -> (output_doc, Report | None)
-
-def _op_measure(doc):
-    u = sz.parse_set(doc["set"])
-    return {"measure": space.measure(u)}, None
-
-
-def _op_reduce(doc):
-    if "strings" not in doc:
-        raise ParseError("missing parameter 'strings'")
-    return {"set": space.reduce(doc["strings"])}, None
-
-
-def _op_condition(doc):
-    u = sz.parse_set(doc["set"])
-    return {"set": space.condition(u, _sigma(doc))}, None
-
-
-def _op_power(doc):
-    u = sz.parse_set(doc["set"])
-    n = _int(doc, "n")
+def _power(job):
+    u, n = job("set"), job("n")
     p = space.power(u, n)
     rep = Report("power")
     rep.check("measure(U^n) == measure(U)^n", space.measure(p), "==",
@@ -105,323 +151,183 @@ def _op_power(doc):
     return {"set": p, "measure": space.measure(p)}, rep
 
 
-def _op_covers(doc):
-    v = sz.parse_set(doc["cover"])
-    u = sz.parse_set(doc["covered"])
-    return {"covers": space.covers(v, u)}, None
-
-
-def _op_tails(doc):
-    x = sz.parse_point(doc["point"])
-    return {"tails": space.tails(x)}, None
-
-
-def _op_member(doc):
-    u = sz.parse_set(doc["set"])
-    x = sz.parse_point(doc["point"])
-    return {"member": space.member(u, x)}, None
-
-
-def _op_fairness(doc):
-    t = sz.parse_table(doc["table"])
-    return {"fair": martingales.check_fairness(t)}, None
-
-
-def _op_winning_set(doc):
-    d = sz.parse_strategy(doc["strategy"])
-    w = martingales.winning_set(d, _frac(doc, "q"), _int(doc, "depth"))
+def _winning_set(job):
+    d = job("strategy")
+    w = martingales.winning_set(d, job("q"), job("depth"))
     rep = Report("winning-set")
     rep.check("measure(generators) <= d(epsilon)/q",
               space.measure(w.generators), "<=", d.value("") / w.threshold)
     return {"winning_set": w}, rep
 
 
-def _op_vk_verify(doc):
-    t = sz.parse_table(doc["table"])
-    rep = martingales.verify_ville_kolmogorov(t, _sigma(doc), _frac(doc, "q"))
-    return {}, rep
-
-
-def _op_translate(doc):
-    d = sz.parse_strategy(doc["strategy"])
-    out = martingales.translate(d, _sigma(doc))
-    return {"strategy": out}, None
-
-
-def _op_average(doc):
-    d = sz.parse_strategy(doc["strategy"])
-    out = martingales.average_truncated(d, _int(doc, "level"),
-                                        shift=bool(doc.get("shift", True)))
+def _average(job):
+    out = martingales.average_truncated(job("strategy"), job("level"),
+                                        **job.given("shift"))
     rep = Report("average")
     rep.check("normed", out.value(""), "==", Fraction(1))
     return {"strategy": out}, rep
 
 
-def _op_reset(doc):
-    d = sz.parse_strategy(doc["strategy"])
-    out = martingales.reset(d, _frac(doc, "q"), sz.parse_set(doc["blocks"]))
-    return {"strategy": out}, None
-
-
-def _op_mixture(doc):
-    d = sz.parse_strategy(doc["d"])
-    d_e = sz.parse_strategy(doc["d_e"])
-    out = martingales.mixture(d, d_e, _int(doc, "n_e"))
-    return {"strategy": out}, None
-
-
-def _op_success_capital(doc):
-    d = sz.parse_strategy(doc["strategy"])
-    x = sz.parse_point(doc["point"])
-    return {"capitals": martingales.success_capital(d, x, _int(doc, "depth"))}, None
-
-
-def _case(doc) -> str:
-    case = doc.get("case")
-    if case not in ("mlr", "cr", "sr"):
-        raise ParseError("parameter 'case' must be one of mlr, cr, sr")
-    return case
-
-
-def _op_p1(doc):
-    case = _case(doc)
+def _p1(job):
+    case = job("case")
     if case == "mlr":
-        out = closure.p1_mlr(sz.parse_set(doc["set"]), _sigma(doc))
-        return {"set": out}, None
+        return {"set": closure.p1_mlr(job("set"), job("sigma"))}, None
     if case == "cr":
-        d2, q2 = closure.p1_cr(sz.parse_strategy(doc["strategy"]), _frac(doc, "q"),
-                               _sigma(doc), empty_marker=bool(doc.get("empty_marker")))
+        d2, q2 = closure.p1_cr(job("strategy"), job("q"), job("sigma"),
+                               **job.given("empty_marker"))
         return {"strategy": d2, "q": q2}, None
-    out = closure.p1_sr(sz.parse_staged(doc["staged"]), _sigma(doc))
-    return {"staged": out}, None
+    return {"staged": closure.p1_sr(job("staged"), job("sigma"))}, None
 
 
-def _op_p2(doc):
-    case = _case(doc)
+def _p2(job):
+    case = job("case")
     if case == "mlr":
-        v, rep = closure.p2_mlr(sz.parse_set(doc["set"]), _frac(doc, "q"))
+        v, rep = closure.p2_mlr(job("set"), job("q"))
         return {"set": v}, rep
     if case == "cr":
-        rep = closure.p2_cr_check(sz.parse_strategy(doc["strategy"]), _frac(doc, "q"),
-                                  _sigma(doc), _int(doc, "depth"))
-        return {}, rep
-    v, rep = closure.p2_sr(sz.parse_staged(doc["staged"]), _int(doc, "k"),
-                           _int(doc, "depth"))
+        return {}, closure.p2_cr_check(job("strategy"), job("q"), job("sigma"),
+                                       job("depth"))
+    v, rep = closure.p2_sr(job("staged"), job("k"), job("depth"))
     return {"set": v}, rep
 
 
-def _op_p3(doc):
-    case = _case(doc)
+def _p3(job):
+    case = job("case")
     if case == "mlr":
-        test = sz.parse_test(doc["test"]) if "test" in doc else None
-        n_e, v, rep = closure.p3_mlr(sz.parse_set(doc["set"]), _sigma(doc),
-                                     _int(doc, "k"), test)
+        n_e, v, rep = closure.p3_mlr(job("set"), job("sigma"), job("k"),
+                                     **job.given("test"))
         return {"n_e": n_e, "set": v}, rep
     if case == "cr":
-        n_e, w, rep = closure.p3_cr(
-            sz.parse_strategy(doc["strategy"]), _frac(doc, "q"), _sigma(doc),
-            sz.parse_strategy(doc["d_e"]), _int(doc, "depth"),
-            cap=_int(doc, "cap", 16))
+        n_e, w, rep = closure.p3_cr(job("strategy"), job("q"), job("sigma"),
+                                    job("d_e"), job("depth"), **job.given("cap"))
         return {"n_e": n_e, "winning_set": w}, rep
-    out = closure.p3_sr(sz.parse_staged(doc["staged"]), sz.parse_staged(doc["other"]))
-    return {"staged": out}, None
+    return {"staged": closure.p3_sr(job("staged"), job("other"))}, None
 
 
-def _provider(doc) -> closure.ClosureProvider:
-    case = _case(doc)
-    if case == "mlr":
-        q = sz.parse_fraction(doc["q"]) if "q" in doc else None
-        k = _int(doc, "k", 0) or None
-        return closure.MLRProvider(q=q, k=k)
-    if case == "cr":
-        return closure.CRProvider(depth=_int(doc, "depth", 8), cap=_int(doc, "cap", 16))
-    return closure.SRProvider(k=_int(doc, "k", 0) or None,
-                              depth=_int(doc, "depth", 0) or None)
-
-
-def _op_main_lemma(doc):
-    w = sz.parse_set(doc["w"])
-    tests = [sz.parse_test(t) for t in doc.get("tests", [])]
-    provider = _provider(doc)
-    stage_count = _int(doc, "stages")
+def _main_lemma(job):
+    case = job("case")
+    params = job.given(*(f.name for f in dataclass_fields(closure.PROVIDERS[case])))
+    provider = closure.provider_for(case, **params)
+    tests = job("tests") if "tests" in job else []
     try:
-        trace, rep = diagonal.run(w, provider, tests, stage_count)
+        trace, rep = diagonal.run(job("w"), provider, tests, job("stages"))
     except NoEscape as err:
-        rep = err.certificate
         return {"outcome": "no-escape", "stage": err.stage,
-                "sigma": err.sigma}, rep
+                "sigma": err.sigma}, err.certificate
     return {"outcome": "trace", "trace": trace}, rep
 
 
-def _op_verify_trace(doc):
-    trace = sz.parse_trace(doc["trace"])
-    w = sz.parse_set(doc["w"])
-    tests = [sz.parse_test(t) for t in doc.get("tests", [])]
-    return {}, diagonal.verify_trace(trace, w, tests)
+def _tails_to_power(job):
+    cert = covers.tails_to_power(job("set"), job("point"), job("n"))
+    return {"factors": cert.factors, "prefix": cert.prefix}, None
 
 
-def _op_schnorr_merge(doc):
-    test = sz.parse_test(doc["test"])
-    point = sz.parse_point(doc["point"]) if "point" in doc else None
-    merged, rep = covers.schnorr_merge(test, _int(doc, "K"), point=point)
-    return {"set": merged}, rep
-
-
-def _op_power_test(doc):
-    t = covers.power_test(sz.parse_set(doc["set"]), _int(doc, "N"))
-    return {"test": t}, None
-
-
-def _op_tails_to_power(doc):
-    cert = covers.tails_to_power(sz.parse_set(doc["set"]),
-                                 sz.parse_point(doc["point"]), _int(doc, "n"))
-    return {"factors": list(cert.factors), "prefix": cert.prefix}, None
-
-
-def _op_remark_bundle(doc):
-    points = [sz.parse_point(p) for p in doc.get("points", [])]
-    rep = covers.remark24_bundle(sz.parse_set(doc["set"]), points,
-                                 n=_int(doc, "n", 2))
-    return {}, rep
-
-
-def _op_kc_build(doc):
-    reqs = sz.parse_requests(doc)
+def _kc_build(job):
+    reqs = job("requests")
     m = coding.kc_build(reqs)
     rep = Report("kc-build")
     rep.check("domain measure == Kraft weight", m.domain_measure, "==", reqs.weight)
     return {"machine": m}, rep
 
 
-def _op_complexity(doc):
-    m = sz.parse_machine(doc["machine"])
-    k = coding.complexity(m, _sigma(doc))
+def _complexity(job):
+    k = coding.complexity(job("machine"), job("sigma"))
     return {"complexity": k if k is not None else "infinity"}, None
 
 
-def _op_g_to_machine(doc):
-    g = sz.parse_dyadic(doc["g"])
-    m, rep = coding.g_to_machine(g, _int(doc, "c"))
-    return {"machine": m}, rep
+def _flatten(job):
+    if "aggregate" in job:
+        return {"g": coding.aggregate_pairs(job("aggregate"))}, None
+    return {"flat": coding.flatten_staged(job("stage_functions"))}, None
 
 
-def _op_flatten(doc):
-    if "aggregate" in doc:
-        return {"g": coding.aggregate_pairs(sz.parse_dyadic(doc["aggregate"]))}, None
-    stages = [sz.parse_dyadic(s) for s in doc["stage_functions"]]
-    return {"flat": coding.flatten_staged(stages)}, None
-
-
-def _op_normalize(doc):
-    f = sz.parse_dyadic(doc["f"])
-    return {"f": coding.normalize_sum(f, _int(doc, "N"))}, None
-
-
-def _op_machine_to_f(doc):
-    m = sz.parse_machine(doc["machine"])
-    f, rep = coding.machine_to_f(m)
-    return {"f": f}, rep
-
-
-def _op_b_set(doc):
-    n = _int(doc, "n")
-    alpha = _frac(doc, "alpha")
-    out = series.b_set(n, alpha)
+def _b_set(job):
+    alpha = job("alpha")
+    out = series.b_set(job("n"), alpha)
     rep = Report("b-set")
     rep.put("pairing", series.PAIRING.rule)
     rep.check("measure == alpha", space.measure(out), "==", alpha)
     return {"set": out}, rep
 
 
-def _op_series_to_open(doc):
-    f = sz.parse_dyadic(doc["f"])
-    u, product, rep = series.series_to_open(f)
-    return {"set": u, "product_measure": product}, rep
+def _open_to_series(job):
+    n = job("n")
+    if "staged" in job:
+        return {"alpha": series.open_to_series_approx(job("staged"), n, job("c"))}, None
+    return {"alpha": series.open_to_series_sup(job("set"), n)}, None
 
 
-def _op_open_to_series(doc):
-    n = _int(doc, "n")
-    if "staged" in doc:
-        staged = sz.parse_staged(doc["staged"])
-        alpha = series.open_to_series_approx(staged, n, _int(doc, "c"))
-        return {"alpha": alpha}, None
-    alpha = series.open_to_series_sup(sz.parse_set(doc["set"]), n)
-    return {"alpha": alpha}, None
-
-
-def _op_vn_from_g(doc):
-    v, rep = series.vn_from_g(sz.parse_dyadic(doc["g"]), _int(doc, "n"))
-    return {"set": v}, rep
-
-
-def _op_f_from_test(doc):
-    f, rep = series.f_from_test(sz.parse_test(doc["test"]))
-    return {"f": f}, rep
-
-
-def _op_encode_series(doc):
-    exps = doc.get("exponents")
-    if not isinstance(exps, list):
-        raise ParseError("missing parameter 'exponents'")
-    u, d, rep = series.encode_series(exps, _frac(doc, "q"))
-    return {"set": u, "strategy": d}, rep
-
-
-def _op_extract_series(doc):
-    w = sz.parse_set(doc["set"])
-    res = series.extract_series(w, _int(doc, "count"), _int(doc, "lmax"))
+def _extract_series(job):
+    res = series.extract_series(job("set"), job("count"), job("lmax"))
     out = {"block_lengths": [l if l is not None else "infinity"
                              for l in res.block_lengths],
            "g": res.series}
     return out, res.report
 
 
-def _op_tree_embed(doc):
-    d = sz.parse_strategy(doc["strategy"])
-    mapping, rep = series.tree_embed(d, _int(doc, "depth"),
-                                     budget=_int(doc, "budget", 10))
-    return {"map": dict(sorted(mapping.items(), key=lambda kv: space.lenlex_key(kv[0])))}, rep
-
+_SET, _POINT, _STRATEGY = sz.parse_set, sz.parse_point, sz.parse_strategy
+_FRAC, _STAGED, _DYADIC, _TEST = (sz.parse_fraction, sz.parse_staged,
+                                  sz.parse_dyadic, sz.parse_test)
 
 _HANDLERS = {
-    "measure": (_op_measure, []),
-    "reduce": (_op_reduce, []),
-    "condition": (_op_condition, []),
-    "power": (_op_power, []),
-    "covers": (_op_covers, []),
-    "tails": (_op_tails, []),
-    "member": (_op_member, []),
-    "fairness": (_op_fairness, []),
-    "winning-set": (_op_winning_set, ["q", "depth"]),
-    "vk-verify": (_op_vk_verify, ["q"]),
-    "translate": (_op_translate, []),
-    "average": (_op_average, []),
-    "reset": (_op_reset, ["q"]),
-    "mixture": (_op_mixture, []),
-    "success-capital": (_op_success_capital, ["depth"]),
-    "p1": (_op_p1, ["case", "q"]),
-    "p2": (_op_p2, ["case", "q", "k", "depth"]),
-    "p3": (_op_p3, ["case", "q", "k", "depth", "cap"]),
-    "main-lemma": (_op_main_lemma, ["case", "q", "k", "depth", "cap", "stages"]),
-    "verify-trace": (_op_verify_trace, []),
-    "schnorr-merge": (_op_schnorr_merge, []),
-    "power-test": (_op_power_test, []),
-    "tails-to-power": (_op_tails_to_power, []),
-    "remark-bundle": (_op_remark_bundle, []),
-    "kc-build": (_op_kc_build, []),
-    "complexity": (_op_complexity, []),
-    "machine-to-f": (_op_machine_to_f, []),
-    "g-to-machine": (_op_g_to_machine, ["c"]),
-    "flatten": (_op_flatten, []),
-    "normalize": (_op_normalize, []),
-    "b-set": (_op_b_set, []),
-    "series-to-open": (_op_series_to_open, []),
-    "open-to-series": (_op_open_to_series, ["c"]),
-    "vn-from-g": (_op_vn_from_g, []),
-    "f-from-test": (_op_f_from_test, []),
-    "encode-series": (_op_encode_series, ["q"]),
-    "extract-series": (_op_extract_series, []),
-    "tree-embed": (_op_tree_embed, ["depth"]),
+    "measure": _Op("space.measure", {"set": _SET}, "measure"),
+    "reduce": _Op("space.reduce", {"strings": _list}, "set"),
+    "condition": _Op("space.condition", {"set": _SET, "sigma": _bits}, "set"),
+    "power": _Op(_power, {"set": _SET, "n": int}),
+    "covers": _Op("space.covers", {"cover": _SET, "covered": _SET}, "covers"),
+    "tails": _Op("space.tails", {"point": _POINT}, "tails"),
+    "member": _Op("space.member", {"set": _SET, "point": _POINT}, "member"),
+    "fairness": _Op("martingales.check_fairness", {"table": sz.parse_table}, "fair"),
+    "winning-set": _Op(_winning_set, {"strategy": _STRATEGY, "q": _FRAC, "depth": int}),
+    "vk-verify": _Op("martingales.verify_ville_kolmogorov",
+                     {"table": sz.parse_table, "sigma": _bits, "q": _FRAC}),
+    "translate": _Op("martingales.translate", {"strategy": _STRATEGY, "sigma": _bits},
+                     "strategy"),
+    "average": _Op(_average, {"strategy": _STRATEGY, "level": int, "shift?": bool}),
+    "reset": _Op("martingales.reset", {"strategy": _STRATEGY, "q": _FRAC, "blocks": _SET},
+                 "strategy"),
+    "mixture": _Op("martingales.mixture", {"d": _STRATEGY, "d_e": _STRATEGY, "n_e": int},
+                   "strategy"),
+    "success-capital": _Op("martingales.success_capital",
+                           {"strategy": _STRATEGY, "point": _POINT, "depth": int},
+                           "capitals"),
+    "p1": _Op(_p1, {"case": _case, "set": _SET, "strategy": _STRATEGY, "q": _FRAC,
+                    "sigma": _bits, "empty_marker?": bool, "staged": _STAGED}),
+    "p2": _Op(_p2, {"case": _case, "set": _SET, "strategy": _STRATEGY, "q": _FRAC,
+                    "sigma": _bits, "depth": int, "staged": _STAGED, "k": int}),
+    "p3": _Op(_p3, {"case": _case, "set": _SET, "sigma": _bits, "k": int, "test?": _TEST,
+                    "strategy": _STRATEGY, "q": _FRAC, "d_e": _STRATEGY, "depth": int,
+                    "cap?": int, "staged": _STAGED, "other": _STAGED}),
+    "main-lemma": _Op(_main_lemma, {"w": _SET, "tests?": _each(_TEST), "case": _case,
+                                    "q?": _FRAC, "k?": int, "depth?": int, "cap?": int,
+                                    "stages": int}),
+    "verify-trace": _Op("diagonal.verify_trace",
+                        {"trace": sz.parse_trace, "w": _SET, "tests?": _each(_TEST)}),
+    "schnorr-merge": _Op("covers.schnorr_merge",
+                         {"test": _TEST, "K": int, "point?": _POINT}, "set"),
+    "power-test": _Op("covers.power_test", {"set": _SET, "N": int}, "test"),
+    "tails-to-power": _Op(_tails_to_power, {"set": _SET, "point": _POINT, "n": int}),
+    "remark-bundle": _Op("covers.remark24_bundle",
+                         {"set": _SET, "points?": _each(_POINT), "n?": int}),
+    "kc-build": _Op(_kc_build, {"requests": _requests}),
+    "complexity": _Op(_complexity, {"machine": sz.parse_machine, "sigma": _bits}),
+    "machine-to-f": _Op("coding.machine_to_f", {"machine": sz.parse_machine}, "f"),
+    "g-to-machine": _Op("coding.g_to_machine", {"g": _DYADIC, "c": int}, "machine"),
+    "flatten": _Op(_flatten, {"aggregate?": _DYADIC,
+                              "stage_functions": _each(_DYADIC)}),
+    "normalize": _Op("coding.normalize_sum", {"f": _DYADIC, "N": int}, "f"),
+    "b-set": _Op(_b_set, {"n": int, "alpha": _FRAC}),
+    "series-to-open": _Op("series.series_to_open", {"f": _DYADIC},
+                          "set", "product_measure"),
+    "open-to-series": _Op(_open_to_series, {"n": int, "staged?": _STAGED, "c": int,
+                                            "set": _SET}),
+    "vn-from-g": _Op("series.vn_from_g", {"g": _DYADIC, "n": int}, "set"),
+    "f-from-test": _Op("series.f_from_test", {"test": _TEST}, "f"),
+    "encode-series": _Op("series.encode_series", {"exponents": _list, "q": _FRAC},
+                         "set", "strategy"),
+    "extract-series": _Op(_extract_series, {"set": _SET, "count": int, "lmax": int}),
+    "tree-embed": _Op("series.tree_embed",
+                      {"strategy": _STRATEGY, "depth": int, "budget?": int}, "map"),
 }
 
 
@@ -429,20 +335,19 @@ def dispatch(subcommand: str, doc: dict, decimal: bool = False) -> tuple[dict, i
     """Run one operation; returns (report document, exit status)."""
     if subcommand not in _HANDLERS:
         raise UnknownSubcommand(subcommand)
-    handler, _ = _HANDLERS[subcommand]
-    header = {"subcommand": subcommand, "parameters": fmt(doc)}
+    out: dict[str, Any] = {"subcommand": subcommand}
     try:
-        output, rep = handler(doc)
+        out["parameters"] = fmt(doc)
+        output, rep = _HANDLERS[subcommand].run(doc)
+        out["output"] = fmt(output)
     except (CantorLabError, ValueError, TypeError, KeyError) as err:
-        # Malformed input surfaces from the handlers as ValueError (a bad
-        # bit string, a negative index), TypeError or KeyError (a missing
-        # document field): an error report, never a traceback.
-        out = dict(header)
+        # Malformed input surfaces as ParseError from the field parsers (a
+        # missing or mistyped field, a JSON float in the echo) or as
+        # ValueError / TypeError from the operation (a bad bit string, a
+        # negative index): an error report, never a traceback.
         out["result"] = "ERROR"
         out["error"] = {"type": type(err).__name__, "message": str(err)}
         return out, 2
-    out = dict(header)
-    out["output"] = fmt(output)
     if rep is not None:
         repdoc = rep.to_doc()
         out["checks"] = repdoc["checks"]
@@ -451,7 +356,7 @@ def dispatch(subcommand: str, doc: dict, decimal: bool = False) -> tuple[dict, i
     else:
         out["result"] = "PASS"
     if decimal:
-        out["decimal"] = _decimal_shadow(out.get("output", {}))
+        out["decimal"] = _decimal_shadow(out["output"])
     return out, 0 if out["result"] == "PASS" else 1
 
 
@@ -463,13 +368,9 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", help="operation name, e.g. measure, main-lemma")
     parser.add_argument("--input", help="job document (JSON); default stdin")
     parser.add_argument("--output", help="report path; default stdout")
-    parser.add_argument("--depth", type=int)
-    parser.add_argument("--stages", type=int)
-    parser.add_argument("--q")
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--c", type=int)
-    parser.add_argument("--cap", type=int)
-    parser.add_argument("--case", choices=["mlr", "cr", "sr"])
+    for name, kind in _FLAGS.items():
+        parser.add_argument(f"--{name}", type=kind,
+                            choices=list(closure.PROVIDERS) if name == "case" else None)
     parser.add_argument("--decimal", action="store_true",
                         help="echo float approximations alongside exact values")
     args = parser.parse_args(argv)
@@ -488,9 +389,12 @@ def main(argv=None) -> int:
                   "error": {"type": "ParseError", "message": str(err)}}
         status = 2
     else:
+        op = _HANDLERS.get(args.subcommand)
+        for name in op.flags if op else ():
+            if getattr(args, name) is not None:
+                doc[name] = getattr(args, name)
         try:
-            merged = _merged(doc, args, _HANDLERS.get(args.subcommand, (None, []))[1])
-            report, status = dispatch(args.subcommand, merged, decimal=args.decimal)
+            report, status = dispatch(args.subcommand, doc, decimal=args.decimal)
         except UnknownSubcommand as err:
             report = {"subcommand": args.subcommand, "result": "ERROR",
                       "error": {"type": "UnknownSubcommand", "message": str(err)}}

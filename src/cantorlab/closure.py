@@ -15,6 +15,7 @@ explicit everywhere the underlying statements quantify over all strings.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import TestFamily
@@ -111,7 +112,7 @@ def p2_mlr(u: PrefixFreeSet, q: Fraction) -> tuple[PrefixFreeSet, Report]:
 
 
 def p3_mlr(u: PrefixFreeSet, sigma: str, k: int,
-           test: TestFamily | None) -> tuple[int, PrefixFreeSet, Report]:
+           test: TestFamily | None = None) -> tuple[int, PrefixFreeSet, Report]:
     """Absorb test level n_e = |sigma| + k while keeping mu(V | sigma) < 1."""
     m = measure(condition(u, sigma))
     if m >= 1 - Fraction(1, 2 ** k):
@@ -302,19 +303,20 @@ class ClosureProvider:
         raise NotImplementedError
 
 
+@dataclass
 class MLRProvider(ClosureProvider):
-    case = "mlr"
+    """Bounded sets; q and k left unset (or k = 0) are chosen per stage."""
 
-    def __init__(self, q: Fraction | None = None, k: int | None = None):
-        self.q = None if q is None else Fraction(q)
-        self.k = k
+    case = "mlr"
+    q: Fraction | None = None
+    k: int | None = None
 
     def initial(self) -> ProviderState:
         return ProviderState(EMPTY_SET)
 
     def p3(self, state, sigma, test, stage):
         u = state.generators
-        k = self.k if self.k is not None else _least_slack(measure(condition(u, sigma)))
+        k = self.k or _least_slack(measure(condition(u, sigma)))
         n_e, v, rep = p3_mlr(u, sigma, k, test)
         return n_e, ProviderState(v), rep
 
@@ -328,14 +330,13 @@ class MLRProvider(ClosureProvider):
         return ProviderState(v), rep
 
 
+@dataclass
 class CRProvider(ClosureProvider):
     """Winning sets; the payload threads the (strategy, threshold) pair."""
 
     case = "cr"
-
-    def __init__(self, depth: int = 8, cap: int = 16):
-        self.depth = depth
-        self.cap = cap
+    depth: int = 8
+    cap: int = 16
 
     def initial(self) -> ProviderState:
         # The empty set is admitted into the class as the winning set of the
@@ -368,12 +369,14 @@ class CRProvider(ClosureProvider):
         return state, rep
 
 
+@dataclass
 class SRProvider(ClosureProvider):
-    case = "sr"
+    """Staged sets; k left unset (or 0) is chosen per stage, and the P2
+    search depth is never below the longest generator."""
 
-    def __init__(self, k: int | None = None, depth: int | None = None):
-        self.k = k
-        self.depth = depth
+    case = "sr"
+    k: int | None = None
+    depth: int | None = None
 
     def initial(self) -> ProviderState:
         st = StagedOpenSet((EMPTY_SET,))
@@ -382,7 +385,7 @@ class SRProvider(ClosureProvider):
     def p3(self, state, sigma, test, stage):
         staged = state.payload
         m = measure(condition(staged.final, sigma))
-        k = self.k if self.k is not None else _least_slack(m)
+        k = self.k or _least_slack(m)
         n_e = len(sigma) + k
         level = EMPTY_SET if test is None else test.level(n_e)
         merged = p3_sr(staged, StagedOpenSet((level,)))
@@ -401,15 +404,18 @@ class SRProvider(ClosureProvider):
 
     def p2(self, state):
         staged = state.payload
-        k = self.k if self.k is not None else _least_slack(staged.final_measure)
-        depth = self.depth if self.depth is not None else staged.final.maxlen
-        depth = max(depth, staged.final.maxlen)
+        k = self.k or _least_slack(staged.final_measure)
+        depth = max(self.depth or 0, staged.final.maxlen)
         v, rep = p2_sr(staged, k, depth)
         return ProviderState(v, payload=StagedOpenSet((v,))), rep
 
 
+PROVIDERS = {"mlr": MLRProvider, "cr": CRProvider, "sr": SRProvider}
+
+
 def provider_for(case: str, **kwargs) -> ClosureProvider:
-    table = {"mlr": MLRProvider, "cr": CRProvider, "sr": SRProvider}
-    if case not in table:
+    """The provider of a case, with the search parameters given; the others
+    keep their defaults."""
+    if case not in PROVIDERS:
         raise ValueError(f"unknown closure case {case!r}")
-    return table[case](**kwargs)
+    return PROVIDERS[case](**kwargs)

@@ -15,9 +15,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import AllocationFailed, NonMonotone, NTooSmall, SumMismatch, WeightOverflow
 from .pairing import cantor_pair, cantor_unpair
 from .reports import Report
-from .space import check_bits, cylinder_measure, lenlex_key
-
-ZERO = Fraction(0)
+from .space import ZERO, check_bits, cylinder_measure, lenlex_key
 
 
 class KCRequestList:

@@ -189,7 +189,7 @@ def schnorr_merge(v: TestFamily, k_max: int,
     return merged, rep
 
 
-def remark24_bundle(u: PrefixFreeSet, points: Iterable[PeriodicPoint],
+def remark24_bundle(u: PrefixFreeSet, points: Iterable[PeriodicPoint] = (),
                     n: int = 2) -> Report:
     """Certify, per point, that all tails lie in [U] with an n-block witness.
 

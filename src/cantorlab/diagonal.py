@@ -45,10 +45,6 @@ class DiagonalTrace:
     def final_sigma(self) -> str:
         return self.stages[-1].sigma
 
-    @property
-    def final_set(self) -> PrefixFreeSet:
-        return self.stages[-1].current
-
 
 def run(w: PrefixFreeSet, provider: ClosureProvider, tests: Sequence[TestFamily],
         stage_count: int) -> tuple[DiagonalTrace, Report]:
@@ -107,7 +103,7 @@ def _covering_certificate(w: PrefixFreeSet, provider: ClosureProvider,
 
 
 def verify_trace(trace: DiagonalTrace, w: PrefixFreeSet,
-                 tests: Sequence[TestFamily]) -> Report:
+                 tests: Sequence[TestFamily] = ()) -> Report:
     """Re-check every trace invariant from the recorded data alone."""
     rep = Report("diagonal-trace")
     stages = trace.stages

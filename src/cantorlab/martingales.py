@@ -24,14 +24,13 @@ from .errors import (
 )
 from .reports import Report
 from .space import (
+    ONE,
     PeriodicPoint,
     PrefixFreeSet,
     check_bits,
     cylinder_measure,
     strings_to_depth,
 )
-
-ONE = Fraction(1)
 
 
 class MartingaleTable:
@@ -75,9 +74,22 @@ def check_fairness(d: MartingaleTable) -> bool:
 
 
 class BettingStrategy:
-    """A martingale evaluable at any string, with exact rational values."""
+    """A martingale evaluable at any string, with exact rational values.
+
+    A subclass names its wire `kind` and its `fields`: each constructor
+    argument, in order, with its wire type (a class; [T] for a list of T;
+    (A, B) for a pair).  Argument, attribute and document key share the
+    name, and defining the subclass registers it in `kinds` under its kind.
+    """
 
     kind = "abstract"
+    fields: dict = {}
+    kinds: dict[str, type] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "kind" in cls.__dict__:
+            BettingStrategy.kinds[cls.kind] = cls
 
     def __init__(self):
         self._cache: dict[str, Fraction] = {}
@@ -96,12 +108,10 @@ class BettingStrategy:
         """True when the strategy is known constant on all extensions of sigma."""
         return False
 
-    def params(self) -> dict:
-        return {}
-
 
 class ConstantStrategy(BettingStrategy):
     kind = "constant"
+    fields = {"c": Fraction}
 
     def __init__(self, c: Fraction | int = 1):
         super().__init__()
@@ -115,14 +125,12 @@ class ConstantStrategy(BettingStrategy):
     def flat_beyond(self, sigma: str) -> bool:
         return True
 
-    def params(self) -> dict:
-        return {"c": self.c}
-
 
 class TableStrategy(BettingStrategy):
     """Tabulated martingale, extended by constancy past its depth."""
 
     kind = "tabulated"
+    fields = {"table": MartingaleTable}
 
     def __init__(self, table: MartingaleTable):
         super().__init__()
@@ -134,9 +142,6 @@ class TableStrategy(BettingStrategy):
     def flat_beyond(self, sigma: str) -> bool:
         return len(sigma) >= self.table.depth
 
-    def params(self) -> dict:
-        return {"depth": self.table.depth}
-
 
 class PointDoubler(BettingStrategy):
     """Bets everything on following a fixed point: 2^n along it, dead off it.
@@ -146,6 +151,7 @@ class PointDoubler(BettingStrategy):
     """
 
     kind = "point-doubler"
+    fields = {"point": PeriodicPoint}
 
     def __init__(self, point: PeriodicPoint):
         super().__init__()
@@ -159,14 +165,12 @@ class PointDoubler(BettingStrategy):
     def flat_beyond(self, sigma: str) -> bool:
         return self.value(sigma) == 0
 
-    def params(self) -> dict:
-        return {"head": self.point.head, "period": self.point.period}
-
 
 class TranslateStrategy(BettingStrategy):
     """tau -> base(sigma tau): capital seen after entering [sigma]."""
 
     kind = "translated"
+    fields = {"base": BettingStrategy, "sigma": str}
 
     def __init__(self, base: BettingStrategy, sigma: str):
         super().__init__()
@@ -179,14 +183,12 @@ class TranslateStrategy(BettingStrategy):
     def flat_beyond(self, sigma: str) -> bool:
         return self.base.flat_beyond(self.sigma + sigma)
 
-    def params(self) -> dict:
-        return {"sigma": self.sigma}
-
 
 class ScaledStrategy(BettingStrategy):
     """Positive rescaling; fairness is preserved by linearity."""
 
     kind = "scaled"
+    fields = {"base": BettingStrategy, "factor": Fraction}
 
     def __init__(self, base: BettingStrategy, factor: Fraction):
         super().__init__()
@@ -201,15 +203,13 @@ class ScaledStrategy(BettingStrategy):
     def flat_beyond(self, sigma: str) -> bool:
         return self.base.flat_beyond(sigma)
 
-    def params(self) -> dict:
-        return {"factor": self.factor}
-
 
 class BlendStrategy(BettingStrategy):
     """Nonnegative-weight combination of strategies (constant 1 included via
     ConstantStrategy); the workhorse behind shifts and averages."""
 
     kind = "blend"
+    fields = {"terms": [(Fraction, BettingStrategy)]}
 
     def __init__(self, terms: list[tuple[Fraction, BettingStrategy]]):
         super().__init__()
@@ -223,9 +223,6 @@ class BlendStrategy(BettingStrategy):
     def flat_beyond(self, sigma: str) -> bool:
         return all(s.flat_beyond(sigma) for w, s in self.terms if w != 0)
 
-    def params(self) -> dict:
-        return {"weights": [w for w, _ in self.terms]}
-
 
 def positive_shift(d: BettingStrategy) -> BettingStrategy:
     """d' = (d + 1)/2: positive everywhere, normed when d is."""
@@ -236,6 +233,7 @@ class MixtureStrategy(BettingStrategy):
     """D = (1 - 2^(-n_e+1)) d + 2^(-n_e+1) d_e, the closure-step mixture."""
 
     kind = "mixture"
+    fields = {"d": BettingStrategy, "d_e": BettingStrategy, "n_e": int}
 
     def __init__(self, d: BettingStrategy, d_e: BettingStrategy, n_e: int):
         super().__init__()
@@ -252,9 +250,6 @@ class MixtureStrategy(BettingStrategy):
     def flat_beyond(self, sigma: str) -> bool:
         return self.d.flat_beyond(sigma) and self.d_e.flat_beyond(sigma)
 
-    def params(self) -> dict:
-        return {"n_e": self.n_e}
-
 
 class AverageStrategy(BettingStrategy):
     """Truncated average of normalized translates plus the residual weight.
@@ -266,6 +261,7 @@ class AverageStrategy(BettingStrategy):
     """
 
     kind = "averaged"
+    fields = {"base": BettingStrategy, "level": int}
 
     def __init__(self, base: BettingStrategy, level: int):
         super().__init__()
@@ -288,9 +284,6 @@ class AverageStrategy(BettingStrategy):
 
     def flat_beyond(self, sigma: str) -> bool:
         return all(self.base.flat_beyond(s + sigma) for s in self._anchors)
-
-    def params(self) -> dict:
-        return {"level": self.level}
 
 
 def translate(d: BettingStrategy, sigma: str) -> BettingStrategy:
@@ -325,6 +318,7 @@ class ResetStrategy(BettingStrategy):
     """
 
     kind = "reset"
+    fields = {"base": BettingStrategy, "q": Fraction, "blocks": PrefixFreeSet}
 
     def __init__(self, base: BettingStrategy, q: Fraction, blocks: PrefixFreeSet):
         super().__init__()
@@ -345,9 +339,6 @@ class ResetStrategy(BettingStrategy):
             if tau in self._block_set:
                 tau = ""
         return cap
-
-    def params(self) -> dict:
-        return {"q": self.q, "blocks": list(self.blocks.elements)}
 
 
 def reset(d: BettingStrategy, q: Fraction, blocks: PrefixFreeSet) -> BettingStrategy:
@@ -404,6 +395,8 @@ def winning_set(d: BettingStrategy, q: Fraction, depth: int) -> WinningSet:
     q = Fraction(q)
     if q <= 1:
         raise InvalidThreshold("need q > 1")
+    if depth < 0:
+        raise ValueError("negative depth")
     gens: list[str] = []
     truncated = False
 

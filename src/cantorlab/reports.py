@@ -92,12 +92,6 @@ class Report:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def require(self) -> "Report":
-        if not self.passed:
-            failed = [c for c in self.checks if not c.passed]
-            raise AssertionError(f"{self.title}: failed checks {failed}")
-        return self
-
     def to_doc(self) -> dict:
         return {
             "title": self.title,

@@ -61,6 +61,8 @@ def to_doc(obj: Any) -> Any:
                "levels": {str(n): to_doc(s) for n, s in obj.levels.items()}}
         if obj.bound_schedule is not None:
             doc["bounds"] = {str(n): frac_str(v) for n, v in obj.bound_schedule.items()}
+        if obj.martingale is not None:
+            doc["martingale"] = strategy_doc(obj.martingale)
         return doc
     if isinstance(obj, Machine):
         return {"table": dict(obj.table)}
@@ -86,37 +88,11 @@ def to_doc(obj: Any) -> Any:
 
 
 def strategy_doc(d: mg.BettingStrategy) -> dict:
-    doc: dict[str, Any] = {"kind": d.kind}
-    if isinstance(d, mg.ConstantStrategy):
-        doc["c"] = frac_str(d.c)
-    elif isinstance(d, mg.TableStrategy):
-        doc["table"] = to_doc(d.table)
-    elif isinstance(d, mg.PointDoubler):
-        doc["point"] = to_doc(d.point)
-    elif isinstance(d, mg.TranslateStrategy):
-        doc["base"] = strategy_doc(d.base)
-        doc["sigma"] = d.sigma
-    elif isinstance(d, mg.ScaledStrategy):
-        doc["base"] = strategy_doc(d.base)
-        doc["factor"] = frac_str(d.factor)
-    elif isinstance(d, mg.BlendStrategy):
-        doc["terms"] = [[frac_str(w), strategy_doc(s)] for w, s in d.terms]
-    elif isinstance(d, mg.MixtureStrategy):
-        doc["d"] = strategy_doc(d.d)
-        doc["d_e"] = strategy_doc(d.d_e)
-        doc["n_e"] = d.n_e
-    elif isinstance(d, mg.AverageStrategy):
-        doc["base"] = strategy_doc(d.base)
-        doc["level"] = d.level
-    elif isinstance(d, mg.ResetStrategy):
-        doc["base"] = strategy_doc(d.base)
-        doc["q"] = frac_str(d.q)
-        doc["blocks"] = to_doc(d.blocks)
-    elif isinstance(d, sr.BlockDoubler):
-        doc["exponents"] = list(d.exponents)
-        doc["q"] = frac_str(d.q)
-    else:
+    if d.kind not in mg.BettingStrategy.kinds:
         raise ParseError(f"cannot serialize strategy kind {d.kind!r}")
+    doc: dict[str, Any] = {"kind": d.kind}
+    for name in d.fields:
+        doc[name] = to_doc(getattr(d, name))
     return doc
 
 
@@ -158,41 +134,35 @@ def parse_table(doc: Any) -> mg.MartingaleTable:
         raise ParseError(str(err)) from None
 
 
+def _parse_field(wire: Any, doc: Any) -> Any:
+    """A strategy field from its document, by the wire type its class declares."""
+    if isinstance(wire, list):
+        return [_parse_field(wire[0], x) for x in doc]
+    if isinstance(wire, tuple):
+        first, second = doc
+        return _parse_field(wire[0], first), _parse_field(wire[1], second)
+    if wire is str:
+        return doc
+    return _FIELD_PARSERS[wire](doc)
+
+
 def parse_strategy(doc: Any) -> mg.BettingStrategy:
     kind = _need(doc, "kind")
+    cls = mg.BettingStrategy.kinds.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParseError(f"unknown strategy kind {kind!r}")
     try:
-        if kind == "constant":
-            return mg.ConstantStrategy(parse_fraction(_need(doc, "c")))
-        if kind == "tabulated":
-            return mg.TableStrategy(parse_table(_need(doc, "table")))
-        if kind == "point-doubler":
-            return mg.PointDoubler(parse_point(_need(doc, "point")))
-        if kind == "translated":
-            return mg.TranslateStrategy(parse_strategy(_need(doc, "base")),
-                                        _need(doc, "sigma"))
-        if kind == "scaled":
-            return mg.ScaledStrategy(parse_strategy(_need(doc, "base")),
-                                     parse_fraction(_need(doc, "factor")))
-        if kind == "blend":
-            return mg.BlendStrategy(
-                [(parse_fraction(w), parse_strategy(s)) for w, s in _need(doc, "terms")])
-        if kind == "mixture":
-            return mg.MixtureStrategy(parse_strategy(_need(doc, "d")),
-                                      parse_strategy(_need(doc, "d_e")),
-                                      int(_need(doc, "n_e")))
-        if kind == "averaged":
-            return mg.AverageStrategy(parse_strategy(_need(doc, "base")),
-                                      int(_need(doc, "level")))
-        if kind == "reset":
-            return mg.ResetStrategy(parse_strategy(_need(doc, "base")),
-                                    parse_fraction(_need(doc, "q")),
-                                    parse_set(_need(doc, "blocks")))
-        if kind == "block-doubler":
-            return sr.BlockDoubler([int(a) for a in _need(doc, "exponents")],
-                                   parse_fraction(_need(doc, "q")))
+        return cls(*[_parse_field(wire, _need(doc, name))
+                     for name, wire in cls.fields.items()])
     except (ValueError, TypeError) as err:
         raise ParseError(str(err)) from None
-    raise ParseError(f"unknown strategy kind {kind!r}")
+
+
+_FIELD_PARSERS = {
+    Fraction: parse_fraction, int: int, mg.MartingaleTable: parse_table,
+    PeriodicPoint: parse_point, PrefixFreeSet: parse_set,
+    mg.BettingStrategy: parse_strategy,
+}
 
 
 def parse_test(doc: Any) -> TestFamily:

@@ -34,6 +34,8 @@ from .space import (
     EMPTY_SET,
     FULL_SET,
     LEAF,
+    ONE,
+    ZERO,
     NodeTable,
     PeriodicPoint,
     PrefixFreeSet,
@@ -45,9 +47,6 @@ from .space import (
     measure,
 )
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 class CoordinatePairing:
     """Bit positions of the coordinates: coordinate n reads digit j at
@@ -55,9 +54,6 @@ class CoordinatePairing:
 
     def position(self, n: int, j: int) -> int:
         return cantor_pair(n, j)
-
-    def positions(self, n: int, count: int) -> list[int]:
-        return [self.position(n, j) for j in range(count)]
 
     rule = "antidiagonal pairing (n, j) -> (n+j)(n+j+1)/2 + j"
 
@@ -88,16 +84,6 @@ class IntervalPartition:
             self._blocks[(a, b)] = range(self._next_start, self._next_start + b)
             self._next_start += b
         return self._blocks[(i, l)]
-
-    def owner(self, position: int) -> tuple[int, int]:
-        while self._next_start <= position:
-            a, b = next(self._gen)
-            self._blocks[(a, b)] = range(self._next_start, self._next_start + b)
-            self._next_start += b
-        for (i, l), r in self._blocks.items():
-            if position in r:
-                return (i, l)
-        raise AssertionError("blocks tile the positions")
 
 
 PARTITION = IntervalPartition()
@@ -220,20 +206,6 @@ def union_generators(terms: Sequence[CylinderConstraintSet]) -> PrefixFreeSet:
 
     root = NodeTable().build((0, (1 << len(terms)) - 1), step, {LEAF: LEAF, EMPTY: EMPTY})
     return PrefixFreeSet.from_trie(root)
-
-
-def union_measure(terms: Sequence[CylinderConstraintSet]) -> Fraction:
-    """Measure of the union by enumerating only the constrained positions."""
-    positions = sorted({p for t in terms for p, _ in t.constraints})
-    index = {p: i for i, p in enumerate(positions)}
-    hits = 0
-    for m in range(2 ** len(positions)):
-        bits = format(m, f"0{len(positions)}b") if positions else ""
-        for t in terms:
-            if all(bits[index[p]] == b for p, b in t.constraints):
-                hits += 1
-                break
-    return Fraction(hits, 2 ** len(positions))
 
 
 def _dyadic_bits(alpha: Fraction) -> str:
@@ -388,6 +360,7 @@ class BlockDoubler(BettingStrategy):
     """
 
     kind = "block-doubler"
+    fields = {"exponents": [int], "q": Fraction}
 
     def __init__(self, exponents: Sequence[int], q: Fraction,
                  partition: IntervalPartition = PARTITION):
@@ -427,9 +400,6 @@ class BlockDoubler(BettingStrategy):
 
     def flat_beyond(self, sigma: str) -> bool:
         return not self._bets or len(sigma) > max(self._bets)
-
-    def params(self) -> dict:
-        return {"exponents": list(self.exponents), "q": self.q}
 
 
 def encode_series(exponents: Sequence[int], q: Fraction,

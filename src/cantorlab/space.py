@@ -27,6 +27,9 @@ from typing import Iterable, Iterator
 
 from .errors import PowerOfEpsilon
 
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
 
 def check_bits(s: str) -> str:
     if not isinstance(s, str) or s.strip("01") != "":

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cantorlab.cli import dispatch, main
+from cantorlab.cli import _HANDLERS, dispatch, main
 
 
 def run_cli(capsys, subcommand, doc, *flags):
@@ -123,64 +123,68 @@ ML_ZEROS = {"kind": "ML",
             "levels": {str(n): {"elements": ["0" * n]} for n in range(5)}}
 
 
+# One well-formed job per subcommand branch: (subcommand, document, output key).
+SMOKE = [
+    ("reduce", {"strings": ["0", "00"]}, "set"),
+    ("condition", {"set": {"elements": ["00"]}, "sigma": "0"}, "set"),
+    ("covers", {"cover": {"elements": ["0"]},
+                "covered": {"elements": ["00"]}}, "covers"),
+    ("tails", {"point": {"head": "0", "period": "1"}}, "tails"),
+    ("member", {"set": {"elements": ["0"]},
+                "point": {"head": "", "period": "0"}}, "member"),
+    ("fairness", {"table": {"depth": 1,
+                            "values": {"": "1", "0": "2", "1": "0"}}}, "fair"),
+    ("winning-set", {"strategy": DOUBLER, "q": "2", "depth": 4}, "winning_set"),
+    ("translate", {"strategy": DOUBLER, "sigma": "0"}, "strategy"),
+    ("average", {"strategy": SHIFTED, "level": 1}, "strategy"),
+    ("reset", {"strategy": SHIFTED, "q": "3/2",
+               "blocks": {"elements": ["0"]}}, "strategy"),
+    ("mixture", {"d": {"kind": "constant", "c": "1"}, "d_e": DOUBLER,
+                 "n_e": 2}, "strategy"),
+    ("success-capital", {"strategy": DOUBLER,
+                         "point": {"head": "", "period": "0"},
+                         "depth": 3}, "capitals"),
+    ("p1", {"case": "mlr", "set": {"elements": ["00"]}, "sigma": "0"}, "set"),
+    ("p1", {"case": "cr", "strategy": DOUBLER, "q": "4", "sigma": "0"}, "strategy"),
+    ("p1", {"case": "sr", "staged": {"stages": [{"elements": ["00"]}]},
+            "sigma": "0"}, "staged"),
+    ("p2", {"case": "mlr", "set": {"elements": ["00"]}, "q": "3/4"}, "set"),
+    ("p2", {"case": "cr", "strategy": DOUBLER, "q": "2", "sigma": "0",
+            "depth": 3}, None),
+    ("p2", {"case": "sr", "staged": {"stages": [{"elements": ["00"]}]},
+            "k": 2, "depth": 2}, "set"),
+    ("p3", {"case": "mlr", "set": {"elements": []}, "sigma": "", "k": 1,
+            "test": ML_ZEROS}, "set"),
+    ("p3", {"case": "cr", "strategy": {"kind": "constant", "c": "1"},
+            "q": "3/2", "sigma": "", "d_e": DOUBLER, "depth": 5}, "winning_set"),
+    ("p3", {"case": "sr", "staged": {"stages": [{"elements": ["00"]}]},
+            "other": {"stages": [{"elements": ["11"]}]}}, "staged"),
+    ("power-test", {"set": {"elements": ["00", "01", "10"]}, "N": 2}, "test"),
+    ("tails-to-power", {"set": {"elements": ["0"]},
+                        "point": {"head": "", "period": "0"}, "n": 3}, "factors"),
+    ("remark-bundle", {"set": {"elements": ["0"]},
+                       "points": [{"head": "", "period": "0"}], "n": 2}, None),
+    ("complexity", {"machine": {"table": {"0": "1"}}, "sigma": "1"}, "complexity"),
+    ("machine-to-f", {"machine": {"table": {"0": "1", "10": "1"}}}, "f"),
+    ("g-to-machine", {"g": {"values": [["0", "1/2"]]}, "c": 0}, "machine"),
+    ("flatten", {"stage_functions": [{"values": []},
+                                     {"values": [[5, "1/4"]]}]}, "flat"),
+    ("flatten", {"aggregate": {"values": [[0, "1/4"], [1, "1/4"]]}}, "g"),
+    ("normalize", {"f": {"values": [[0, "1/4"]]}, "N": 1}, "f"),
+    ("b-set", {"n": 0, "alpha": "1/2"}, "set"),
+    ("series-to-open", {"f": {"values": [[0, "1/2"], [1, "1/2"]]}}, "set"),
+    ("open-to-series", {"set": {"elements": ["0"]}, "n": 0}, "alpha"),
+    ("open-to-series", {"staged": {"stages": [{"elements": [""]}]},
+                        "n": 0, "c": 2}, "alpha"),
+    ("vn-from-g", {"g": {"values": [["0", "1/2"]]}, "n": 1}, "set"),
+    ("f-from-test", {"test": ML_ZEROS}, "f"),
+    ("extract-series", {"set": {"elements": ["0"]}, "count": 1,
+                        "lmax": 2}, "g"),
+]
+
+
 class TestMoreOps:
-    @pytest.mark.parametrize("sub,doc,key", [
-        ("reduce", {"strings": ["0", "00"]}, "set"),
-        ("condition", {"set": {"elements": ["00"]}, "sigma": "0"}, "set"),
-        ("covers", {"cover": {"elements": ["0"]},
-                    "covered": {"elements": ["00"]}}, "covers"),
-        ("tails", {"point": {"head": "0", "period": "1"}}, "tails"),
-        ("member", {"set": {"elements": ["0"]},
-                    "point": {"head": "", "period": "0"}}, "member"),
-        ("fairness", {"table": {"depth": 1,
-                                "values": {"": "1", "0": "2", "1": "0"}}}, "fair"),
-        ("winning-set", {"strategy": DOUBLER, "q": "2", "depth": 4}, "winning_set"),
-        ("translate", {"strategy": DOUBLER, "sigma": "0"}, "strategy"),
-        ("average", {"strategy": SHIFTED, "level": 1}, "strategy"),
-        ("reset", {"strategy": SHIFTED, "q": "3/2",
-                   "blocks": {"elements": ["0"]}}, "strategy"),
-        ("mixture", {"d": {"kind": "constant", "c": "1"}, "d_e": DOUBLER,
-                     "n_e": 2}, "strategy"),
-        ("success-capital", {"strategy": DOUBLER,
-                             "point": {"head": "", "period": "0"},
-                             "depth": 3}, "capitals"),
-        ("p1", {"case": "mlr", "set": {"elements": ["00"]}, "sigma": "0"}, "set"),
-        ("p1", {"case": "cr", "strategy": DOUBLER, "q": "4", "sigma": "0"}, "strategy"),
-        ("p1", {"case": "sr", "staged": {"stages": [{"elements": ["00"]}]},
-                "sigma": "0"}, "staged"),
-        ("p2", {"case": "mlr", "set": {"elements": ["00"]}, "q": "3/4"}, "set"),
-        ("p2", {"case": "cr", "strategy": DOUBLER, "q": "2", "sigma": "0",
-                "depth": 3}, None),
-        ("p2", {"case": "sr", "staged": {"stages": [{"elements": ["00"]}]},
-                "k": 2, "depth": 2}, "set"),
-        ("p3", {"case": "mlr", "set": {"elements": []}, "sigma": "", "k": 1,
-                "test": ML_ZEROS}, "set"),
-        ("p3", {"case": "cr", "strategy": {"kind": "constant", "c": "1"},
-                "q": "3/2", "sigma": "", "d_e": DOUBLER, "depth": 5}, "winning_set"),
-        ("p3", {"case": "sr", "staged": {"stages": [{"elements": ["00"]}]},
-                "other": {"stages": [{"elements": ["11"]}]}}, "staged"),
-        ("power-test", {"set": {"elements": ["00", "01", "10"]}, "N": 2}, "test"),
-        ("tails-to-power", {"set": {"elements": ["0"]},
-                            "point": {"head": "", "period": "0"}, "n": 3}, "factors"),
-        ("remark-bundle", {"set": {"elements": ["0"]},
-                           "points": [{"head": "", "period": "0"}], "n": 2}, None),
-        ("complexity", {"machine": {"table": {"0": "1"}}, "sigma": "1"}, "complexity"),
-        ("machine-to-f", {"machine": {"table": {"0": "1", "10": "1"}}}, "f"),
-        ("g-to-machine", {"g": {"values": [["0", "1/2"]]}, "c": 0}, "machine"),
-        ("flatten", {"stage_functions": [{"values": []},
-                                         {"values": [[5, "1/4"]]}]}, "flat"),
-        ("flatten", {"aggregate": {"values": [[0, "1/4"], [1, "1/4"]]}}, "g"),
-        ("normalize", {"f": {"values": [[0, "1/4"]]}, "N": 1}, "f"),
-        ("b-set", {"n": 0, "alpha": "1/2"}, "set"),
-        ("series-to-open", {"f": {"values": [[0, "1/2"], [1, "1/2"]]}}, "set"),
-        ("open-to-series", {"set": {"elements": ["0"]}, "n": 0}, "alpha"),
-        ("open-to-series", {"staged": {"stages": [{"elements": [""]}]},
-                            "n": 0, "c": 2}, "alpha"),
-        ("vn-from-g", {"g": {"values": [["0", "1/2"]]}, "n": 1}, "set"),
-        ("f-from-test", {"test": ML_ZEROS}, "f"),
-        ("extract-series", {"set": {"elements": ["0"]}, "count": 1,
-                            "lmax": 2}, "g"),
-    ])
+    @pytest.mark.parametrize("sub,doc,key", SMOKE)
     def test_smoke(self, capsys, sub, doc, key):
         status, rep = run_cli(capsys, sub, doc)
         assert status == 0, rep
@@ -208,11 +212,16 @@ class TestFrontDoorContract:
     """Malformed jobs exit 2 with a typed error object, never a traceback."""
 
     @pytest.mark.parametrize("sub,text,error", [
-        ("measure", "{}", "KeyError"),
+        ("measure", "{}", "ParseError"),
         ("power", '{"set": {"elements": ["0"]}, "n": -1}', "ValueError"),
         ("b-set", '{"n": -1, "alpha": "1/2"}', "ValueError"),
         ("condition", '{"set": {"elements": ["0"]}, "sigma": "2"}', "ValueError"),
         ("measure", "[1, 2]", "ParseError"),
+        ("measure", '{"set": {"elements": ["0"]}, "note": 1.5}', "ParseError"),
+        ("winning-set", json.dumps({"strategy": DOUBLER, "q": "2", "depth": -1}),
+         "ValueError"),
+        ("p2", json.dumps({"case": "cr", "strategy": DOUBLER, "q": "2",
+                           "sigma": "", "depth": -1}), "ValueError"),
     ])
     def test_malformed_job(self, capsys, monkeypatch, sub, text, error):
         import io
@@ -232,3 +241,51 @@ class TestFrontDoorContract:
         assert status == 2
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["error"]["type"] == "ParseError"
+
+    def test_single_mutations_keep_the_contract(self, capsys):
+        """Every job one mutation away from a smoke job: stdout is one JSON
+        object, 1 comes only with a failed check and 2 only with a typed
+        error."""
+        count = 0
+        for sub, doc, _ in SMOKE:
+            for job in mutations(doc):
+                count += 1
+                status, rep = run_cli(capsys, sub, job)
+                where = f"{sub} {json.dumps(job)}"
+                assert isinstance(rep, dict) and status in (0, 1, 2), where
+                if status == 1:
+                    assert any(c["result"] == "FAIL" for c in rep["checks"]), where
+                if status == 2:
+                    assert rep["result"] == "ERROR", where
+                    assert rep["error"]["type"], where
+                    assert isinstance(rep["error"]["message"], str), where
+        assert count > 3900
+
+    def test_flags_override_only_fields_the_subcommand_reads(self):
+        flagged = {sub: sorted(op.flags) for sub, op in _HANDLERS.items() if op.flags}
+        assert flagged == {
+            "winning-set": ["depth", "q"], "vk-verify": ["q"], "reset": ["q"],
+            "success-capital": ["depth"], "p1": ["case", "q"],
+            "p2": ["case", "depth", "k", "q"],
+            "p3": ["cap", "case", "depth", "k", "q"],
+            "main-lemma": ["cap", "case", "depth", "k", "q", "stages"],
+            "g-to-machine": ["c"], "open-to-series": ["c"], "encode-series": ["q"],
+            "tree-embed": ["depth"],
+        }
+
+
+MUTANTS = [None, True, -1, 0, 2, "", "2", "1/0", [], {}, 1.5, [1], {"a": 1}]
+
+
+def mutations(node):
+    """Each document one mutation away from node: one key dropped, or one
+    value, at any depth, replaced by one of MUTANTS."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield {k: v for k, v in node.items() if k != key}
+            for new in [*MUTANTS, *mutations(value)]:
+                yield {**node, key: new}
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            for new in [*MUTANTS, *mutations(value)]:
+                yield node[:i] + [new] + node[i + 1:]

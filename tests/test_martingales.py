@@ -84,6 +84,11 @@ class TestWinningSet:
         with pytest.raises(InvalidThreshold):
             winning_set(doubler(), Fraction(1), 3)
 
+    def test_negative_depth_rejected(self):
+        # The search would never meet a leaf at depth -1.
+        with pytest.raises(ValueError, match="negative depth"):
+            winning_set(doubler(), Fraction(2), -1)
+
     def test_set_level_capital_inequality(self):
         rng = Random(7)
         for _ in range(40):

@@ -8,9 +8,13 @@ from cantorlab.coding import DyadicFunction, KCRequestList, Machine
 from cantorlab.covers import TestFamily
 from cantorlab.errors import ParseError
 from cantorlab.martingales import (
+    AverageStrategy,
+    BettingStrategy,
     ConstantStrategy,
     MixtureStrategy,
     PointDoubler,
+    ScaledStrategy,
+    TableStrategy,
     TranslateStrategy,
     positive_shift,
     reset,
@@ -29,6 +33,7 @@ from cantorlab.serialize import (
     parse_test,
     to_doc,
 )
+from cantorlab.series import BlockDoubler
 from cantorlab.space import PeriodicPoint, PrefixFreeSet, StagedOpenSet
 
 from util import all_strings, doubler
@@ -64,25 +69,44 @@ def test_table_round_trip():
 
 
 def test_strategy_round_trips_evaluate_identically():
-    blocks = PrefixFreeSet(["0"])
-    strategies = [
-        ConstantStrategy(Fraction(3, 2)),
-        PointDoubler(PeriodicPoint("", "0")),
-        TranslateStrategy(doubler(), "0"),
-        positive_shift(doubler()),
-        MixtureStrategy(ConstantStrategy(1), doubler(), 2),
-        reset(positive_shift(doubler()), Fraction(3, 2), blocks),
-    ]
-    for d in strategies:
-        back = parse_strategy(to_doc(d))
-        for s in all_strings(4):
-            assert back.value(s) == d.value(s), d.kind
+    base = positive_shift(doubler())
+    examples = {
+        "constant": ConstantStrategy(Fraction(3, 2)),
+        "tabulated": TableStrategy(table_of(doubler(), 3)),
+        "point-doubler": PointDoubler(PeriodicPoint("", "0")),
+        "translated": TranslateStrategy(doubler(), "0"),
+        "scaled": ScaledStrategy(doubler(), Fraction(3, 4)),
+        "blend": base,
+        "mixture": MixtureStrategy(ConstantStrategy(1), doubler(), 2),
+        "averaged": AverageStrategy(base, 2),
+        "reset": reset(base, Fraction(3, 2), PrefixFreeSet(["0"])),
+        "block-doubler": BlockDoubler([2, 3], Fraction(2)),
+    }
+    assert set(examples) == set(BettingStrategy.kinds)
+    for kind, d in examples.items():
+        assert d.kind == kind
+        doc = to_doc(d)
+        assert set(doc) == {"kind", *type(d).fields}
+        back = parse_strategy(doc)
+        assert type(back) is type(d)
+        for s in all_strings(5):
+            assert back.value(s) == d.value(s), kind
 
 
 def test_test_family_round_trip():
     fam = TestFamily("Schnorr", {n: PrefixFreeSet(["0" * n]) for n in range(4)})
     back = parse_test(to_doc(fam))
     assert back.kind == "Schnorr" and back.levels == fam.levels
+    assert back.martingale is None
+
+
+def test_test_family_keeps_its_martingale():
+    fam = TestFamily("ML", {1: PrefixFreeSet(["0"])}, martingale=doubler())
+    doc = to_doc(fam)
+    assert doc["martingale"] == to_doc(doubler())
+    back = parse_test(doc)
+    assert [back.martingale.value(s) for s in all_strings(3)] == \
+        [doubler().value(s) for s in all_strings(3)]
 
 
 def test_machine_and_requests_round_trip():

@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 from cantorlab.martingales import MartingaleTable, PointDoubler, TableStrategy
+from cantorlab.pairing import antidiagonal_pairs
 from cantorlab.space import PeriodicPoint, PrefixFreeSet, reduce
 
 
@@ -151,3 +152,29 @@ def walk_union_generators(terms):
             elif mask:
                 stack.append((sigma + bit, rem, mask))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Series oracles.
+
+def union_measure(terms):
+    """Measure of a union of constraint sets by enumerating only the
+    constrained positions."""
+    positions = sorted({p for t in terms for p, _ in t.constraints})
+    index = {p: i for i, p in enumerate(positions)}
+    hits = 0
+    for m in range(2 ** len(positions)):
+        bits = format(m, f"0{len(positions)}b") if positions else ""
+        for t in terms:
+            if all(bits[index[p]] == b for p, b in t.constraints):
+                hits += 1
+                break
+    return Fraction(hits, 2 ** len(positions))
+
+
+def block_owner(partition, position):
+    """The pair (i, l) whose interval block holds the bit position, found by
+    laying the blocks out in the partition's own order."""
+    for i, l in antidiagonal_pairs(0, 1):
+        if position in partition.block(i, l):
+            return (i, l)
