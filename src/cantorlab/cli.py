@@ -265,7 +265,8 @@ def _extract_series(job):
     return out, res.report
 
 
-_SET, _POINT, _STRATEGY = sz.parse_set, sz.parse_point, sz.parse_strategy
+_SET, _POINT, _STRATEGY, _INT = (sz.parse_set, sz.parse_point, sz.parse_strategy,
+                                 sz.parse_int)
 _FRAC, _STAGED, _DYADIC, _TEST = (sz.parse_fraction, sz.parse_staged,
                                   sz.parse_dyadic, sz.parse_test)
 
@@ -273,61 +274,61 @@ _HANDLERS = {
     "measure": _Op("space.measure", {"set": _SET}, "measure"),
     "reduce": _Op("space.reduce", {"strings": _list}, "set"),
     "condition": _Op("space.condition", {"set": _SET, "sigma": _bits}, "set"),
-    "power": _Op(_power, {"set": _SET, "n": int}),
+    "power": _Op(_power, {"set": _SET, "n": _INT}),
     "covers": _Op("space.covers", {"cover": _SET, "covered": _SET}, "covers"),
     "tails": _Op("space.tails", {"point": _POINT}, "tails"),
     "member": _Op("space.member", {"set": _SET, "point": _POINT}, "member"),
     "fairness": _Op("martingales.check_fairness", {"table": sz.parse_table}, "fair"),
-    "winning-set": _Op(_winning_set, {"strategy": _STRATEGY, "q": _FRAC, "depth": int}),
+    "winning-set": _Op(_winning_set, {"strategy": _STRATEGY, "q": _FRAC, "depth": _INT}),
     "vk-verify": _Op("martingales.verify_ville_kolmogorov",
                      {"table": sz.parse_table, "sigma": _bits, "q": _FRAC}),
     "translate": _Op("martingales.translate", {"strategy": _STRATEGY, "sigma": _bits},
                      "strategy"),
-    "average": _Op(_average, {"strategy": _STRATEGY, "level": int, "shift?": bool}),
+    "average": _Op(_average, {"strategy": _STRATEGY, "level": _INT, "shift?": bool}),
     "reset": _Op("martingales.reset", {"strategy": _STRATEGY, "q": _FRAC, "blocks": _SET},
                  "strategy"),
-    "mixture": _Op("martingales.mixture", {"d": _STRATEGY, "d_e": _STRATEGY, "n_e": int},
+    "mixture": _Op("martingales.mixture", {"d": _STRATEGY, "d_e": _STRATEGY, "n_e": _INT},
                    "strategy"),
     "success-capital": _Op("martingales.success_capital",
-                           {"strategy": _STRATEGY, "point": _POINT, "depth": int},
+                           {"strategy": _STRATEGY, "point": _POINT, "depth": _INT},
                            "capitals"),
     "p1": _Op(_p1, {"case": _case, "set": _SET, "strategy": _STRATEGY, "q": _FRAC,
                     "sigma": _bits, "empty_marker?": bool, "staged": _STAGED}),
     "p2": _Op(_p2, {"case": _case, "set": _SET, "strategy": _STRATEGY, "q": _FRAC,
-                    "sigma": _bits, "depth": int, "staged": _STAGED, "k": int}),
-    "p3": _Op(_p3, {"case": _case, "set": _SET, "sigma": _bits, "k": int, "test?": _TEST,
-                    "strategy": _STRATEGY, "q": _FRAC, "d_e": _STRATEGY, "depth": int,
-                    "cap?": int, "staged": _STAGED, "other": _STAGED}),
+                    "sigma": _bits, "depth": _INT, "staged": _STAGED, "k": _INT}),
+    "p3": _Op(_p3, {"case": _case, "set": _SET, "sigma": _bits, "k": _INT, "test?": _TEST,
+                    "strategy": _STRATEGY, "q": _FRAC, "d_e": _STRATEGY, "depth": _INT,
+                    "cap?": _INT, "staged": _STAGED, "other": _STAGED}),
     "main-lemma": _Op(_main_lemma, {"w": _SET, "tests?": _each(_TEST), "case": _case,
-                                    "q?": _FRAC, "k?": int, "depth?": int, "cap?": int,
-                                    "stages": int}),
+                                    "q?": _FRAC, "k?": _INT, "depth?": _INT, "cap?": _INT,
+                                    "stages": _INT}),
     "verify-trace": _Op("diagonal.verify_trace",
                         {"trace": sz.parse_trace, "w": _SET, "tests?": _each(_TEST)}),
     "schnorr-merge": _Op("covers.schnorr_merge",
-                         {"test": _TEST, "K": int, "point?": _POINT}, "set"),
-    "power-test": _Op("covers.power_test", {"set": _SET, "N": int}, "test"),
-    "tails-to-power": _Op(_tails_to_power, {"set": _SET, "point": _POINT, "n": int}),
+                         {"test": _TEST, "K": _INT, "point?": _POINT}, "set"),
+    "power-test": _Op("covers.power_test", {"set": _SET, "N": _INT}, "test"),
+    "tails-to-power": _Op(_tails_to_power, {"set": _SET, "point": _POINT, "n": _INT}),
     "remark-bundle": _Op("covers.remark24_bundle",
-                         {"set": _SET, "points?": _each(_POINT), "n?": int}),
+                         {"set": _SET, "points?": _each(_POINT), "n?": _INT}),
     "kc-build": _Op(_kc_build, {"requests": _requests}),
     "complexity": _Op(_complexity, {"machine": sz.parse_machine, "sigma": _bits}),
     "machine-to-f": _Op("coding.machine_to_f", {"machine": sz.parse_machine}, "f"),
-    "g-to-machine": _Op("coding.g_to_machine", {"g": _DYADIC, "c": int}, "machine"),
+    "g-to-machine": _Op("coding.g_to_machine", {"g": _DYADIC, "c": _INT}, "machine"),
     "flatten": _Op(_flatten, {"aggregate?": _DYADIC,
                               "stage_functions": _each(_DYADIC)}),
-    "normalize": _Op("coding.normalize_sum", {"f": _DYADIC, "N": int}, "f"),
-    "b-set": _Op(_b_set, {"n": int, "alpha": _FRAC}),
+    "normalize": _Op("coding.normalize_sum", {"f": _DYADIC, "N": _INT}, "f"),
+    "b-set": _Op(_b_set, {"n": _INT, "alpha": _FRAC}),
     "series-to-open": _Op("series.series_to_open", {"f": _DYADIC},
                           "set", "product_measure"),
-    "open-to-series": _Op(_open_to_series, {"n": int, "staged?": _STAGED, "c": int,
+    "open-to-series": _Op(_open_to_series, {"n": _INT, "staged?": _STAGED, "c": _INT,
                                             "set": _SET}),
-    "vn-from-g": _Op("series.vn_from_g", {"g": _DYADIC, "n": int}, "set"),
+    "vn-from-g": _Op("series.vn_from_g", {"g": _DYADIC, "n": _INT}, "set"),
     "f-from-test": _Op("series.f_from_test", {"test": _TEST}, "f"),
     "encode-series": _Op("series.encode_series", {"exponents": _list, "q": _FRAC},
                          "set", "strategy"),
-    "extract-series": _Op(_extract_series, {"set": _SET, "count": int, "lmax": int}),
+    "extract-series": _Op(_extract_series, {"set": _SET, "count": _INT, "lmax": _INT}),
     "tree-embed": _Op("series.tree_embed",
-                      {"strategy": _STRATEGY, "depth": int, "budget?": int}, "map"),
+                      {"strategy": _STRATEGY, "depth": _INT, "budget?": _INT}, "map"),
 }
 
 

@@ -242,6 +242,8 @@ def p2_sr(u: StagedOpenSet, k: int, depth: int) -> tuple[PrefixFreeSet, Report]:
     within depth are covered, the overshoot mu([V] minus [final]) stays
     under 2^-k, and [V] union [final] stays bounded.
     """
+    if depth < 0:
+        raise ValueError("negative depth")
     final = u.final
     mu_final = u.final_measure
     if mu_final >= 1 - Fraction(1, 2 ** k):

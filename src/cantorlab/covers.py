@@ -93,6 +93,8 @@ def power_test(u: PrefixFreeSet, n_max: int) -> TestFamily:
     mu(U^n) = mu(U)^n, so the measures tend to 0 geometrically; the exact
     powers are declared as the bound schedule.
     """
+    if n_max < 0:
+        raise ValueError("negative level count")
     if measure(u) >= 1:
         raise Unbounded("need measure(U) < 1")
     if "" in u:
@@ -133,6 +135,8 @@ def tails_to_power(u: PrefixFreeSet, x: PeriodicPoint, n: int) -> FactorizationC
     generator of U as a prefix; peeling n times yields the factorization.
     Raises TailEscapes with the offending tail when the hypothesis fails.
     """
+    if n < 0:
+        raise ValueError("negative block count")
     for t in tails(x):
         if not member(u, t):
             raise TailEscapes(t)
@@ -195,6 +199,8 @@ def remark24_bundle(u: PrefixFreeSet, points: Iterable[PeriodicPoint] = (),
 
     Per-point failures are listed in the report rather than raised.
     """
+    if n < 0:
+        raise ValueError("negative block count")
     if measure(u) >= 1:
         raise Unbounded("need measure(U) < 1")
     rep = Report("single-cover-bundle")

@@ -105,7 +105,14 @@ class BettingStrategy:
         raise NotImplementedError
 
     def flat_beyond(self, sigma: str) -> bool:
-        """True when the strategy is known constant on all extensions of sigma."""
+        """True when the strategy is known constant on all extensions of sigma.
+
+        The answer must be sound and monotone: when it is True at sigma,
+        value(sigma tau) == value(sigma) for every tau, and flat_beyond is
+        True at every extension of sigma too.  False is always sound;
+        winning_set skips a subtree whose root is flat and below the
+        threshold, and reports truncation only at live, non-flat leaves.
+        """
         return False
 
 
@@ -218,7 +225,9 @@ class BlendStrategy(BettingStrategy):
             raise ValueError("blend weights must be nonnegative")
 
     def _compute(self, sigma: str) -> Fraction:
-        return sum((w * s.value(sigma) for w, s in self.terms), start=Fraction(0))
+        # A zero-weight term is never evaluated, as flat_beyond ignores it.
+        return sum((w * s.value(sigma) for w, s in self.terms if w != 0),
+                   start=Fraction(0))
 
     def flat_beyond(self, sigma: str) -> bool:
         return all(s.flat_beyond(sigma) for w, s in self.terms if w != 0)
@@ -315,6 +324,10 @@ class ResetStrategy(BettingStrategy):
     block prefix (unique since the block set is prefix-free):
     D(sigma iota) = D(sigma) * d(tau iota) / d(tau).  A word made of k blocks
     multiplies the capital by at least q per block, so D >= q^k there.
+
+    Every prefix walked keeps its state (capital, start of the open block
+    tau), so a string resumes from its longest known prefix: one step per
+    newly evaluated string when its parent is known.
     """
 
     kind = "reset"
@@ -326,18 +339,25 @@ class ResetStrategy(BettingStrategy):
         self.q = Fraction(q)
         self.blocks = blocks
         self._block_set = set(blocks.elements)
+        self._states: dict[str, tuple[Fraction, int]] = {"": (ONE, 0)}
 
     def _compute(self, sigma: str) -> Fraction:
-        cap = ONE
-        tau = ""
-        for bit in sigma:
+        states = self._states
+        i = len(sigma)
+        while sigma[:i] not in states:
+            i -= 1
+        cap, start = states[sigma[:i]]
+        tau = sigma[start:i]
+        while i < len(sigma):
             den = self.base.value(tau)
             if den == 0:
                 raise DeadCapital(f"base martingale dies at {tau!r} inside a block")
-            tau += bit
+            i += 1
+            tau = sigma[start:i]
             cap = cap * self.base.value(tau) / den
             if tau in self._block_set:
-                tau = ""
+                start, tau = i, ""
+            states[sigma[:i]] = (cap, start)
         return cap
 
 
@@ -410,6 +430,10 @@ def winning_set(d: BettingStrategy, q: Fraction, depth: int) -> WinningSet:
             if d.value(s) > 0 and not d.flat_beyond(s):
                 truncated = True
             continue
+        if d.flat_beyond(s):
+            # Constant below s and under q: no generator, and by monotonicity
+            # no leaf that could set truncated.
+            continue
         stack.append(s + "1")
         stack.append(s + "0")
     return WinningSet(q, PrefixFreeSet(gens), depth, truncated)
@@ -458,6 +482,8 @@ def verify_ville_kolmogorov(d: MartingaleTable, sigma: str, q: Fraction) -> Repo
 
 def success_capital(d: BettingStrategy, x: PeriodicPoint, depth: int) -> list[Fraction]:
     """Exact capital trace d(X restricted to 0..depth)."""
+    if depth < 0:
+        raise ValueError("negative depth")
     return [d.value(x.prefix(n)) for n in range(depth + 1)]
 
 

@@ -36,6 +36,13 @@ def parse_fraction(doc: Any) -> Fraction:
     raise ParseError(f"bad rational {doc!r}")
 
 
+def parse_int(doc: Any) -> int:
+    """A JSON integer; a boolean or a numeric string is rejected."""
+    if type(doc) is not int:
+        raise TypeError(f"expected an integer, got {type(doc).__name__}")
+    return doc
+
+
 def to_doc(obj: Any) -> Any:
     if isinstance(obj, Fraction):
         return frac_str(obj)
@@ -129,8 +136,8 @@ def parse_staged(doc: Any) -> StagedOpenSet:
 def parse_table(doc: Any) -> mg.MartingaleTable:
     try:
         values = {s: parse_fraction(v) for s, v in _need(doc, "values").items()}
-        return mg.MartingaleTable(int(_need(doc, "depth")), values)
-    except (ValueError, AttributeError) as err:
+        return mg.MartingaleTable(parse_int(_need(doc, "depth")), values)
+    except (ValueError, TypeError, AttributeError) as err:
         raise ParseError(str(err)) from None
 
 
@@ -159,7 +166,7 @@ def parse_strategy(doc: Any) -> mg.BettingStrategy:
 
 
 _FIELD_PARSERS = {
-    Fraction: parse_fraction, int: int, mg.MartingaleTable: parse_table,
+    Fraction: parse_fraction, int: parse_int, mg.MartingaleTable: parse_table,
     PeriodicPoint: parse_point, PrefixFreeSet: parse_set,
     mg.BettingStrategy: parse_strategy,
 }
@@ -187,7 +194,7 @@ def parse_machine(doc: Any) -> Machine:
 
 def parse_requests(doc: Any) -> KCRequestList:
     try:
-        return KCRequestList([(int(k), s) for k, s in _need(doc, "requests")])
+        return KCRequestList([(parse_int(k), s) for k, s in _need(doc, "requests")])
     except (ValueError, TypeError) as err:
         raise ParseError(str(err)) from None
 
@@ -203,7 +210,7 @@ def parse_trace(doc: Any) -> DiagonalTrace:
     try:
         stages = tuple(
             TraceStage(
-                index=int(_need(s, "index")),
+                index=parse_int(_need(s, "index")),
                 sigma=_need(s, "sigma"),
                 current=parse_set(_need(s, "set")),
                 n_e=s.get("n_e"),

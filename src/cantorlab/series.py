@@ -463,6 +463,8 @@ def extract_series(w: PrefixFreeSet, count: int, lmax: int,
     [W]; g(i) = 2^-b_i.  Indices with no covered block at the horizon get an
     infinity marker (None) and contribute 0 to the series.
     """
+    if count < 0 or lmax < 0:
+        raise ValueError("negative count or lmax")
     if measure(w) >= 1:
         raise Unbounded("need measure(W) < 1")
     lengths: list[int | None] = []

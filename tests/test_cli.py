@@ -222,6 +222,32 @@ class TestFrontDoorContract:
          "ValueError"),
         ("p2", json.dumps({"case": "cr", "strategy": DOUBLER, "q": "2",
                            "sigma": "", "depth": -1}), "ValueError"),
+        ("p2", json.dumps({"case": "sr", "staged": {"stages": [{"elements": ["00"]}]},
+                           "k": 2, "depth": -1}), "ValueError"),
+        ("success-capital", json.dumps({"strategy": DOUBLER, "depth": -1,
+                                        "point": {"head": "", "period": "0"}}),
+         "ValueError"),
+        ("power-test", '{"set": {"elements": ["00"]}, "N": -1}', "ValueError"),
+        ("tails-to-power", json.dumps({"set": {"elements": ["0"]}, "n": -1,
+                                       "point": {"head": "", "period": "0"}}),
+         "ValueError"),
+        ("remark-bundle", '{"set": {"elements": ["0"]}, "n": -1}', "ValueError"),
+        ("extract-series", '{"set": {"elements": ["0"]}, "count": -1, "lmax": 2}',
+         "ValueError"),
+        ("extract-series", '{"set": {"elements": ["0"]}, "count": 1, "lmax": -1}',
+         "ValueError"),
+        # Integer fields take JSON integers only: no booleans, no strings.
+        ("winning-set", json.dumps({"strategy": DOUBLER, "q": "2", "depth": True}),
+         "ParseError"),
+        ("power", '{"set": {"elements": ["0"]}, "n": "2"}', "ParseError"),
+        ("mixture", json.dumps({"d": DOUBLER, "d_e": DOUBLER, "n_e": True}),
+         "ParseError"),
+        ("mixture", json.dumps({"d": {"kind": "block-doubler", "exponents": ["1"],
+                                      "q": "1"}, "d_e": DOUBLER, "n_e": 2}),
+         "ParseError"),
+        ("fairness", '{"table": {"depth": true, "values": {"": "1", "0": "1", "1": "1"}}}',
+         "ParseError"),
+        ("kc-build", '{"requests": [["1", "0"]]}', "ParseError"),
     ])
     def test_malformed_job(self, capsys, monkeypatch, sub, text, error):
         import io
@@ -232,6 +258,32 @@ class TestFrontDoorContract:
         assert status == 2
         assert rep["result"] == "ERROR"
         assert rep["error"]["type"] == error and rep["error"]["message"]
+
+    @pytest.mark.parametrize("strategy", [
+        DOUBLER,
+        {"kind": "mixture", "d": {"kind": "constant", "c": "1"}, "d_e": DOUBLER,
+         "n_e": 2},
+    ])
+    def test_deep_search_skips_flat_subtrees(self, capsys, strategy):
+        import signal
+
+        def too_slow(signum, frame):
+            # A search that walks all 2^201 strings fails here, within a second.
+            raise TimeoutError("depth-200 winning-set search took over 1 s")
+
+        doc = {"strategy": strategy, "q": "2", "depth": 8}
+        status, shallow = run_cli(capsys, "winning-set", doc)
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            status, deep = run_cli(capsys, "winning-set", {**doc, "depth": 200})
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert status == 0 and deep["result"] == "PASS"
+        want = {**shallow["output"]["winning_set"], "source_depth": 200}
+        assert deep["output"]["winning_set"] == want
+        assert want["generators"]["elements"] and not want["truncated"]
 
     def test_parse_error_report_goes_to_output(self, capsys, tmp_path):
         inp = tmp_path / "job.json"

@@ -1,0 +1,214 @@
+"""The martingale layer against the oracles of tests/util.py.
+
+winning_set skips subtrees where the strategy is flat, so it must give the
+generators, their order and the truncated flag of the exhaustive search on
+random compositions of every registered strategy kind; that rests on the
+flat_beyond contract (sound and monotone), checked here kind by kind.  A
+reset strategy resumes from its longest known prefix, so its values and its
+DeadCapital messages must match the replay from the root whatever order the
+strings are evaluated in.
+"""
+
+from fractions import Fraction
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cantorlab.errors import DeadCapital
+from cantorlab.martingales import (
+    BettingStrategy,
+    BlendStrategy,
+    ConstantStrategy,
+    MixtureStrategy,
+    PointDoubler,
+    ResetStrategy,
+    ScaledStrategy,
+    TableStrategy,
+    TranslateStrategy,
+    average_truncated,
+    reset,
+    winning_set,
+)
+from cantorlab.series import BlockDoubler
+from cantorlab.space import PeriodicPoint, PrefixFreeSet, reduce
+
+from util import all_strings, doubler, exhaustive_winning_set, random_fair_table, replay_reset
+
+SEARCH_DEPTHS = (0, 1, 3, 6)
+THRESHOLDS = (Fraction(9, 8), Fraction(3, 2), Fraction(2), Fraction(5))
+
+bits = st.text(alphabet="01", max_size=3)
+points = st.builds(PeriodicPoint, bits, st.text(alphabet="01", min_size=1, max_size=3))
+blocks = st.lists(st.text(alphabet="01", min_size=1, max_size=3), max_size=3).map(reduce)
+
+
+def _table(seed, depth, positive):
+    return TableStrategy(random_fair_table(Random(seed), depth, positive=positive))
+
+
+def _average(base, level):
+    """Truncated average, or the base itself when the base dies at an anchor."""
+    try:
+        return average_truncated(base, level)
+    except DeadCapital:
+        return base
+
+
+# Leaf kinds, then kinds built over other strategies; together they are
+# every registered kind (test_every_kind_is_generated).
+LEAVES = {
+    "constant": st.builds(ConstantStrategy,
+                          st.sampled_from([0, Fraction(1, 2), 1, 3])),
+    # Tables from depth 0 to 8: shallower and deeper than the searches.
+    "tabulated": st.builds(_table, st.integers(0, 2 ** 16), st.integers(0, 8),
+                           st.booleans()),
+    "point-doubler": st.builds(PointDoubler, points),
+    "block-doubler": st.builds(BlockDoubler,
+                               st.lists(st.integers(1, 3), max_size=3),
+                               st.sampled_from([Fraction(1, 3), Fraction(2, 3)])),
+}
+EXTEND = {
+    "translated": lambda sub: st.builds(TranslateStrategy, sub, bits),
+    "scaled": lambda sub: st.builds(ScaledStrategy, sub,
+                                    st.sampled_from([Fraction(1, 2), 1, 3])),
+    "blend": lambda sub: st.builds(
+        BlendStrategy,
+        st.lists(st.tuples(st.sampled_from([0, Fraction(1, 2), 1]), sub),
+                 min_size=1, max_size=3)),
+    "mixture": lambda sub: st.builds(MixtureStrategy, sub, sub, st.integers(1, 3)),
+    "averaged": lambda sub: st.builds(_average, sub, st.integers(0, 1)),
+    "reset": lambda sub: st.builds(ResetStrategy, sub,
+                                   st.sampled_from([Fraction(3, 2), 2]), blocks),
+}
+
+compositions = st.recursive(
+    st.one_of(*LEAVES.values()),
+    lambda sub: st.one_of(*(extend(sub) for extend in EXTEND.values())),
+    max_leaves=5)
+
+
+def of_kind(kind):
+    """A strategy of the given kind, built over random compositions."""
+    return LEAVES[kind] if kind in LEAVES else EXTEND[kind](compositions)
+
+
+def outcome(search, d, q, depth):
+    """(generators in order, truncated), or the error the search raised."""
+    try:
+        found = search(d, q, depth)
+    except DeadCapital as err:
+        return "DeadCapital", str(err)
+    if isinstance(found, tuple):
+        gens, truncated = found
+        return PrefixFreeSet(gens).elements, truncated
+    return found.generators.elements, found.truncated
+
+
+def test_every_kind_is_generated():
+    assert set(LEAVES) | set(EXTEND) == set(BettingStrategy.kinds)
+
+
+class TestPrunedSearch:
+    @pytest.mark.parametrize("kind", sorted(BettingStrategy.kinds))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_exhaustive_search(self, kind, data):
+        d = data.draw(of_kind(kind))
+        for depth in SEARCH_DEPTHS:
+            for q in THRESHOLDS:
+                # The pruned search runs first, on the strategy's empty caches.
+                got = outcome(winning_set, d, q, depth)
+                assert got == outcome(exhaustive_winning_set, d, q, depth), (depth, q)
+
+    def test_depth_200_visits_only_the_live_path(self):
+        calls = []
+
+        class Counted(PointDoubler):
+            def _compute(self, sigma):
+                calls.append(sigma)
+                assert len(calls) < 1000, "the search left the live path"
+                return super()._compute(sigma)
+
+        d = MixtureStrategy(ConstantStrategy(1), Counted(PeriodicPoint("", "0")), 2)
+        w = winning_set(d, Fraction(200), 200)
+        assert w.generators.elements == ("0" * 9,) and not w.truncated
+        assert len(calls) == 2 * 9 + 1
+
+
+class TestFlatBeyondContract:
+    @pytest.mark.parametrize("kind", sorted(BettingStrategy.kinds))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_sound_and_monotone(self, kind, data):
+        d = data.draw(of_kind(kind))
+        for s in all_strings(3):
+            if not d.flat_beyond(s):
+                continue
+            here = d.value(s)
+            for t in all_strings(3):
+                assert d.value(s + t) == here, (s, t)
+            assert d.flat_beyond(s + "0") and d.flat_beyond(s + "1"), s
+
+
+def evaluated(r, order):
+    """Each string's value, or the DeadCapital message, in the given order."""
+    out = {}
+    for s in order:
+        try:
+            out[s] = r.value(s)
+        except DeadCapital as err:
+            out[s] = str(err)
+    return out
+
+
+def replayed(r, strings):
+    out = {}
+    for s in strings:
+        try:
+            out[s] = replay_reset(r, s)
+        except DeadCapital as err:
+            out[s] = str(err)
+    return out
+
+
+class TestIncrementalReset:
+    @settings(max_examples=60, deadline=None)
+    @given(compositions, st.sampled_from([Fraction(3, 2), 2]), blocks, st.randoms())
+    def test_any_order_matches_replay(self, base, q, block_set, rng):
+        strings = all_strings(6)
+        want = replayed(ResetStrategy(base, q, block_set), strings)
+        shuffled = list(strings)
+        rng.shuffle(shuffled)
+        for order in (sorted(strings, key=len, reverse=True), strings, shuffled):
+            assert evaluated(ResetStrategy(base, q, block_set), order) == want
+
+    def test_dying_base_message(self):
+        r = reset(doubler(), Fraction(2), PrefixFreeSet(["0"]))
+        with pytest.raises(DeadCapital) as want:
+            replay_reset(r, "0101")
+        for s in ("0101", "010", "0100", "0101"):
+            with pytest.raises(DeadCapital) as got:
+                r.value(s)
+            assert str(got.value) == str(want.value)
+        assert str(want.value) == "base martingale dies at '1' inside a block"
+        assert r.value("00") == 4 and r.value("01") == 0
+
+    def test_deep_string_one_step_per_new_string(self):
+        calls = []
+
+        class Counted(BlendStrategy):
+            def value(self, sigma):
+                calls.append(sigma)
+                return super().value(sigma)
+
+        base = Counted([(Fraction(1, 2), doubler()), (Fraction(1, 2), ConstantStrategy(1))])
+        r = reset(base, Fraction(3, 2), PrefixFreeSet(["0"]))
+        sigma = "0" * 1000
+        assert r.value(sigma) == Fraction(3, 2) ** 1000
+        calls.clear()
+        assert r.value(sigma + "0") == Fraction(3, 2) ** 1001
+        assert r.value(sigma + "1") == Fraction(3, 2) ** 1000 / 2
+        assert calls == ["", "0", "", "1"]
+        assert replay_reset(r, "0" * 40 + "1") == r.value("0" * 40 + "1")

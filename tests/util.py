@@ -3,9 +3,10 @@
 from fractions import Fraction
 from random import Random
 
+from cantorlab.errors import DeadCapital
 from cantorlab.martingales import MartingaleTable, PointDoubler, TableStrategy
 from cantorlab.pairing import antidiagonal_pairs
-from cantorlab.space import PeriodicPoint, PrefixFreeSet, reduce
+from cantorlab.space import ONE, PeriodicPoint, PrefixFreeSet, reduce
 
 
 def all_strings(depth):
@@ -178,3 +179,42 @@ def block_owner(partition, position):
     for i, l in antidiagonal_pairs(0, 1):
         if position in partition.block(i, l):
             return (i, l)
+
+
+# ---------------------------------------------------------------------------
+# Martingale oracles: the searches and walks as they were before the
+# martingale layer skipped flat subtrees and resumed from known prefixes.
+
+def exhaustive_winning_set(d, q, depth):
+    """(generators, truncated) of the winning-set search that visits every
+    string of length <= depth not below a generator."""
+    gens, truncated = [], False
+    stack = [""]
+    while stack:
+        s = stack.pop()
+        if d.value(s) >= q:
+            gens.append(s)
+            continue
+        if len(s) == depth:
+            if d.value(s) > 0 and not d.flat_beyond(s):
+                truncated = True
+            continue
+        stack.append(s + "1")
+        stack.append(s + "0")
+    return gens, truncated
+
+
+def replay_reset(r, sigma):
+    """ResetStrategy r at sigma, replaying its base bit by bit from the root."""
+    blocks = set(r.blocks.elements)
+    cap = ONE
+    tau = ""
+    for bit in sigma:
+        den = r.base.value(tau)
+        if den == 0:
+            raise DeadCapital(f"base martingale dies at {tau!r} inside a block")
+        tau += bit
+        cap = cap * r.base.value(tau) / den
+        if tau in blocks:
+            tau = ""
+    return cap
