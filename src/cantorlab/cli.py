@@ -245,7 +245,7 @@ def _b_set(job):
     alpha = job("alpha")
     out = series.b_set(job("n"), alpha)
     rep = Report("b-set")
-    rep.put("pairing", series.PAIRING.rule)
+    rep.put("pairing", series.PAIRING_RULE)
     rep.check("measure == alpha", space.measure(out), "==", alpha)
     return {"set": out}, rep
 
@@ -265,8 +265,8 @@ def _extract_series(job):
     return out, res.report
 
 
-_SET, _POINT, _STRATEGY, _INT = (sz.parse_set, sz.parse_point, sz.parse_strategy,
-                                 sz.parse_int)
+_SET, _POINT, _STRATEGY, _INT, _BOOL = (sz.parse_set, sz.parse_point,
+                                        sz.parse_strategy, sz.parse_int, sz.parse_bool)
 _FRAC, _STAGED, _DYADIC, _TEST = (sz.parse_fraction, sz.parse_staged,
                                   sz.parse_dyadic, sz.parse_test)
 
@@ -284,7 +284,7 @@ _HANDLERS = {
                      {"table": sz.parse_table, "sigma": _bits, "q": _FRAC}),
     "translate": _Op("martingales.translate", {"strategy": _STRATEGY, "sigma": _bits},
                      "strategy"),
-    "average": _Op(_average, {"strategy": _STRATEGY, "level": _INT, "shift?": bool}),
+    "average": _Op(_average, {"strategy": _STRATEGY, "level": _INT, "shift?": _BOOL}),
     "reset": _Op("martingales.reset", {"strategy": _STRATEGY, "q": _FRAC, "blocks": _SET},
                  "strategy"),
     "mixture": _Op("martingales.mixture", {"d": _STRATEGY, "d_e": _STRATEGY, "n_e": _INT},
@@ -293,7 +293,7 @@ _HANDLERS = {
                            {"strategy": _STRATEGY, "point": _POINT, "depth": _INT},
                            "capitals"),
     "p1": _Op(_p1, {"case": _case, "set": _SET, "strategy": _STRATEGY, "q": _FRAC,
-                    "sigma": _bits, "empty_marker?": bool, "staged": _STAGED}),
+                    "sigma": _bits, "empty_marker?": _BOOL, "staged": _STAGED}),
     "p2": _Op(_p2, {"case": _case, "set": _SET, "strategy": _STRATEGY, "q": _FRAC,
                     "sigma": _bits, "depth": _INT, "staged": _STAGED, "k": _INT}),
     "p3": _Op(_p3, {"case": _case, "set": _SET, "sigma": _bits, "k": _INT, "test?": _TEST,

@@ -294,8 +294,8 @@ class ClosureProvider:
     def initial(self) -> ProviderState:
         raise NotImplementedError
 
-    def p3(self, state: ProviderState, sigma: str, test: TestFamily | None,
-           stage: int) -> tuple[int | None, ProviderState, Report]:
+    def p3(self, state: ProviderState, sigma: str, test: TestFamily | None
+           ) -> tuple[int | None, ProviderState, Report]:
         raise NotImplementedError
 
     def p1(self, state: ProviderState, sigma: str) -> ProviderState:
@@ -316,7 +316,7 @@ class MLRProvider(ClosureProvider):
     def initial(self) -> ProviderState:
         return ProviderState(EMPTY_SET)
 
-    def p3(self, state, sigma, test, stage):
+    def p3(self, state, sigma, test):
         u = state.generators
         k = self.k or _least_slack(measure(condition(u, sigma)))
         n_e, v, rep = p3_mlr(u, sigma, k, test)
@@ -345,7 +345,7 @@ class CRProvider(ClosureProvider):
         # constant-1 strategy at threshold 2.
         return ProviderState(EMPTY_SET, payload=(ConstantStrategy(1), Fraction(2)))
 
-    def p3(self, state, sigma, test, stage):
+    def p3(self, state, sigma, test):
         d, q = state.payload
         d_e = test.martingale if test is not None and test.martingale is not None \
             else ConstantStrategy(1)
@@ -384,7 +384,7 @@ class SRProvider(ClosureProvider):
         st = StagedOpenSet((EMPTY_SET,))
         return ProviderState(EMPTY_SET, payload=st)
 
-    def p3(self, state, sigma, test, stage):
+    def p3(self, state, sigma, test):
         staged = state.payload
         m = measure(condition(staged.final, sigma))
         k = self.k or _least_slack(m)

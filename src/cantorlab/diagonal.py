@@ -64,7 +64,7 @@ def run(w: PrefixFreeSet, provider: ClosureProvider, tests: Sequence[TestFamily]
     records = []
     for e in range(stage_count):
         test = tests[e] if e < len(tests) else None
-        n_e, vstate, _ = provider.p3(state, sigma, test, e)
+        n_e, vstate, _ = provider.p3(state, sigma, test)
         tau = None
         for t in sorted(w, key=lenlex_key):
             if measure(condition(vstate.generators, sigma + t)) < 1:

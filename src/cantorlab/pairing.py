@@ -1,8 +1,9 @@
-"""Fixed diagonal enumerations of pairs.
+"""The fixed diagonal enumeration of pairs.
 
 One bijection NxN -> N (Cantor pairing, antidiagonal order) serves both the
 coordinate embedding of product space into Cantor space and the flattening
-of staged tables; the interval partition walks the same antidiagonals.
+of staged tables; the interval partition lays its blocks along the same
+antidiagonals.
 """
 
 from __future__ import annotations
@@ -23,12 +24,3 @@ def cantor_unpair(n: int) -> tuple[int, int]:
         s += 1
     b = n - s * (s + 1) // 2
     return s - b, b
-
-
-def antidiagonal_pairs(first_min: int = 0, second_min: int = 0):
-    """Yield pairs (a, b), a >= first_min, b >= second_min, shell by shell."""
-    s = first_min + second_min
-    while True:
-        for a in range(first_min, s - second_min + 1):
-            yield a, s - a
-        s += 1

@@ -8,24 +8,23 @@ certified inequality, with no decimal approximations anywhere.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
 
 def fmt(value: Any) -> Any:
-    """Render a value for a report: Fractions as 'num/den' strings, exactly."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [fmt(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): fmt(v) for k, v in value.items()}
-    # Domain objects serialize through their elements/fields.
-    from . import serialize
+    """Render a value for a report: its serialize.to_doc document, with
+    Fractions as 'num/den' strings, exactly."""
+    return _to_doc(value)
 
-    return serialize.to_doc(value)
+
+def _to_doc(value: Any) -> Any:
+    # serialize imports the modules that import this one, so it is imported
+    # on the first call, which rebinds _to_doc to serialize.to_doc itself: an
+    # import statement per call would cost more than rendering a Fraction.
+    global _to_doc
+    from .serialize import to_doc as _to_doc
+
+    return _to_doc(value)
 
 
 _REL = {

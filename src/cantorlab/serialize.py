@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Any
 
 from . import martingales as mg
-from . import series as sr
 from .coding import DyadicFunction, KCRequestList, Machine
 from .covers import TestFamily
 from .diagonal import DiagonalTrace, TraceStage
@@ -43,9 +42,23 @@ def parse_int(doc: Any) -> int:
     return doc
 
 
+def parse_bool(doc: Any) -> bool:
+    """JSON true or false; any other value is rejected, not read by truthiness."""
+    if type(doc) is not bool:
+        raise TypeError(f"expected a boolean, got {type(doc).__name__}")
+    return doc
+
+
 def to_doc(obj: Any) -> Any:
+    """The JSON document of a value; Fractions as exact "num/den" strings."""
     if isinstance(obj, Fraction):
-        return frac_str(obj)
+        return str(obj)
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [to_doc(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): to_doc(v) for k, v in obj.items()}
     if isinstance(obj, PrefixFreeSet):
         return {"elements": list(obj.elements)}
     if isinstance(obj, PeriodicPoint):
@@ -78,19 +91,11 @@ def to_doc(obj: Any) -> Any:
     if isinstance(obj, DyadicFunction):
         return {"values": [[k, frac_str(v)] for k, v in obj.entries],
                 "sum": frac_str(obj.declared_sum)}
-    if isinstance(obj, sr.CylinderConstraintSet):
-        return {"constraints": [[p, b] for p, b in obj.constraints]}
     if isinstance(obj, TraceStage):
         return {"index": obj.index, "sigma": obj.sigma,
                 "set": to_doc(obj.current), "n_e": obj.n_e, "tau": obj.tau}
     if isinstance(obj, DiagonalTrace):
         return {"case": obj.case, "stages": [to_doc(s) for s in obj.stages]}
-    if isinstance(obj, (list, tuple)):
-        return [to_doc(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): to_doc(v) for k, v in obj.items()}
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
     raise ParseError(f"cannot serialize {type(obj).__name__}")
 
 

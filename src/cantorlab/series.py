@@ -3,10 +3,12 @@
 Cantor space doubles as a product of unit intervals: coordinate n reads its
 binary digits at the bit positions the diagonal pairing assigns to n.  The
 constraint sets built here (coordinate intervals [0, alpha), all-zero
-interval blocks) are cylinder sets pinned at finitely many positions, and
-unions of them are built as generator tries by a memoized tree walk, so
-measures stay exact however the constraints interleave, and positions no
-constraint pins cost nothing.
+interval blocks) are cylinder sets pinned at finitely many positions; the
+set kernel builds their unions as generator tries by a memoized tree walk
+and tests their containment by a walk along the pinned bits, so measures
+stay exact however the constraints interleave, and positions no constraint
+pins cost nothing.  The pairing and the interval partition are fixed, and
+both are closed-form.
 """
 
 from __future__ import annotations
@@ -26,67 +28,49 @@ from .errors import (
     WeightTooLarge,
 )
 from .martingales import BettingStrategy
-from .pairing import antidiagonal_pairs, cantor_pair
+from .pairing import cantor_pair
 from .reports import Report
 from . import space
 from .space import (
-    EMPTY,
-    EMPTY_SET,
-    FULL_SET,
-    LEAF,
     ONE,
     ZERO,
-    NodeTable,
-    PeriodicPoint,
     PrefixFreeSet,
     StagedOpenSet,
-    Trie,
-    is_full,
-    kids,
     lenlex_key,
     measure,
 )
 
-
-class CoordinatePairing:
-    """Bit positions of the coordinates: coordinate n reads digit j at
-    position pair(n, j), along the standard antidiagonal bijection."""
-
-    def position(self, n: int, j: int) -> int:
-        return cantor_pair(n, j)
-
-    rule = "antidiagonal pairing (n, j) -> (n+j)(n+j+1)/2 + j"
-
-
-PAIRING = CoordinatePairing()
+# Coordinate n reads its digit j at bit position cantor_pair(n, j).
+PAIRING_RULE = "antidiagonal pairing (n, j) -> (n+j)(n+j+1)/2 + j"
 
 
 class IntervalPartition:
     """Partition of the bit positions into blocks I_(i,l) of length l.
 
-    Pairs (i, l), l >= 1, are laid out antidiagonal by antidiagonal into
-    consecutive blocks; the placement order is immaterial for the measure
-    facts, it is fixed here for reproducibility.
+    Pairs (i, l), l >= 1, are laid out antidiagonal by antidiagonal (s = i + l
+    ascending, i ascending within one) into consecutive blocks; the
+    placement order is immaterial for the measure facts, it is fixed here
+    for reproducibility.  The antidiagonals before s hold (s-1)s(s+1)/6
+    positions and the blocks before (i, l) on its own antidiagonal
+    i*s - i(i-1)/2, so each block is found in closed form.
     """
 
     rule = "antidiagonal pairs (i, l), l >= 1, in consecutive blocks"
 
-    def __init__(self):
-        self._blocks: dict[tuple[int, int], range] = {}
-        self._gen = antidiagonal_pairs(0, 1)
-        self._next_start = 0
-
     def block(self, i: int, l: int) -> range:
         if l < 1 or i < 0:
             raise ValueError("need i >= 0 and l >= 1")
-        while (i, l) not in self._blocks:
-            a, b = next(self._gen)
-            self._blocks[(a, b)] = range(self._next_start, self._next_start + b)
-            self._next_start += b
-        return self._blocks[(i, l)]
+        s = i + l
+        start = (s - 1) * s * (s + 1) // 6 + i * s - i * (i - 1) // 2
+        return range(start, start + l)
 
 
 PARTITION = IntervalPartition()
+
+
+def _zeros(i: int, l: int) -> list[tuple[int, str]]:
+    """Pins of the all-zero block I_(i,l)."""
+    return [(p, "0") for p in PARTITION.block(i, l)]
 
 
 class CylinderConstraintSet:
@@ -111,26 +95,9 @@ class CylinderConstraintSet:
     def depth(self) -> int:
         return self.constraints[-1][0] + 1 if self.constraints else 0
 
-    def measure(self) -> Fraction:
-        return Fraction(1, 2 ** len(self.constraints))
-
-    def consistent(self, sigma: str) -> bool:
-        return all(sigma[p] == b for p, b in self.constraints if p < len(sigma))
-
-    def conditional_measure(self, sigma: str) -> Fraction:
-        """mu(Z | sigma): free positions beyond sigma halve independently."""
-        if not self.consistent(sigma):
-            return ZERO
-        beyond = sum(1 for p, _ in self.constraints if p >= len(sigma))
-        return Fraction(1, 2 ** beyond)
-
     def covered_by(self, w: PrefixFreeSet) -> bool:
-        """Z subseteq [W]: W's trie is full wherever the pinned bits let Z go."""
-        return _covered(w.trie(), dict(self.constraints), self.depth)
-
-    def member(self, x: PeriodicPoint) -> bool:
-        prefix = x.prefix(self.depth)
-        return all(prefix[p] == b for p, b in self.constraints)
+        """Z subseteq [W], by the kernel's walk along the pinned bits."""
+        return space.covers_pinned(w, self.constraints)
 
     def generators(self) -> PrefixFreeSet:
         return union_generators([self])
@@ -139,73 +106,9 @@ class CylinderConstraintSet:
         return f"CylinderConstraintSet({list(self.constraints)!r})"
 
 
-def _covered(root: Trie, pinned: dict[int, str], depth: int) -> bool:
-    """Every sequence of the constraint set lies in the trie's open set.
-
-    Walks the trie from the root along the pinned bits, both ways at a free
-    position; each (node, bit position) pair is visited once.
-    """
-    seen = set()
-    stack = [(root, 0)]
-    while stack:
-        node, pos = stack.pop()
-        if is_full(node) or (node, pos) in seen:
-            continue
-        if pos >= depth or node is EMPTY:
-            return False
-        seen.add((node, pos))
-        zero, one = kids(node)
-        bit = pinned.get(pos)
-        if bit != "1":
-            stack.append((zero, pos + 1))
-        if bit != "0":
-            stack.append((one, pos + 1))
-    return True
-
-
 def union_generators(terms: Sequence[CylinderConstraintSet]) -> PrefixFreeSet:
-    """Minimal prefix-free generators of a union of constraint sets.
-
-    Walks the binary tree, pruning a subtree as soon as every term is
-    violated and ending a generator as soon as some term is fully pinned.
-    The walk's state at a node is its bit position and the set of terms
-    still alive (each alive term's remaining count follows from the two),
-    and the walk is memoized on that state: a free position yields one
-    shared subtrie instead of two copies, so the work follows the number of
-    states, not the number of generators.
-    """
-    terms = list(terms)
-    if any(not t.constraints for t in terms):
-        return FULL_SET
-    if not terms:
-        return EMPTY_SET
-    depth = max(t.depth for t in terms)
-    by_pos: list[list[tuple[int, str, bool]]] = [[] for _ in range(depth)]
-    for ti, t in enumerate(terms):
-        last = t.constraints[-1][0]
-        for p, b in t.constraints:
-            by_pos[p].append((1 << ti, b, p == last))
-
-    def step(state: tuple[int, int]):
-        """Children of the subtrie at bit position pos with the terms in
-        `alive` unviolated: a leaf where a term is completed, nothing where
-        every term is violated, else the state one position further."""
-        pos, alive = state
-        halves = []
-        for bit in "01":
-            mask = alive
-            done = False
-            for flag, need, last in by_pos[pos]:
-                if mask & flag:
-                    if bit != need:
-                        mask &= ~flag
-                    elif last:
-                        done = True
-            halves.append(LEAF if done else (pos + 1, mask) if mask else EMPTY)
-        return tuple(halves)
-
-    root = NodeTable().build((0, (1 << len(terms)) - 1), step, {LEAF: LEAF, EMPTY: EMPTY})
-    return PrefixFreeSet.from_trie(root)
+    """Minimal prefix-free generators of a union of constraint sets."""
+    return space.pinned_union([t.constraints for t in terms])
 
 
 def _dyadic_bits(alpha: Fraction) -> str:
@@ -217,8 +120,7 @@ def _dyadic_bits(alpha: Fraction) -> str:
     return format(alpha.numerator, f"0{t}b") if t else ""
 
 
-def b_terms(n: int, alpha: Fraction, pairing: CoordinatePairing = PAIRING
-            ) -> list[CylinderConstraintSet]:
+def b_terms(n: int, alpha: Fraction) -> list[CylinderConstraintSet]:
     """Disjoint constraint sets tiling {X : coordinate n lies in [0, alpha)}.
 
     For each 1-digit of alpha at fractional position i, one piece fixes the
@@ -233,19 +135,18 @@ def b_terms(n: int, alpha: Fraction, pairing: CoordinatePairing = PAIRING
     terms = []
     for i, digit in enumerate(bits, start=1):
         if digit == "1":
-            cons = [(pairing.position(n, j), bits[j]) for j in range(i - 1)]
-            cons.append((pairing.position(n, i - 1), "0"))
+            cons = [(cantor_pair(n, j), bits[j]) for j in range(i - 1)]
+            cons.append((cantor_pair(n, i - 1), "0"))
             terms.append(CylinderConstraintSet(cons))
     return terms
 
 
-def b_set(n: int, alpha: Fraction, pairing: CoordinatePairing = PAIRING) -> PrefixFreeSet:
+def b_set(n: int, alpha: Fraction) -> PrefixFreeSet:
     """Generator set of the coordinate interval event, with measure alpha."""
-    return union_generators(b_terms(n, alpha, pairing))
+    return union_generators(b_terms(n, alpha))
 
 
-def series_to_open(f: DyadicFunction, pairing: CoordinatePairing = PAIRING
-                   ) -> tuple[PrefixFreeSet, Fraction, Report]:
+def series_to_open(f: DyadicFunction) -> tuple[PrefixFreeSet, Fraction, Report]:
     """Union of coordinate events B_(n, f(n)); independence gives the product law.
 
     Returns the generator set, the product measure 1 - prod(1 - f(n)), and a
@@ -258,18 +159,17 @@ def series_to_open(f: DyadicFunction, pairing: CoordinatePairing = PAIRING
             raise ValueError("series must be indexed by naturals")
         if v > 1:
             raise ValueOverOne(f"f({n}) = {v} > 1")
-        terms.extend(b_terms(n, v, pairing))
+        terms.extend(b_terms(n, v))
         product *= 1 - v
     u = union_generators(terms)
     expected = 1 - product
     rep = Report("series-to-open")
-    rep.put("pairing", pairing.rule)
+    rep.put("pairing", PAIRING_RULE)
     rep.check("measure(U) == 1 - prod(1 - f(n))", measure(u), "==", expected)
     return u, expected, rep
 
 
-def open_to_series_sup(v: PrefixFreeSet, n: int,
-                       pairing: CoordinatePairing = PAIRING) -> Fraction:
+def open_to_series_sup(v: PrefixFreeSet, n: int) -> Fraction:
     """Largest dyadic alpha on the visible grid with B_(n, alpha) inside [V].
 
     The grid step is 2^-t where t counts the positions of coordinate n that
@@ -279,40 +179,40 @@ def open_to_series_sup(v: PrefixFreeSet, n: int,
     if measure(v) == 1:
         return ONE
     t = 0
-    while pairing.position(n, t) < v.maxlen:
+    while cantor_pair(n, t) < v.maxlen:
         t += 1
     for m in range(2 ** t, 0, -1):
         alpha = Fraction(m, 2 ** t)
-        if all(term.covered_by(v) for term in b_terms(n, alpha, pairing)):
+        if all(term.covered_by(v) for term in b_terms(n, alpha)):
             return alpha
     return ZERO
 
 
-def open_to_series_approx(v: StagedOpenSet, n: int, c: int,
-                          pairing: CoordinatePairing = PAIRING) -> Fraction:
+def open_to_series_approx(v: StagedOpenSet, n: int, c: int) -> Fraction:
     """Largest grid alpha with mu(B_(n, alpha) minus stage n) <= 2^-(n+c).
 
     Works from the stage-n clopen approximation instead of the full set, the
-    price being the 2^-(n+c) leak allowance.
+    price being the 2^-(n+c) leak allowance.  The leak is exact: with
+    B = B_(n, alpha) and W the stage, mu(B minus [W]) = mu(B cup [W]) - mu(W).
+    B grows with alpha, and so does the leak, so the grid is bisected.
     """
     if n >= len(v.stages):
         raise MissingStage(f"staged set has no stage {n}")
     w = v.stages[n]
     allowance = Fraction(1, 2 ** (n + c))
     t = n + c
-    while pairing.position(n, t) < w.maxlen:
+    while cantor_pair(n, t) < w.maxlen:
         t += 1
-    for m in range(2 ** t, -1, -1):
-        alpha = Fraction(m, 2 ** t)
-        terms = b_terms(n, alpha, pairing)
-        covered = sum(
-            (Fraction(space.cylinder_measure(s)) * term.conditional_measure(s)
-             for term in terms for s in w.elements),
-            start=ZERO,
-        )
-        if alpha - covered <= allowance:
-            return alpha
-    return ZERO
+    mu_w = measure(w)
+    # Grid point lo passes (B_0 is empty); hi fails or lies past the grid.
+    lo, hi = 0, 2 ** t + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if measure(space.union(b_set(n, Fraction(mid, 2 ** t)), w)) - mu_w <= allowance:
+            lo = mid
+        else:
+            hi = mid
+    return Fraction(lo, 2 ** t)
 
 
 def vn_from_g(g: DyadicFunction, n: int) -> tuple[PrefixFreeSet, Report]:
@@ -362,12 +262,10 @@ class BlockDoubler(BettingStrategy):
     kind = "block-doubler"
     fields = {"exponents": [int], "q": Fraction}
 
-    def __init__(self, exponents: Sequence[int], q: Fraction,
-                 partition: IntervalPartition = PARTITION):
+    def __init__(self, exponents: Sequence[int], q: Fraction):
         super().__init__()
         self.exponents = tuple(int(a) for a in exponents)
         self.q = Fraction(q)
-        self.partition = partition
         reserved = sum((self.q * Fraction(1, 2 ** a) for a in self.exponents),
                        start=ZERO)
         if reserved > 1:
@@ -375,8 +273,7 @@ class BlockDoubler(BettingStrategy):
                 f"reserves {reserved} exceed the unit starting capital")
         self._bets: dict[int, tuple[int, Fraction]] = {}
         for i, a in enumerate(self.exponents):
-            blk = partition.block(i, a)
-            for p in blk:
+            for p in PARTITION.block(i, a):
                 self._bets[p] = (i, self.q * Fraction(1, 2 ** a))
 
     def _compute(self, sigma: str) -> Fraction:
@@ -402,8 +299,7 @@ class BlockDoubler(BettingStrategy):
         return not self._bets or len(sigma) > max(self._bets)
 
 
-def encode_series(exponents: Sequence[int], q: Fraction,
-                  partition: IntervalPartition = PARTITION
+def encode_series(exponents: Sequence[int], q: Fraction
                   ) -> tuple[PrefixFreeSet, BettingStrategy, Report]:
     """All-zero interval blocks for each exponent, plus the doubling strategy.
 
@@ -420,25 +316,21 @@ def encode_series(exponents: Sequence[int], q: Fraction,
     weight = sum((Fraction(1, 2 ** a) for a in exponents), start=ZERO)
     if weight >= 1 / q:
         raise WeightTooLarge(f"sum 2^-a_i = {weight} >= 1/q = {1 / q}")
-    zsets = [
-        CylinderConstraintSet([(p, "0") for p in partition.block(i, a)])
-        for i, a in enumerate(exponents)
-    ]
-    u = union_generators(zsets)
+    u = space.pinned_union([_zeros(i, a) for i, a in enumerate(exponents)])
     product = ONE
     for a in exponents:
         product *= 1 - Fraction(1, 2 ** a)
     rep = Report("encode-series")
-    rep.put("partition", partition.rule)
+    rep.put("partition", PARTITION.rule)
     rep.put("q", q)
     rep.put("reserved_total", q * weight)
     rep.check("measure(U) == 1 - prod(1 - 2^-a_i)", measure(u), "==", 1 - product)
-    d = BlockDoubler(exponents, q, partition)
+    d = BlockDoubler(exponents, q)
     for i, a in enumerate(exponents):
-        end = partition.block(i, a).stop
+        end = PARTITION.block(i, a).stop
         loss = sum(
             (q * Fraction(1, 2 ** aj) for j, aj in enumerate(exponents)
-             if j != i and partition.block(j, aj).start < end),
+             if j != i and PARTITION.block(j, aj).start < end),
             start=ZERO,
         )
         worst = 1 + q * (1 - Fraction(1, 2 ** a)) - loss
@@ -455,8 +347,7 @@ class ExtractionResult:
         self.report = report
 
 
-def extract_series(w: PrefixFreeSet, count: int, lmax: int,
-                   partition: IntervalPartition = PARTITION) -> ExtractionResult:
+def extract_series(w: PrefixFreeSet, count: int, lmax: int) -> ExtractionResult:
     """Read a dominating series back off a bounded cover.
 
     b_i is the least block length l <= lmax whose all-zero block sits inside
@@ -473,8 +364,7 @@ def extract_series(w: PrefixFreeSet, count: int, lmax: int,
     for i in range(count):
         found = None
         for l in range(1, lmax + 1):
-            z = CylinderConstraintSet([(p, "0") for p in partition.block(i, l)])
-            if z.covered_by(w):
+            if space.covers_pinned(w, _zeros(i, l)):
                 found = l
                 break
         lengths.append(found)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PowerOfEpsilon
 
@@ -529,6 +529,84 @@ def covers(v: PrefixFreeSet, u: PrefixFreeSet) -> bool:
     measure 1, which is exact rational arithmetic here.
     """
     return _covers(v.trie(), u.trie())
+
+
+# ---------------------------------------------------------------------------
+# Pinned sets.  A pin list is a sequence of (position, bit) pairs at distinct
+# positions; it stands for the sequences that carry each pinned bit at its
+# position, and an empty pin list for the whole space.
+
+Pins = Sequence[tuple[int, str]]
+
+
+def pinned_union(terms: Sequence[Pins]) -> PrefixFreeSet:
+    """Minimal prefix-free generators of a union of pinned sets.
+
+    Walks the binary tree, pruning a subtree as soon as every term is
+    violated and ending a generator as soon as some term is fully pinned.
+    The walk's state at a node is its bit position and the set of terms
+    still alive (each alive term's remaining count follows from the two),
+    and the walk is memoized on that state: a free position yields one
+    shared subtrie instead of two copies, so the work follows the number of
+    states, not the number of generators.
+    """
+    if any(not pins for pins in terms):
+        return FULL_SET
+    if not terms:
+        return EMPTY_SET
+    depth = max(p for pins in terms for p, _ in pins) + 1
+    by_pos: list[list[tuple[int, str, bool]]] = [[] for _ in range(depth)]
+    for ti, pins in enumerate(terms):
+        last = max(p for p, _ in pins)
+        for p, b in pins:
+            by_pos[p].append((1 << ti, b, p == last))
+
+    def step(state: tuple[int, int]):
+        """Children of the subtrie at bit position pos with the terms in
+        `alive` unviolated: a leaf where a term is completed, nothing where
+        every term is violated, else the state one position further."""
+        pos, alive = state
+        halves = []
+        for bit in "01":
+            mask = alive
+            done = False
+            for flag, need, last in by_pos[pos]:
+                if mask & flag:
+                    if bit != need:
+                        mask &= ~flag
+                    elif last:
+                        done = True
+            halves.append(LEAF if done else (pos + 1, mask) if mask else EMPTY)
+        return tuple(halves)
+
+    root = NodeTable().build((0, (1 << len(terms)) - 1), step, {LEAF: LEAF, EMPTY: EMPTY})
+    return PrefixFreeSet.from_trie(root)
+
+
+def covers_pinned(v: PrefixFreeSet, pins: Pins) -> bool:
+    """Containment of the pinned set in [V].
+
+    Walks V's trie from the root along the pinned bits, both ways at a free
+    position; each (node, bit position) pair is visited once.
+    """
+    pinned = dict(pins)
+    depth = max(pinned, default=-1) + 1
+    seen = set()
+    stack = [(v.trie(), 0)]
+    while stack:
+        node, pos = stack.pop()
+        if is_full(node) or (node, pos) in seen:
+            continue
+        if pos >= depth or node is EMPTY:
+            return False
+        seen.add((node, pos))
+        zero, one = kids(node)
+        bit = pinned.get(pos)
+        if bit != "1":
+            stack.append((zero, pos + 1))
+        if bit != "0":
+            stack.append((one, pos + 1))
+    return True
 
 
 class PeriodicPoint:

@@ -6,6 +6,8 @@ import pytest
 
 from cantorlab.cli import _HANDLERS, dispatch, main
 
+from util import time_limit
+
 
 def run_cli(capsys, subcommand, doc, *flags):
     import io
@@ -248,6 +250,11 @@ class TestFrontDoorContract:
         ("fairness", '{"table": {"depth": true, "values": {"": "1", "0": "1", "1": "1"}}}',
          "ParseError"),
         ("kc-build", '{"requests": [["1", "0"]]}', "ParseError"),
+        # Boolean fields take JSON true and false only, not any truthy value.
+        ("average", json.dumps({"strategy": SHIFTED, "level": 1, "shift": "false"}),
+         "ParseError"),
+        ("p1", json.dumps({"case": "cr", "strategy": DOUBLER, "q": "4", "sigma": "1",
+                           "empty_marker": "no"}), "ParseError"),
     ])
     def test_malformed_job(self, capsys, monkeypatch, sub, text, error):
         import io
@@ -265,25 +272,24 @@ class TestFrontDoorContract:
          "n_e": 2},
     ])
     def test_deep_search_skips_flat_subtrees(self, capsys, strategy):
-        import signal
-
-        def too_slow(signum, frame):
-            # A search that walks all 2^201 strings fails here, within a second.
-            raise TimeoutError("depth-200 winning-set search took over 1 s")
-
         doc = {"strategy": strategy, "q": "2", "depth": 8}
         status, shallow = run_cli(capsys, "winning-set", doc)
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        signal.setitimer(signal.ITIMER_REAL, 1.0)
-        try:
+        # A search that walks all 2^201 strings fails here, within a second.
+        with time_limit(1.0, "depth-200 winning-set search"):
             status, deep = run_cli(capsys, "winning-set", {**doc, "depth": 200})
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
         assert status == 0 and deep["result"] == "PASS"
         want = {**shallow["output"]["winning_set"], "source_depth": 200}
         assert deep["output"]["winning_set"] == want
         assert want["generators"]["elements"] and not want["truncated"]
+
+    def test_long_extraction_runs_in_linear_time(self):
+        # About i^2/2 blocks precede block (i, 1): laying them out one by one
+        # up to i = 3000 would take seconds and hundreds of megabytes.
+        with time_limit(1.0, "extract-series over 3000 blocks"):
+            rep, status = dispatch("extract-series", {"set": {"elements": ["00"]},
+                                                      "count": 3000, "lmax": 1})
+        assert status == 0
+        assert rep["output"]["block_lengths"] == ["infinity"] * 3000
 
     def test_parse_error_report_goes_to_output(self, capsys, tmp_path):
         inp = tmp_path / "job.json"

@@ -302,7 +302,7 @@ class TestProviders:
         prov = MLRProvider()
         st = prov.initial()
         t = ml_test_toward_ones(5)
-        n_e, st2, rep = prov.p3(st, "", t, 0)
+        n_e, st2, rep = prov.p3(st, "", t)
         assert rep.passed and n_e == 1
         st3 = prov.p1(st2, "0")
         st4, rep2 = prov.p2(st3)
@@ -313,7 +313,7 @@ class TestProviders:
         st = prov.initial()
         t = TestFamily("ML", {n: winning_set(doubler(), Fraction(2 ** n), 6).generators
                               for n in range(1, 7)}, martingale=doubler())
-        n_e, st2, rep = prov.p3(st, "", t, 0)
+        n_e, st2, rep = prov.p3(st, "", t)
         assert rep.passed
         d, thr = st2.payload
         assert winning_set(d, thr, 6).generators == st2.generators

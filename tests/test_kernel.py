@@ -5,8 +5,10 @@ length-lex order, as the list scans it replaced; the constraint-set
 operations likewise against the generator walk and the integer-unit scan.
 """
 
+import ast
 import gc
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,3 +145,29 @@ class TestSparseSets:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# Names of space.py that expose the trie behind a PrefixFreeSet.
+TRIE_INTERNALS = {"NodeTable", "TrieNode", "Trie", "LEAF", "EMPTY", "kids", "is_full"}
+SRC = Path(__file__).resolve().parent.parent / "src" / "cantorlab"
+
+
+def test_trie_code_stays_in_space():
+    """Outside space.py no module imports or reads a trie internal, and
+    none calls .trie() or from_trie: every clopen operation goes through
+    the kernel's functions."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "space.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("space"):
+                found += [f"{where} imports {a.name}" for a in node.names
+                          if a.name in TRIE_INTERNALS or a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and node.attr in TRIE_INTERNALS:
+                found.append(f"{where} reads .{node.attr}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in ("trie", "from_trie"):
+                found.append(f"{where} calls .{node.func.attr}()")
+    assert not found, found

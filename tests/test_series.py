@@ -25,8 +25,8 @@ from cantorlab.martingales import (
     check_fairness,
     table_of,
 )
+from cantorlab.pairing import cantor_pair
 from cantorlab.series import (
-    PAIRING,
     PARTITION,
     BlockDoubler,
     CylinderConstraintSet,
@@ -46,11 +46,21 @@ from cantorlab.space import (
     PeriodicPoint,
     PrefixFreeSet,
     StagedOpenSet,
+    condition,
     covers,
     measure,
+    member,
+    union,
 )
 
-from util import block_owner, doubler, union_measure
+from util import (
+    antidiagonal_pairs,
+    block_owner,
+    doubler,
+    random_prefix_free,
+    scan_open_to_series_approx,
+    union_measure,
+)
 
 
 def bf_terms_measure(terms, depth):
@@ -65,11 +75,11 @@ def bf_terms_measure(terms, depth):
 
 class TestPairingAndPartition:
     def test_pairing_layout(self):
-        assert [PAIRING.position(n, j) for n, j in
+        assert [cantor_pair(n, j) for n, j in
                 [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]] == [0, 1, 2, 3, 4, 5]
 
     def test_pairing_injective(self):
-        seen = {PAIRING.position(n, j) for n in range(6) for j in range(6)}
+        seen = {cantor_pair(n, j) for n in range(6) for j in range(6)}
         assert len(seen) == 36
 
     def test_partition_blocks_tile(self):
@@ -77,6 +87,14 @@ class TestPairingAndPartition:
                [(0, 1), (0, 2), (1, 1), (0, 3), (1, 2), (2, 1)]]
         assert got == [range(0, 1), range(1, 3), range(3, 4),
                        range(4, 7), range(7, 9), range(9, 10)]
+
+    def test_closed_form_matches_antidiagonal_layout(self):
+        start = 0
+        for i, l in antidiagonal_pairs(0, 1):
+            if i + l > 60:
+                break
+            assert PARTITION.block(i, l) == range(start, start + l)
+            start += l
 
     def test_owner_inverts_block(self):
         for i, l in [(0, 1), (1, 2), (2, 3), (3, 1)]:
@@ -87,14 +105,14 @@ class TestPairingAndPartition:
 class TestConstraintSets:
     def test_measure_and_depth(self):
         z = CylinderConstraintSet([(3, "0"), (1, "1")])
-        assert z.measure() == Fraction(1, 4)
+        assert measure(z.generators()) == Fraction(1, 4)
         assert z.depth == 4
 
     def test_conditional_measure(self):
-        z = CylinderConstraintSet([(0, "0"), (2, "0")])
-        assert z.conditional_measure("0") == Fraction(1, 2)
-        assert z.conditional_measure("1") == 0
-        assert z.conditional_measure("000") == 1
+        z = CylinderConstraintSet([(0, "0"), (2, "0")]).generators()
+        assert measure(condition(z, "0")) == Fraction(1, 2)
+        assert measure(condition(z, "1")) == 0
+        assert measure(condition(z, "000")) == 1
 
     def test_independence_of_disjoint_positions(self):
         rng = Random(31)
@@ -104,7 +122,8 @@ class TestConstraintSets:
             b = CylinderConstraintSet([(p, rng.choice("01")) for p in pos[3:]])
             both = CylinderConstraintSet(list(a.constraints) + list(b.constraints))
             depth = max(a.depth, b.depth)
-            assert bf_terms_measure([both], depth) == a.measure() * b.measure()
+            assert bf_terms_measure([both], depth) == (
+                measure(a.generators()) * measure(b.generators()))
 
     def test_covered_by(self):
         z = CylinderConstraintSet([(1, "0")])
@@ -112,9 +131,9 @@ class TestConstraintSets:
         assert not z.covered_by(PrefixFreeSet(["00"]))
 
     def test_member(self):
-        z = CylinderConstraintSet([(0, "0"), (2, "1")])
-        assert z.member(PeriodicPoint("00", "1"))
-        assert not z.member(PeriodicPoint("", "0"))
+        z = CylinderConstraintSet([(0, "0"), (2, "1")]).generators()
+        assert member(z, PeriodicPoint("00", "1"))
+        assert not member(z, PeriodicPoint("", "0"))
 
 
 class TestUnionGenerators:
@@ -217,6 +236,19 @@ class TestOpenToSeries:
     def test_approx_grid_max_beyond_half(self):
         st = StagedOpenSet((b_set(0, Fraction(1, 2)),))
         assert open_to_series_approx(st, 0, 2) == Fraction(3, 4)
+
+    def test_approx_matches_generator_scan(self):
+        rng = Random(59)
+        for _ in range(250):
+            stages = [random_prefix_free(rng, maxlen=6, count=rng.randint(0, 4))]
+            for _ in range(2):
+                stages.append(union(stages[-1], random_prefix_free(rng, maxlen=6,
+                                                                   count=rng.randint(0, 3))))
+            st = StagedOpenSet(stages)
+            for n in range(3):
+                for c in range(1, 4):
+                    assert open_to_series_approx(st, n, c) == \
+                        scan_open_to_series_approx(st, n, c), (stages, n, c)
 
     def test_missing_stage(self):
         st = StagedOpenSet((PrefixFreeSet(),))

@@ -1,11 +1,14 @@
 """Shared fixture builders and brute-force oracles for the test suite."""
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 
 from cantorlab.errors import DeadCapital
 from cantorlab.martingales import MartingaleTable, PointDoubler, TableStrategy
-from cantorlab.pairing import antidiagonal_pairs
+from cantorlab.pairing import cantor_pair
+from cantorlab.series import b_terms
 from cantorlab.space import ONE, PeriodicPoint, PrefixFreeSet, reduce
 
 
@@ -16,6 +19,22 @@ def all_strings(depth):
         frontier = [s + b for s in frontier for b in "01"]
         out.extend(frontier)
     return out
+
+
+@contextmanager
+def time_limit(seconds, what):
+    """Raise TimeoutError inside the block once it has run for `seconds` of
+    wall clock, so a runaway computation fails fast instead of eating memory."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{what} took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def bf_expand(strings, depth):
@@ -108,13 +127,18 @@ def list_union(u, v):
     return reduce(list(u.elements) + list(v.elements))
 
 
+def consistent(z, sigma):
+    """The cylinder [sigma] meets the constraint set Z."""
+    return all(sigma[p] == b for p, b in z.constraints if p < len(sigma))
+
+
 def scan_covered_by(z, w):
     """Z subseteq [W] by mu([W] cap Z) = mu(Z) in integer units."""
     depth = max((len(s) for s in w.elements), default=0)
     top = max(depth, z.depth)
     total = 0
     for s in w.elements:
-        if z.consistent(s):
+        if consistent(z, s):
             beyond = sum(1 for p, _ in z.constraints if p >= len(s))
             total += 2 ** (top - len(s) - beyond)
     return total == 2 ** (top - len(z.constraints))
@@ -158,6 +182,15 @@ def walk_union_generators(terms):
 # ---------------------------------------------------------------------------
 # Series oracles.
 
+def antidiagonal_pairs(first_min=0, second_min=0):
+    """Yield pairs (a, b), a >= first_min, b >= second_min, shell by shell."""
+    s = first_min + second_min
+    while True:
+        for a in range(first_min, s - second_min + 1):
+            yield a, s - a
+        s += 1
+
+
 def union_measure(terms):
     """Measure of a union of constraint sets by enumerating only the
     constrained positions."""
@@ -179,6 +212,28 @@ def block_owner(partition, position):
     for i, l in antidiagonal_pairs(0, 1):
         if position in partition.block(i, l):
             return (i, l)
+
+
+def scan_open_to_series_approx(v, n, c):
+    """open_to_series_approx by the scan it replaced: mu(B cap [W]) summed
+    over the terms of B = B_(n, alpha) and the generators of the stage W,
+    each term's share of a cylinder read off its pins."""
+    w = v.stages[n]
+    allowance = Fraction(1, 2 ** (n + c))
+    t = n + c
+    while cantor_pair(n, t) < w.maxlen:
+        t += 1
+    for m in range(2 ** t, -1, -1):
+        alpha = Fraction(m, 2 ** t)
+        covered = Fraction(0)
+        for z in b_terms(n, alpha):
+            for s in w.elements:
+                if consistent(z, s):
+                    beyond = sum(1 for p, _ in z.constraints if p >= len(s))
+                    covered += Fraction(1, 2 ** (len(s) + beyond))
+        if alpha - covered <= allowance:
+            return alpha
+    return Fraction(0)
 
 
 # ---------------------------------------------------------------------------
