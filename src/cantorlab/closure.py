@@ -30,7 +30,6 @@ from .errors import (
 from .martingales import (
     BettingStrategy,
     ConstantStrategy,
-    MixtureStrategy,
     ScaledStrategy,
     TranslateStrategy,
     WinningSet,
@@ -46,7 +45,6 @@ from .space import (
     condition,
     covers,
     measure,
-    strings_to_depth,
     union,
 )
 
@@ -59,6 +57,16 @@ def _least_slack(m: Fraction) -> int:
     while m >= 1 - Fraction(1, 2 ** k):
         k += 1
     return k
+
+
+def _full_covered(u: PrefixFreeSet, v: PrefixFreeSet, depth: int) -> bool:
+    """[V] holds every full cylinder of U within depth.
+
+    Checked at the minimal full sigma only: a [V] holding [sigma] holds
+    every extension of sigma.
+    """
+    return all(measure(condition(v, s)) == 1
+               for s, m in space.walk(u, depth, lambda s, m: m == 1) if m == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -85,16 +93,7 @@ def p2_mlr(u: PrefixFreeSet, q: Fraction) -> tuple[PrefixFreeSet, Report]:
     if not (mu < q < 1):
         raise BadThreshold(f"need measure(U) = {mu} < q < 1, got q = {q}")
     depth = u.maxlen
-    chosen: list[str] = []
-    stack = [""]
-    while stack:
-        s = stack.pop()
-        if measure(condition(u, s)) > q:
-            chosen.append(s)
-            continue
-        if len(s) < depth:
-            stack.append(s + "1")
-            stack.append(s + "0")
+    chosen = [s for s, m in space.walk(u, depth, lambda s, m: m > q) if m > q]
     v = union(PrefixFreeSet(chosen), u)
     rep = Report("p2-mlr")
     rep.put("q", q)
@@ -102,12 +101,7 @@ def p2_mlr(u: PrefixFreeSet, q: Fraction) -> tuple[PrefixFreeSet, Report]:
     rep.check("measure(V) <= measure(U)/q", measure(v), "<=", mu / q)
     rep.check("measure(V) < 1", measure(v), "<", Fraction(1))
     rep.record("V covers U", covers(v, u))
-    full_ok = all(
-        measure(condition(v, s)) == 1
-        for s in strings_to_depth(depth)
-        if measure(condition(u, s)) == 1
-    )
-    rep.record("full cylinders within depth covered", full_ok)
+    rep.record("full cylinders within depth covered", _full_covered(u, v, depth))
     return v, rep
 
 
@@ -248,25 +242,19 @@ def p2_sr(u: StagedOpenSet, k: int, depth: int) -> tuple[PrefixFreeSet, Report]:
     mu_final = u.final_measure
     if mu_final >= 1 - Fraction(1, 2 ** k):
         raise SlackViolated(f"measure(U) = {mu_final} >= 1 - 2^-{k}")
-    admitted: list[str] = []
-    for s in strings_to_depth(depth):
+
+    def admits(s: str, _mu: Fraction) -> bool:
         gap = Fraction(1, 2 ** (2 * len(s) + k + 1))
-        stage_idx = next(
-            i for i, st in enumerate(u.stages) if mu_final - measure(st) < gap
-        )
-        stage = u.stages[stage_idx]
-        if measure(condition(stage, s)) > 1 - Fraction(1, 2 ** (len(s) + k + 1)):
-            admitted.append(s)
-    v = space.reduce(admitted)
+        stage = next(st for st in u.stages if mu_final - measure(st) < gap)
+        return measure(condition(stage, s)) > 1 - Fraction(1, 2 ** (len(s) + k + 1))
+
+    # Every stage lies inside the final set, so walking the final set's
+    # trie misses no admitted sigma; it stops at the minimal ones.
+    v = PrefixFreeSet(s for s, m in space.walk(final, depth, admits) if admits(s, m))
     rep = Report("p2-sr")
     rep.put("k", k)
     rep.put("depth", depth)
-    full_ok = all(
-        measure(condition(v, s)) == 1
-        for s in strings_to_depth(depth)
-        if measure(condition(final, s)) == 1
-    )
-    rep.record("full cylinders within depth covered", full_ok)
+    rep.record("full cylinders within depth covered", _full_covered(final, v, depth))
     overshoot = measure(union(v, final)) - mu_final
     rep.check("mu([V] \\ [U]) < 2^-k", overshoot, "<", Fraction(1, 2 ** k))
     rep.check("mu([V] + [U]) < 1", measure(union(v, final)), "<", Fraction(1))
@@ -364,8 +352,8 @@ class CRProvider(ClosureProvider):
         rep = Report("p2-cr-closure")
         # For winning sets, P2 needs no new set: a full conditional forces the
         # capital over the threshold, so the full cylinders already sit inside.
-        for s in strings_to_depth(min(self.depth, state.generators.maxlen)):
-            if measure(condition(state.generators, s)) == 1:
+        for s, m in space.walk(state.generators, min(self.depth, state.generators.maxlen)):
+            if m == 1:
                 rep.check(f"d({s!r}) >= q", d.value(s), ">=", q)
         rep.record("P2 realized by the set itself", True)
         return state, rep

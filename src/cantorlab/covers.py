@@ -37,6 +37,8 @@ class TestFamily:
         lv = {int(n): s for n, s in levels.items()}
         if any(n < 0 for n in lv):
             raise ValueError("negative level index")
+        sched = None if bound_schedule is None else {
+            int(n): Fraction(v) for n, v in bound_schedule.items()}
         if kind == "ML":
             for n, s in lv.items():
                 if measure(s) > Fraction(1, 2 ** n):
@@ -46,9 +48,8 @@ class TestFamily:
                 if measure(s) != Fraction(1, 2 ** n):
                     raise ValueError(f"Schnorr level {n} has measure {measure(s)} != 2^-{n}")
         else:
-            if bound_schedule is None:
+            if sched is None:
                 raise ValueError("generalized test needs a bound schedule")
-            sched = {int(n): Fraction(v) for n, v in bound_schedule.items()}
             if set(sched) != set(lv):
                 raise ValueError("schedule indices must match level indices")
             for n, s in lv.items():
@@ -59,10 +60,7 @@ class TestFamily:
                 raise ValueError("schedule must be nonincreasing")
         self.kind = kind
         self.levels = dict(sorted(lv.items()))
-        self.bound_schedule = (
-            None if bound_schedule is None
-            else {int(n): Fraction(v) for n, v in bound_schedule.items()}
-        )
+        self.bound_schedule = sched
         self.martingale = martingale
 
     def indices(self) -> list[int]:
@@ -132,7 +130,8 @@ def tails_to_power(u: PrefixFreeSet, x: PeriodicPoint, n: int) -> FactorizationC
     """Witness X in [U^n] from 'all tails of X lie in [U]', by greedy parsing.
 
     Each intermediate remainder is a tail of X, hence has exactly one
-    generator of U as a prefix; peeling n times yields the factorization.
+    generator of U as a prefix, found by walking U's trie along it; peeling
+    n times yields the factorization without listing U.
     Raises TailEscapes with the offending tail when the hypothesis fails.
     """
     if n < 0:
@@ -143,7 +142,7 @@ def tails_to_power(u: PrefixFreeSet, x: PeriodicPoint, n: int) -> FactorizationC
     factors = []
     rest = x
     for _ in range(n):
-        block = next(s for s in u if rest.prefix(len(s)) == s)
+        block = next(rest.prefix(i) for i in range(u.maxlen + 1) if rest.prefix(i) in u)
         factors.append(block)
         rest = rest.shift(len(block))
     return FactorizationCertificate(x, factors)
@@ -155,9 +154,11 @@ def schnorr_merge(v: TestFamily, k_max: int,
 
     Takes the union over k <= K of the level-(3k+2) sets conditioned by every
     string of length k; the conditioned sets are sets of *tails*, so they sit
-    at the root.  Level 3k+2 conditioned by 2^k strings contributes at most
-    2^(-k-2), hence the total stays <= 1/2; all bounds are asserted exactly,
-    and the truncation residual sum over k > K is reported.
+    at the root.  Only the length-k strings the level meets contribute, and
+    the kernel's walk lists just those.  Level 3k+2 conditioned by 2^k
+    strings contributes at most 2^(-k-2), hence the total stays <= 1/2; all
+    bounds are asserted exactly, and the truncation residual sum over k > K
+    is reported.
     """
     if v.kind != "Schnorr":
         raise ValueError("schnorr_merge expects a Schnorr test family")
@@ -169,9 +170,9 @@ def schnorr_merge(v: TestFamily, k_max: int,
     for k in range(k_max + 1):
         level = v.level(3 * k + 2)
         layer_set = space.EMPTY_SET
-        for m in range(2 ** k):
-            sigma = format(m, f"0{k}b") if k else ""
-            layer_set = space.union(layer_set, space.condition(level, sigma))
+        for sigma, _ in space.walk(level, k):
+            if len(sigma) == k:
+                layer_set = space.union(layer_set, space.condition(level, sigma))
         mk = measure(layer_set)
         bound_k = Fraction(1, 2 ** (k + 2))
         rep.check(f"layer k={k} measure <= 2^-(k+2)", mk, "<=", bound_k)

@@ -19,7 +19,7 @@ from .closure import ClosureProvider
 from .covers import TestFamily
 from .errors import NoEscape
 from .reports import Report
-from .space import PrefixFreeSet, condition, covers, lenlex_key, measure
+from .space import PrefixFreeSet, condition, covers, measure
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def run(w: PrefixFreeSet, provider: ClosureProvider, tests: Sequence[TestFamily]
         test = tests[e] if e < len(tests) else None
         n_e, vstate, _ = provider.p3(state, sigma, test)
         tau = None
-        for t in sorted(w, key=lenlex_key):
+        for t in w:
             if measure(condition(vstate.generators, sigma + t)) < 1:
                 tau = t
                 break
@@ -91,7 +91,7 @@ def _covering_certificate(w: PrefixFreeSet, provider: ClosureProvider,
     cert = Report("no-escape-covering")
     cert.put("sigma", sigma)
     cert.put("v_generators", vstate.generators)
-    for t in sorted(w, key=lenlex_key):
+    for t in w:
         cert.check(f"mu(V | sigma+{t!r}) == 1",
                    measure(condition(vstate.generators, sigma + t)), "==", Fraction(1))
     conditioned = provider.p1(vstate, sigma)

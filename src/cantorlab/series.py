@@ -2,19 +2,19 @@
 
 Cantor space doubles as a product of unit intervals: coordinate n reads its
 binary digits at the bit positions the diagonal pairing assigns to n.  The
-constraint sets built here (coordinate intervals [0, alpha), all-zero
-interval blocks) are cylinder sets pinned at finitely many positions; the
-set kernel builds their unions as generator tries by a memoized tree walk
-and tests their containment by a walk along the pinned bits, so measures
-stay exact however the constraints interleave, and positions no constraint
-pins cost nothing.  The pairing and the interval partition are fixed, and
-both are closed-form.
+sets built here (coordinate intervals [0, alpha), all-zero interval blocks)
+are unions of sets pinned at finitely many positions, each given as a plain
+list of (position, bit) pins; the set kernel builds their unions as
+generator tries by a memoized tree walk and tests their containment by a
+walk along the pinned bits, so measures stay exact however the pins
+interleave, and positions no pin fixes cost nothing.  The pairing and the
+interval partition are fixed, and both are closed-form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .coding import DyadicFunction
 from .covers import TestFamily
@@ -73,44 +73,6 @@ def _zeros(i: int, l: int) -> list[tuple[int, str]]:
     return [(p, "0") for p in PARTITION.block(i, l)]
 
 
-class CylinderConstraintSet:
-    """The set of sequences with fixed bits at finitely many positions."""
-
-    __slots__ = ("constraints",)
-
-    def __init__(self, constraints: Iterable[tuple[int, str]]):
-        cons = []
-        seen = {}
-        for pos, bit in constraints:
-            pos = int(pos)
-            if pos < 0 or bit not in ("0", "1"):
-                raise ValueError(f"bad constraint ({pos}, {bit!r})")
-            if seen.get(pos, bit) != bit:
-                raise ValueError(f"conflicting constraints at position {pos}")
-            seen[pos] = bit
-            cons.append((pos, bit))
-        self.constraints = tuple(sorted(set(cons)))
-
-    @property
-    def depth(self) -> int:
-        return self.constraints[-1][0] + 1 if self.constraints else 0
-
-    def covered_by(self, w: PrefixFreeSet) -> bool:
-        """Z subseteq [W], by the kernel's walk along the pinned bits."""
-        return space.covers_pinned(w, self.constraints)
-
-    def generators(self) -> PrefixFreeSet:
-        return union_generators([self])
-
-    def __repr__(self) -> str:
-        return f"CylinderConstraintSet({list(self.constraints)!r})"
-
-
-def union_generators(terms: Sequence[CylinderConstraintSet]) -> PrefixFreeSet:
-    """Minimal prefix-free generators of a union of constraint sets."""
-    return space.pinned_union([t.constraints for t in terms])
-
-
 def _dyadic_bits(alpha: Fraction) -> str:
     """Binary digits of a dyadic alpha in [0, 1)."""
     den = alpha.denominator
@@ -120,30 +82,30 @@ def _dyadic_bits(alpha: Fraction) -> str:
     return format(alpha.numerator, f"0{t}b") if t else ""
 
 
-def b_terms(n: int, alpha: Fraction) -> list[CylinderConstraintSet]:
-    """Disjoint constraint sets tiling {X : coordinate n lies in [0, alpha)}.
+def b_terms(n: int, alpha: Fraction) -> list[list[tuple[int, str]]]:
+    """Disjoint pinned sets tiling {X : coordinate n lies in [0, alpha)}.
 
-    For each 1-digit of alpha at fractional position i, one piece fixes the
-    first i-1 digits to alpha's and the i-th to 0.
+    For each 1-digit of alpha at fractional position i, one pin list fixes
+    the first i-1 digits to alpha's and the i-th to 0.
     """
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise ValueError("alpha must lie in [0, 1]")
     if alpha == 1:
-        return [CylinderConstraintSet(())]
+        return [[]]
     bits = _dyadic_bits(alpha)
     terms = []
     for i, digit in enumerate(bits, start=1):
         if digit == "1":
-            cons = [(cantor_pair(n, j), bits[j]) for j in range(i - 1)]
-            cons.append((cantor_pair(n, i - 1), "0"))
-            terms.append(CylinderConstraintSet(cons))
+            pins = [(cantor_pair(n, j), bits[j]) for j in range(i - 1)]
+            pins.append((cantor_pair(n, i - 1), "0"))
+            terms.append(pins)
     return terms
 
 
 def b_set(n: int, alpha: Fraction) -> PrefixFreeSet:
     """Generator set of the coordinate interval event, with measure alpha."""
-    return union_generators(b_terms(n, alpha))
+    return space.pinned_union(b_terms(n, alpha))
 
 
 def series_to_open(f: DyadicFunction) -> tuple[PrefixFreeSet, Fraction, Report]:
@@ -161,12 +123,29 @@ def series_to_open(f: DyadicFunction) -> tuple[PrefixFreeSet, Fraction, Report]:
             raise ValueOverOne(f"f({n}) = {v} > 1")
         terms.extend(b_terms(n, v))
         product *= 1 - v
-    u = union_generators(terms)
+    u = space.pinned_union(terms)
     expected = 1 - product
     rep = Report("series-to-open")
     rep.put("pairing", PAIRING_RULE)
     rep.check("measure(U) == 1 - prod(1 - f(n))", measure(u), "==", expected)
     return u, expected, rep
+
+
+def _grid_max(t: int, ok) -> Fraction:
+    """Largest alpha = m / 2^t, 0 <= m <= 2^t, with ok(alpha), by bisection.
+
+    ok must hold at 0 and, once it fails, fail for every larger alpha, as it
+    does for a test on B_(n, alpha), which grows with alpha.
+    """
+    # Grid point lo passes; hi fails or lies past the grid.
+    lo, hi = 0, 2 ** t + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(Fraction(mid, 2 ** t)):
+            lo = mid
+        else:
+            hi = mid
+    return Fraction(lo, 2 ** t)
 
 
 def open_to_series_sup(v: PrefixFreeSet, n: int) -> Fraction:
@@ -181,11 +160,8 @@ def open_to_series_sup(v: PrefixFreeSet, n: int) -> Fraction:
     t = 0
     while cantor_pair(n, t) < v.maxlen:
         t += 1
-    for m in range(2 ** t, 0, -1):
-        alpha = Fraction(m, 2 ** t)
-        if all(term.covered_by(v) for term in b_terms(n, alpha)):
-            return alpha
-    return ZERO
+    return _grid_max(t, lambda alpha: all(
+        space.covers_pinned(v, pins) for pins in b_terms(n, alpha)))
 
 
 def open_to_series_approx(v: StagedOpenSet, n: int, c: int) -> Fraction:
@@ -194,7 +170,6 @@ def open_to_series_approx(v: StagedOpenSet, n: int, c: int) -> Fraction:
     Works from the stage-n clopen approximation instead of the full set, the
     price being the 2^-(n+c) leak allowance.  The leak is exact: with
     B = B_(n, alpha) and W the stage, mu(B minus [W]) = mu(B cup [W]) - mu(W).
-    B grows with alpha, and so does the leak, so the grid is bisected.
     """
     if n >= len(v.stages):
         raise MissingStage(f"staged set has no stage {n}")
@@ -204,15 +179,8 @@ def open_to_series_approx(v: StagedOpenSet, n: int, c: int) -> Fraction:
     while cantor_pair(n, t) < w.maxlen:
         t += 1
     mu_w = measure(w)
-    # Grid point lo passes (B_0 is empty); hi fails or lies past the grid.
-    lo, hi = 0, 2 ** t + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if measure(space.union(b_set(n, Fraction(mid, 2 ** t)), w)) - mu_w <= allowance:
-            lo = mid
-        else:
-            hi = mid
-    return Fraction(lo, 2 ** t)
+    return _grid_max(t, lambda alpha: (
+        measure(space.union(b_set(n, alpha), w)) - mu_w <= allowance))
 
 
 def vn_from_g(g: DyadicFunction, n: int) -> tuple[PrefixFreeSet, Report]:

@@ -531,6 +531,34 @@ def covers(v: PrefixFreeSet, u: PrefixFreeSet) -> bool:
     return _covers(v.trie(), u.trie())
 
 
+def walk(u: PrefixFreeSet, depth: int, stop=None) -> Iterator[tuple[str, Fraction]]:
+    """(sigma, mu(U | sigma)) for every sigma of length <= depth that [U]
+    meets, in length-lex order, not going below a sigma where stop(sigma, mu)
+    holds.
+
+    Off U's trie the conditional measure is 0 and below a full node it is 1,
+    so the walk is breadth-first over U's trie positions, a full node's
+    children being LEAF and LEAF; it costs one step per position yielded,
+    not one per string of length <= depth.
+    """
+    root = u.trie()
+    level = [] if root is EMPTY else [("", root)]
+    while level:
+        below = []
+        for sigma, node in level:
+            _, height, num = _stats(node)
+            mu = ONE if num == 1 << height else Fraction(num, 1 << height)
+            yield sigma, mu
+            if len(sigma) >= depth or (stop is not None and stop(sigma, mu)):
+                continue
+            zero, one = (LEAF, LEAF) if mu is ONE else kids(node)
+            if zero is not EMPTY:
+                below.append((sigma + "0", zero))
+            if one is not EMPTY:
+                below.append((sigma + "1", one))
+        level = below
+
+
 # ---------------------------------------------------------------------------
 # Pinned sets.  A pin list is a sequence of (position, bit) pairs at distinct
 # positions; it stands for the sequences that carry each pinned bit at its

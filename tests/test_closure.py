@@ -4,10 +4,14 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from cantorlab.cli import dispatch
 from cantorlab.closure import (
     CRProvider,
     MLRProvider,
+    ProviderState,
     SRProvider,
     p1_cr,
     p1_mlr,
@@ -32,10 +36,12 @@ from cantorlab.errors import (
 from cantorlab.martingales import (
     ConstantStrategy,
     MartingaleTable,
+    PointDoubler,
     TableStrategy,
     winning_set,
 )
 from cantorlab.space import (
+    PeriodicPoint,
     PrefixFreeSet,
     StagedOpenSet,
     condition,
@@ -45,7 +51,24 @@ from cantorlab.space import (
     union,
 )
 
-from util import all_strings, doubler, random_fair_strategy, random_prefix_free
+from util import (
+    all_strings,
+    doubler,
+    enum_cr_p2,
+    enum_p2_mlr,
+    enum_p2_sr,
+    random_fair_strategy,
+    random_prefix_free,
+    time_limit,
+)
+
+bits = st.text(alphabet="01", max_size=7)
+prefix_free = st.lists(bits, max_size=8).map(reduce)
+
+
+def full_verdict(rep):
+    return next(c.passed for c in rep.checks
+                if c.name == "full cylinders within depth covered")
 
 
 class TestP1MLR:
@@ -317,3 +340,56 @@ class TestProviders:
         assert rep.passed
         d, thr = st2.payload
         assert winning_set(d, thr, 6).generators == st2.generators
+
+
+class TestWalkedSearches:
+    """The searches that walk U's trie against the old searches over every
+    string to the depth, kept as oracles in tests/util.py."""
+
+    @given(prefix_free, st.integers(1, 7))
+    def test_p2_mlr_matches_enumeration(self, u, i):
+        mu = measure(u)
+        assume(mu < 1)
+        q = mu + (1 - mu) * Fraction(i, 8)
+        v, rep = p2_mlr(u, q)
+        want, full_ok = enum_p2_mlr(u, q)
+        assert v.elements == want.elements
+        assert full_verdict(rep) == full_ok
+
+    @given(prefix_free, st.randoms(use_true_random=False), st.integers(1, 3),
+           st.integers(0, 8))
+    def test_p2_sr_matches_enumeration(self, final, rng, k, depth):
+        assume(measure(final) < 1 - Fraction(1, 2 ** k))
+        elems = list(final.elements)
+        rng.shuffle(elems)
+        cuts = sorted(rng.sample(range(len(elems) + 1), min(3, len(elems) + 1)))
+        u = StagedOpenSet([reduce(elems[:c]) for c in cuts] + [final])
+        v, rep = p2_sr(u, k, depth)
+        want, full_ok = enum_p2_sr(u, k, depth)
+        assert v.elements == want.elements
+        assert full_verdict(rep) == full_ok
+
+    @given(prefix_free, st.text(alphabet="01", max_size=3),
+           st.text(alphabet="01", min_size=1, max_size=3),
+           st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(4)]),
+           st.integers(-1, 8))
+    def test_cr_p2_matches_enumeration(self, u, head, period, q, depth):
+        prov = CRProvider(depth=depth)
+        state = ProviderState(u, payload=(PointDoubler(PeriodicPoint(head, period)), q))
+        got, rep = prov.p2(state)
+        assert got is state
+        assert rep.to_doc() == enum_cr_p2(prov, state).to_doc()
+
+    @pytest.mark.parametrize("job", [
+        {"case": "mlr", "set": {"elements": ["0" * 160]}, "q": "1/2"},
+        {"case": "sr", "staged": {"stages": [{"elements": ["0" * 160]}]},
+         "k": 1, "depth": 160},
+    ])
+    def test_p2_on_a_long_generator(self, job):
+        # A search over all 2^161 strings to the depth fails here, within a second.
+        with time_limit(1.0, f"p2 --case {job['case']} on a generator of length 160"):
+            rep, status = dispatch("p2", job)
+        assert status == 0 and rep["result"] == "PASS"
+        assert rep["output"]["set"] == {"elements": ["0" * 160]}
+        assert {c["check"]: c["result"] for c in rep["checks"]}[
+            "full cylinders within depth covered"] == "PASS"

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cantorlab.cli import dispatch
 from cantorlab.covers import (
     FactorizationCertificate,
     TestFamily,
@@ -14,14 +17,18 @@ from cantorlab.covers import (
     tails_to_power,
 )
 from cantorlab.errors import MissingLevel, TailEscapes, Unbounded
+from cantorlab.series import b_set
 from cantorlab.space import (
     PeriodicPoint,
     PrefixFreeSet,
     condition,
     measure,
     member,
+    reduce,
     tails,
 )
+
+from util import enum_schnorr_merge, time_limit
 
 
 def toward(x: PeriodicPoint, n_max: int) -> TestFamily:
@@ -101,6 +108,27 @@ class TestTailsToPower:
         assert escaped in tails(x)
         assert not member(u, escaped)
 
+    @given(st.lists(st.text(alphabet="01", min_size=1, max_size=5), max_size=8).map(reduce),
+           st.text(alphabet="01", max_size=4), st.text(alphabet="01", min_size=1, max_size=4),
+           st.integers(0, 4))
+    def test_matches_generator_scan(self, u, head, period, n):
+        x = PeriodicPoint(head, period)
+        if not all(member(u, t) for t in tails(x)):
+            return
+        rest, want = x, []
+        for _ in range(n):
+            want.append(next(s for s in u.elements if rest.prefix(len(s)) == s))
+            rest = rest.shift(len(want[-1]))
+        assert tails_to_power(u, x, n).factors == tuple(want)
+
+    def test_cover_too_large_to_list(self):
+        u = b_set(0, Fraction(255, 256))
+        # Listing the 270,566,475 generators fails here, within a second.
+        with time_limit(1.0, "tails-to-power on b_set(0, 255/256)"):
+            cert = tails_to_power(u, PeriodicPoint("", "0"), 3)
+        assert cert.factors == ("0", "0", "0")
+        assert u._elements is None
+
     def test_certificate_validates_prefix(self):
         with pytest.raises(ValueError):
             FactorizationCertificate(PeriodicPoint("", "0"), ["1"])
@@ -160,6 +188,34 @@ class TestSchnorrMerge:
         layer = [condition(level5, "0"), condition(level5, "1")]
         assert layer[0] == PrefixFreeSet(["0000"])
         assert layer[1] == PrefixFreeSet()
+
+
+    @given(st.randoms(use_true_random=False), st.integers(0, 3))
+    def test_matches_full_enumeration(self, rng, k_max):
+        levels = {}
+        for k in range(k_max + 1):
+            n = 3 * k + 2
+            j = rng.randint(0, 2)
+            stem = "".join(rng.choice("01") for _ in range(rng.randint(0, n)))
+            words = set()
+            while len(words) < 2 ** j:
+                words.add(stem + "".join(rng.choice("01") for _ in range(n + j - len(stem))))
+            levels[n] = PrefixFreeSet(words)
+        fam = TestFamily("Schnorr", levels)
+        merged, rep = schnorr_merge(fam, k_max)
+        want, layers = enum_schnorr_merge(fam, k_max)
+        assert merged.elements == want.elements
+        assert [layer["measure"] for layer in rep.data["layers"]] == layers
+
+    def test_many_layers_of_one_generator(self):
+        levels = {str(3 * k + 2): {"elements": ["1" * (3 * k + 2)]} for k in range(141)}
+        doc = {"test": {"kind": "Schnorr", "levels": levels}, "K": 140}
+        # Conditioning on all 2^k strings per layer fails here, within a second.
+        with time_limit(1.0, "schnorr-merge at K = 140"):
+            rep, status = dispatch("schnorr-merge", doc)
+        assert status == 0 and rep["result"] == "PASS"
+        assert rep["output"]["set"] == {"elements": ["11"]}
+        assert rep["data"]["measure"] == "1/4"
 
 
 class TestRemarkBundle:

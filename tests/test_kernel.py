@@ -1,8 +1,9 @@
 """The trie set kernel against the scan oracles of tests/util.py.
 
 Every kernel operation must give the same generators, in the same
-length-lex order, as the list scans it replaced; the constraint-set
-operations likewise against the generator walk and the integer-unit scan.
+length-lex order, as the list scans it replaced; the pinned-set
+operations likewise against the generator walk and the integer-unit scan,
+and the trie walk against the enumeration of every string.
 """
 
 import ast
@@ -13,21 +14,25 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorlab.series import CylinderConstraintSet, b_set, encode_series, union_generators
+from cantorlab.series import b_set, encode_series
 from cantorlab.space import (
     PeriodicPoint,
     PrefixFreeSet,
     condition,
     covers,
+    covers_pinned,
     lenlex_key,
     measure,
     member,
+    pinned_union,
     power,
     reduce,
     union,
+    walk,
 )
 
 from util import (
+    all_strings,
     list_power,
     list_union,
     scan_condition,
@@ -43,7 +48,7 @@ prefix_free = st.lists(bits, max_size=10).map(reduce)
 points = st.builds(PeriodicPoint, bits, st.text(alphabet="01", min_size=1, max_size=4))
 terms = st.lists(
     st.dictionaries(st.integers(0, 9), st.sampled_from("01"), max_size=4)
-    .map(lambda pins: CylinderConstraintSet(pins.items())),
+    .map(lambda pins: list(pins.items())),
     max_size=4)
 
 
@@ -98,16 +103,30 @@ class TestAgainstScans:
 
     @given(terms, prefix_free)
     def test_covered_by(self, ts, w):
-        for z in ts:
-            assert z.covered_by(w) == scan_covered_by(z, w)
+        for pins in ts:
+            assert covers_pinned(w, pins) == scan_covered_by(pins, w)
 
     @given(terms)
     def test_union_generators(self, ts):
-        got = union_generators(ts)
+        got = pinned_union(ts)
         want = PrefixFreeSet(walk_union_generators(ts))
         same_set(got, want)
-        for z in ts:
-            assert z.covered_by(got) == scan_covered_by(z, want)
+        for pins in ts:
+            assert covers_pinned(got, pins) == scan_covered_by(pins, want)
+
+    @given(prefix_free, st.integers(-1, 9))
+    def test_walk(self, u, depth):
+        want = [(s, measure(condition(u, s))) for s in all_strings(max(depth, 0))]
+        assert list(walk(u, depth)) == [(s, m) for s, m in want if m > 0]
+
+    @given(prefix_free, st.integers(0, 9), st.sampled_from(
+        [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
+    def test_walk_stops(self, u, depth, q):
+        """Stopped where mu >= q, the walk yields the strings [U] meets with
+        no proper prefix at or over q."""
+        want = [(s, m) for s, m in walk(u, depth)
+                if not any(measure(condition(u, s[:i])) >= q for i in range(len(s)))]
+        assert list(walk(u, depth, lambda s, m: m >= q)) == want
 
 
 class TestSparseSets:
@@ -130,9 +149,9 @@ class TestSparseSets:
         assert len(power(u, 2)) == 9 and measure(power(u, 2)) == measure(u) ** 2
         assert condition(u, "0" * 10).elements == (deep[10:] + "0", deep[10:] + "1")
         assert covers(PrefixFreeSet(["0", "1"]), u) and not covers(u, PrefixFreeSet(["0"]))
-        z = CylinderConstraintSet([(3000, "0")])
-        w = union_generators([z])
-        assert measure(w) == Fraction(1, 2) and z.covered_by(w)
+        pins = [(3000, "0")]
+        w = pinned_union([pins])
+        assert measure(w) == Fraction(1, 2) and covers_pinned(w, pins)
 
     def test_construction_leaves_no_cyclic_garbage(self):
         gc.collect()
@@ -149,23 +168,28 @@ class TestSparseSets:
 
 # Names of space.py that expose the trie behind a PrefixFreeSet.
 TRIE_INTERNALS = {"NodeTable", "TrieNode", "Trie", "LEAF", "EMPTY", "kids", "is_full"}
+# The enumeration of every string to a depth: only martingale tables, which
+# need every string, use it; set searches go through the kernel's walk.
+ENUMERATIONS = {"strings_to_depth"}
 SRC = Path(__file__).resolve().parent.parent / "src" / "cantorlab"
 
 
 def test_trie_code_stays_in_space():
     """Outside space.py no module imports or reads a trie internal, and
     none calls .trie() or from_trie: every clopen operation goes through
-    the kernel's functions."""
+    the kernel's functions.  No module but martingales.py names
+    strings_to_depth."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "space.py":
             continue
+        hidden = TRIE_INTERNALS | (set() if path.name == "martingales.py" else ENUMERATIONS)
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("space"):
                 found += [f"{where} imports {a.name}" for a in node.names
-                          if a.name in TRIE_INTERNALS or a.name.startswith("_")]
-            elif isinstance(node, ast.Attribute) and node.attr in TRIE_INTERNALS:
+                          if a.name in hidden or a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and node.attr in hidden:
                 found.append(f"{where} reads .{node.attr}")
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                     and node.func.attr in ("trie", "from_trie"):

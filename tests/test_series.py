@@ -1,7 +1,7 @@
 """Coordinate sets, block encodings, extraction, and the tree embedding.
 
 The heavyweight oracle here enumerates every string of a given length and
-tests membership straight off the constraint lists, independently of the
+tests membership straight off the pin lists, independently of the
 pruned tree walk that produces generator sets.
 """
 
@@ -9,7 +9,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cantorlab.cli import dispatch
 from cantorlab.coding import DyadicFunction
 from cantorlab.covers import TestFamily
 from cantorlab.errors import (
@@ -29,7 +32,6 @@ from cantorlab.pairing import cantor_pair
 from cantorlab.series import (
     PARTITION,
     BlockDoubler,
-    CylinderConstraintSet,
     b_set,
     b_terms,
     encode_series,
@@ -39,7 +41,6 @@ from cantorlab.series import (
     open_to_series_sup,
     series_to_open,
     tree_embed,
-    union_generators,
     vn_from_g,
 )
 from cantorlab.space import (
@@ -48,8 +49,11 @@ from cantorlab.space import (
     StagedOpenSet,
     condition,
     covers,
+    covers_pinned,
     measure,
     member,
+    pinned_union,
+    reduce,
     union,
 )
 
@@ -57,8 +61,11 @@ from util import (
     antidiagonal_pairs,
     block_owner,
     doubler,
+    pin_depth,
     random_prefix_free,
     scan_open_to_series_approx,
+    time_limit,
+    top_down_open_to_series_sup,
     union_measure,
 )
 
@@ -68,7 +75,7 @@ def bf_terms_measure(terms, depth):
     hits = 0
     for m in range(2 ** depth):
         s = format(m, f"0{depth}b") if depth else ""
-        if any(all(s[p] == b for p, b in t.constraints) for t in terms):
+        if any(all(s[p] == b for p, b in pins) for pins in terms):
             hits += 1
     return Fraction(hits, 2 ** depth)
 
@@ -104,12 +111,12 @@ class TestPairingAndPartition:
 
 class TestConstraintSets:
     def test_measure_and_depth(self):
-        z = CylinderConstraintSet([(3, "0"), (1, "1")])
-        assert measure(z.generators()) == Fraction(1, 4)
-        assert z.depth == 4
+        pins = [(3, "0"), (1, "1")]
+        assert measure(pinned_union([pins])) == Fraction(1, 4)
+        assert pinned_union([pins]).maxlen == pin_depth(pins) == 4
 
     def test_conditional_measure(self):
-        z = CylinderConstraintSet([(0, "0"), (2, "0")]).generators()
+        z = pinned_union([[(0, "0"), (2, "0")]])
         assert measure(condition(z, "0")) == Fraction(1, 2)
         assert measure(condition(z, "1")) == 0
         assert measure(condition(z, "000")) == 1
@@ -118,20 +125,19 @@ class TestConstraintSets:
         rng = Random(31)
         for _ in range(25):
             pos = rng.sample(range(8), 6)
-            a = CylinderConstraintSet([(p, rng.choice("01")) for p in pos[:3]])
-            b = CylinderConstraintSet([(p, rng.choice("01")) for p in pos[3:]])
-            both = CylinderConstraintSet(list(a.constraints) + list(b.constraints))
-            depth = max(a.depth, b.depth)
-            assert bf_terms_measure([both], depth) == (
-                measure(a.generators()) * measure(b.generators()))
+            a = [(p, rng.choice("01")) for p in pos[:3]]
+            b = [(p, rng.choice("01")) for p in pos[3:]]
+            depth = max(pin_depth(a), pin_depth(b))
+            assert bf_terms_measure([a + b], depth) == (
+                measure(pinned_union([a])) * measure(pinned_union([b])))
 
     def test_covered_by(self):
-        z = CylinderConstraintSet([(1, "0")])
-        assert z.covered_by(PrefixFreeSet(["00", "10"]))
-        assert not z.covered_by(PrefixFreeSet(["00"]))
+        pins = [(1, "0")]
+        assert covers_pinned(PrefixFreeSet(["00", "10"]), pins)
+        assert not covers_pinned(PrefixFreeSet(["00"]), pins)
 
     def test_member(self):
-        z = CylinderConstraintSet([(0, "0"), (2, "1")]).generators()
+        z = pinned_union([[(0, "0"), (2, "1")]])
         assert member(z, PeriodicPoint("00", "1"))
         assert not member(z, PeriodicPoint("", "0"))
 
@@ -143,17 +149,17 @@ class TestUnionGenerators:
             terms = []
             for _ in range(rng.randint(1, 4)):
                 pos = rng.sample(range(7), rng.randint(1, 3))
-                terms.append(CylinderConstraintSet([(p, rng.choice("01")) for p in pos]))
-            u = union_generators(terms)
-            depth = max(t.depth for t in terms)
+                terms.append([(p, rng.choice("01")) for p in pos])
+            u = pinned_union(terms)
+            depth = max(pin_depth(pins) for pins in terms)
             assert measure(u) == bf_terms_measure(terms, depth)
             assert measure(u) == union_measure(terms)
 
     def test_full_space_short_circuits(self):
-        assert union_generators([CylinderConstraintSet(())]) == PrefixFreeSet([""])
+        assert pinned_union([[]]) == PrefixFreeSet([""])
 
     def test_empty(self):
-        assert union_generators([]) == PrefixFreeSet()
+        assert pinned_union([]) == PrefixFreeSet()
 
 
 class TestBSet:
@@ -167,8 +173,7 @@ class TestBSet:
     def test_three_quarters_on_coordinate_one(self):
         # Constrains positions 1 and 4 (the first two digits of coordinate 1).
         terms = b_terms(1, Fraction(3, 4))
-        assert [t.constraints for t in terms] == [
-            ((1, "0"),), ((1, "1"), (4, "0"))]
+        assert terms == [[(1, "0")], [(1, "1"), (4, "0")]]
         u = b_set(1, Fraction(3, 4))
         assert measure(u) == Fraction(3, 4)
         assert bf_terms_measure(terms, 5) == Fraction(3, 4)
@@ -206,7 +211,7 @@ class TestSeriesToOpen:
             assert rep.passed
             terms = [t for n, v in f.entries for t in b_terms(n, v)]
             if terms:
-                depth = max(t.depth for t in terms)
+                depth = max(pin_depth(pins) for pins in terms)
                 assert bf_terms_measure(terms, depth) == prod
 
 
@@ -214,6 +219,20 @@ class TestOpenToSeries:
     def test_sup_recovers_half(self):
         v = b_set(0, Fraction(1, 2))
         assert open_to_series_sup(v, 0) == Fraction(1, 2)
+
+    @given(st.lists(st.text(alphabet="01", max_size=7), max_size=6).map(reduce),
+           st.integers(0, 2), st.integers(0, 8))
+    def test_sup_matches_top_down_walk(self, w, n, num):
+        for v in (w, union(w, b_set(n, Fraction(num, 8)))):
+            assert open_to_series_sup(v, n) == top_down_open_to_series_sup(v, n)
+
+    def test_sup_on_a_long_generator(self):
+        elements = list(b_set(0, Fraction(1, 4)).elements) + ["1" * 1000]
+        # Walking the 2^45 grid points from the top fails here, within a second.
+        with time_limit(1.0, "open-to-series (sup) at L = 1000"):
+            rep, status = dispatch("open-to-series", {"n": 0, "set": {"elements": elements}})
+        assert status == 0
+        assert rep["output"]["alpha"] == "1/4"
 
     def test_sup_edges(self):
         assert open_to_series_sup(PrefixFreeSet(), 3) == 0
@@ -301,8 +320,8 @@ class TestEncodeSeries:
         u, d, rep = encode_series([2, 3], Fraction(2))
         assert rep.passed
         assert measure(u) == Fraction(11, 32)
-        z0 = CylinderConstraintSet([(p, "0") for p in PARTITION.block(0, 2)])
-        z1 = CylinderConstraintSet([(p, "0") for p in PARTITION.block(1, 3)])
+        z0 = [(p, "0") for p in PARTITION.block(0, 2)]
+        z1 = [(p, "0") for p in PARTITION.block(1, 3)]
         assert bf_terms_measure([z0, z1], 17) == Fraction(11, 32)
 
     def test_single_block_capital(self):
@@ -355,8 +374,8 @@ class TestEncodeSeries:
 
 class TestExtractSeries:
     def test_exact_block(self):
-        z = CylinderConstraintSet([(p, "0") for p in PARTITION.block(0, 1)])
-        res = extract_series(z.generators(), 2, 3)
+        z = pinned_union([[(p, "0") for p in PARTITION.block(0, 1)]])
+        res = extract_series(z, 2, 3)
         assert res.block_lengths[0] == 1
         assert res.series(0) == Fraction(1, 2)
         assert res.report.passed

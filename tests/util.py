@@ -9,7 +9,16 @@ from cantorlab.errors import DeadCapital
 from cantorlab.martingales import MartingaleTable, PointDoubler, TableStrategy
 from cantorlab.pairing import cantor_pair
 from cantorlab.series import b_terms
-from cantorlab.space import ONE, PeriodicPoint, PrefixFreeSet, reduce
+from cantorlab.reports import Report
+from cantorlab.space import (
+    ONE,
+    PeriodicPoint,
+    PrefixFreeSet,
+    condition,
+    measure,
+    reduce,
+    union,
+)
 
 
 def all_strings(depth):
@@ -127,38 +136,44 @@ def list_union(u, v):
     return reduce(list(u.elements) + list(v.elements))
 
 
-def consistent(z, sigma):
-    """The cylinder [sigma] meets the constraint set Z."""
-    return all(sigma[p] == b for p, b in z.constraints if p < len(sigma))
+def pin_depth(pins):
+    """One past the deepest pinned position; 0 for the whole space."""
+    return max((p for p, _ in pins), default=-1) + 1
 
 
-def scan_covered_by(z, w):
-    """Z subseteq [W] by mu([W] cap Z) = mu(Z) in integer units."""
+def consistent(pins, sigma):
+    """The cylinder [sigma] meets the pinned set."""
+    return all(sigma[p] == b for p, b in pins if p < len(sigma))
+
+
+def scan_covered_by(pins, w):
+    """The pinned set lies inside [W], by mu([W] cap Z) = mu(Z) in integer
+    units."""
     depth = max((len(s) for s in w.elements), default=0)
-    top = max(depth, z.depth)
+    top = max(depth, pin_depth(pins))
     total = 0
     for s in w.elements:
-        if consistent(z, s):
-            beyond = sum(1 for p, _ in z.constraints if p >= len(s))
+        if consistent(pins, s):
+            beyond = sum(1 for p, _ in pins if p >= len(s))
             total += 2 ** (top - len(s) - beyond)
-    return total == 2 ** (top - len(z.constraints))
+    return total == 2 ** (top - len(pins))
 
 
 def walk_union_generators(terms):
-    """Generator list of a union of constraint sets, by the pruned tree walk
+    """Generator list of a union of pinned sets, by the pruned tree walk
     that emits one string per generator."""
     terms = list(terms)
-    if any(not t.constraints for t in terms):
+    if any(not pins for pins in terms):
         return [""]
     if not terms:
         return []
-    depth = max(t.depth for t in terms)
+    depth = max(pin_depth(pins) for pins in terms)
     by_pos = [[] for _ in range(depth)]
-    for ti, t in enumerate(terms):
-        for p, b in t.constraints:
+    for ti, pins in enumerate(terms):
+        for p, b in pins:
             by_pos[p].append((ti, b))
     out = []
-    stack = [("", [len(t.constraints) for t in terms], (1 << len(terms)) - 1)]
+    stack = [("", [len(pins) for pins in terms], (1 << len(terms)) - 1)]
     while stack:
         sigma, remaining, alive = stack.pop()
         pos = len(sigma)
@@ -192,15 +207,15 @@ def antidiagonal_pairs(first_min=0, second_min=0):
 
 
 def union_measure(terms):
-    """Measure of a union of constraint sets by enumerating only the
-    constrained positions."""
-    positions = sorted({p for t in terms for p, _ in t.constraints})
+    """Measure of a union of pinned sets by enumerating only the pinned
+    positions."""
+    positions = sorted({p for pins in terms for p, _ in pins})
     index = {p: i for i, p in enumerate(positions)}
     hits = 0
     for m in range(2 ** len(positions)):
         bits = format(m, f"0{len(positions)}b") if positions else ""
-        for t in terms:
-            if all(bits[index[p]] == b for p, b in t.constraints):
+        for pins in terms:
+            if all(bits[index[p]] == b for p, b in pins):
                 hits += 1
                 break
     return Fraction(hits, 2 ** len(positions))
@@ -226,14 +241,97 @@ def scan_open_to_series_approx(v, n, c):
     for m in range(2 ** t, -1, -1):
         alpha = Fraction(m, 2 ** t)
         covered = Fraction(0)
-        for z in b_terms(n, alpha):
+        for pins in b_terms(n, alpha):
             for s in w.elements:
-                if consistent(z, s):
-                    beyond = sum(1 for p, _ in z.constraints if p >= len(s))
+                if consistent(pins, s):
+                    beyond = sum(1 for p, _ in pins if p >= len(s))
                     covered += Fraction(1, 2 ** (len(s) + beyond))
         if alpha - covered <= allowance:
             return alpha
     return Fraction(0)
+
+
+def top_down_open_to_series_sup(v, n):
+    """open_to_series_sup by the walk down its grid from the top, with the
+    integer-unit scan as the containment test."""
+    if measure(v) == 1:
+        return ONE
+    t = 0
+    while cantor_pair(n, t) < v.maxlen:
+        t += 1
+    for m in range(2 ** t, 0, -1):
+        alpha = Fraction(m, 2 ** t)
+        if all(scan_covered_by(pins, v) for pins in b_terms(n, alpha)):
+            return alpha
+    return Fraction(0)
+
+
+# ---------------------------------------------------------------------------
+# Search oracles: the closure and cover searches as they were before the
+# kernel's trie walk, one step per string up to the search depth.
+
+def enum_full_covered(u, v, depth):
+    """Every string to depth with mu(U | s) = 1 has mu(V | s) = 1."""
+    return all(measure(condition(v, s)) == 1
+               for s in all_strings(depth) if measure(condition(u, s)) == 1)
+
+
+def enum_p2_mlr(u, q):
+    """(V, full-cylinder verdict) of p2_mlr, searching every string to depth
+    maxlen(U) that no chosen string precedes."""
+    depth = u.maxlen
+    chosen = []
+    stack = [""]
+    while stack:
+        s = stack.pop()
+        if measure(condition(u, s)) > q:
+            chosen.append(s)
+            continue
+        if len(s) < depth:
+            stack.append(s + "1")
+            stack.append(s + "0")
+    v = union(PrefixFreeSet(chosen), u)
+    return v, enum_full_covered(u, v, depth)
+
+
+def enum_p2_sr(u, k, depth):
+    """(V, full-cylinder verdict) of p2_sr, testing every string to depth
+    against its stage."""
+    mu_final = u.final_measure
+    admitted = []
+    for s in all_strings(depth):
+        gap = Fraction(1, 2 ** (2 * len(s) + k + 1))
+        stage = next(st for st in u.stages if mu_final - measure(st) < gap)
+        if measure(condition(stage, s)) > 1 - Fraction(1, 2 ** (len(s) + k + 1)):
+            admitted.append(s)
+    v = reduce(admitted)
+    return v, enum_full_covered(u.final, v, depth)
+
+
+def enum_cr_p2(provider, state):
+    """Report of CRProvider.p2, checking every string to its depth."""
+    d, q = state.payload
+    rep = Report("p2-cr-closure")
+    for s in all_strings(min(provider.depth, state.generators.maxlen)):
+        if measure(condition(state.generators, s)) == 1:
+            rep.check(f"d({s!r}) >= q", d.value(s), ">=", q)
+    rep.record("P2 realized by the set itself", True)
+    return rep
+
+
+def enum_schnorr_merge(v, k_max):
+    """(merged set, layer measures) of schnorr_merge, conditioning each level
+    3k+2 on all 2^k strings of length k."""
+    merged = PrefixFreeSet()
+    layers = []
+    for k in range(k_max + 1):
+        level = v.level(3 * k + 2)
+        layer = PrefixFreeSet()
+        for m in range(2 ** k):
+            layer = union(layer, condition(level, format(m, f"0{k}b") if k else ""))
+        layers.append(measure(layer))
+        merged = union(merged, layer)
+    return merged, layers
 
 
 # ---------------------------------------------------------------------------
