@@ -8,13 +8,14 @@ Exit status: 0 when every certificate passes, 1 when some check fails,
 
 Operation parameters live in the input document; the flags --depth,
 --stages, --q, --k, --c, --cap and --case override the corresponding
-document fields.  --decimal adds a float shadow of the output alongside
-(never instead of) the exact rationals.
+document fields.  --decimal adds a float shadow of the output's exact
+rationals alongside (never instead of) them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields as dataclass_fields
@@ -31,17 +32,13 @@ _FLAGS = {"depth": int, "stages": int, "q": str, "k": int, "c": int, "cap": int,
           "case": str}
 
 
-def _decimal_shadow(doc: Any) -> Any:
-    if isinstance(doc, str):
-        try:
-            return float(Fraction(doc))
-        except (ValueError, ZeroDivisionError):
-            return doc
-    if isinstance(doc, list):
-        return [_decimal_shadow(x) for x in doc]
-    if isinstance(doc, dict):
-        return {k: _decimal_shadow(v) for k, v in doc.items()}
-    return doc
+def _decimal(value: Fraction) -> float | str:
+    """The float shadow of one exact rational; past the float range, the
+    rational itself, exactly."""
+    try:
+        return float(value)
+    except OverflowError:
+        return str(value)
 
 
 # Field parsers beyond serialize's: each takes the raw JSON value.
@@ -357,11 +354,14 @@ def dispatch(subcommand: str, doc: dict, decimal: bool = False) -> tuple[dict, i
     else:
         out["result"] = "PASS"
     if decimal:
-        out["decimal"] = _decimal_shadow(out["output"])
+        out["decimal"] = sz.to_doc(output, _decimal)
     return out, 0 if out["result"] == "PASS" else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call to main rather than at
+    import, and reused: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="cantorlab",
         description="Exact-rational constructions on Cantor space, one per job.",
@@ -373,8 +373,13 @@ def main(argv=None) -> int:
         parser.add_argument(f"--{name}", type=kind,
                             choices=list(closure.PROVIDERS) if name == "case" else None)
     parser.add_argument("--decimal", action="store_true",
-                        help="echo float approximations alongside exact values")
-    args = parser.parse_args(argv)
+                        help="echo float approximations of the exact rationals "
+                             "alongside them")
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.input:

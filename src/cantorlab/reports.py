@@ -7,7 +7,8 @@ certified inequality, with no decimal approximations anywhere.
 
 from __future__ import annotations
 
-import json
+from json import JSONEncoder
+from json.encoder import encode_basestring_ascii as _str
 from typing import Any
 
 
@@ -106,5 +107,57 @@ class Report:
 
 
 def dumps(doc: Any) -> str:
-    """Canonical JSON: sorted keys, no floats, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON: sorted keys, two-space indent, ASCII, trailing newline.
+
+    Byte for byte json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    plus "\n", which with an indent never reaches the stdlib's C encoder.
+    This writer takes the C string encoder for every key and string and one
+    C-level join for a list of strings, such as a set's generators; a NaN
+    or an infinity raises ValueError.
+    """
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+# int, bool, None and float as the stdlib writes them; NaN and inf raise.
+_scalar = JSONEncoder(allow_nan=False).encode
+
+
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    """Append the pieces of one value to out; newline ends a line at its
+    indent."""
+    put = out.append
+    if isinstance(value, str):
+        put(_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            put(sep + _str(key) + ": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        put("[" + inner)
+        try:
+            # A megabyte list body is its own piece: joined with the
+            # brackets it would be copied once more.
+            put(("," + inner).join(map(_str, value)))
+        except TypeError:
+            sep = ""
+            for item in value:
+                put(sep)
+                _write(item, inner, out)
+                sep = "," + inner
+        put(newline + "]")
+    else:
+        put(_scalar(value))

@@ -10,7 +10,7 @@ used by the batch front door.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from . import martingales as mg
 from .coding import DyadicFunction, KCRequestList, Machine
@@ -18,10 +18,6 @@ from .covers import TestFamily
 from .diagonal import DiagonalTrace, TraceStage
 from .errors import ParseError
 from .space import PeriodicPoint, PrefixFreeSet, StagedOpenSet
-
-
-def frac_str(f: Fraction) -> str:
-    return str(Fraction(f))
 
 
 def parse_fraction(doc: Any) -> Fraction:
@@ -49,30 +45,31 @@ def parse_bool(doc: Any) -> bool:
     return doc
 
 
-def to_doc(obj: Any) -> Any:
-    """The JSON document of a value; Fractions as exact "num/den" strings."""
+def to_doc(obj: Any, frac: Callable[[Fraction], Any] = str) -> Any:
+    """The JSON document of a value; frac renders each Fraction in it, by
+    default as its exact "num/den" string."""
     if isinstance(obj, Fraction):
-        return str(obj)
+        return frac(obj)
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, (list, tuple)):
-        return [to_doc(x) for x in obj]
+        return [to_doc(x, frac) for x in obj]
     if isinstance(obj, dict):
-        return {str(k): to_doc(v) for k, v in obj.items()}
+        return {str(k): to_doc(v, frac) for k, v in obj.items()}
     if isinstance(obj, PrefixFreeSet):
         return {"elements": list(obj.elements)}
     if isinstance(obj, PeriodicPoint):
         return {"head": obj.head, "period": obj.period}
     if isinstance(obj, StagedOpenSet):
         return {"stages": [to_doc(s) for s in obj.stages],
-                "final_measure": frac_str(obj.final_measure)}
+                "final_measure": frac(Fraction(obj.final_measure))}
     if isinstance(obj, mg.MartingaleTable):
         return {"depth": obj.depth,
-                "values": {s: frac_str(v) for s, v in sorted(obj.values.items())}}
+                "values": {s: frac(Fraction(v)) for s, v in sorted(obj.values.items())}}
     if isinstance(obj, mg.BettingStrategy):
-        return strategy_doc(obj)
+        return strategy_doc(obj, frac)
     if isinstance(obj, mg.WinningSet):
-        return {"threshold": frac_str(obj.threshold),
+        return {"threshold": frac(Fraction(obj.threshold)),
                 "generators": to_doc(obj.generators),
                 "source_depth": obj.source_depth,
                 "truncated": obj.truncated}
@@ -80,17 +77,18 @@ def to_doc(obj: Any) -> Any:
         doc = {"kind": obj.kind,
                "levels": {str(n): to_doc(s) for n, s in obj.levels.items()}}
         if obj.bound_schedule is not None:
-            doc["bounds"] = {str(n): frac_str(v) for n, v in obj.bound_schedule.items()}
+            doc["bounds"] = {str(n): frac(Fraction(v))
+                             for n, v in obj.bound_schedule.items()}
         if obj.martingale is not None:
-            doc["martingale"] = strategy_doc(obj.martingale)
+            doc["martingale"] = strategy_doc(obj.martingale, frac)
         return doc
     if isinstance(obj, Machine):
         return {"table": dict(obj.table)}
     if isinstance(obj, KCRequestList):
         return {"requests": [[k, s] for k, s in obj.requests]}
     if isinstance(obj, DyadicFunction):
-        return {"values": [[k, frac_str(v)] for k, v in obj.entries],
-                "sum": frac_str(obj.declared_sum)}
+        return {"values": [[k, frac(Fraction(v))] for k, v in obj.entries],
+                "sum": frac(Fraction(obj.declared_sum))}
     if isinstance(obj, TraceStage):
         return {"index": obj.index, "sigma": obj.sigma,
                 "set": to_doc(obj.current), "n_e": obj.n_e, "tau": obj.tau}
@@ -99,12 +97,13 @@ def to_doc(obj: Any) -> Any:
     raise ParseError(f"cannot serialize {type(obj).__name__}")
 
 
-def strategy_doc(d: mg.BettingStrategy) -> dict:
+def strategy_doc(d: mg.BettingStrategy,
+                 frac: Callable[[Fraction], Any] = str) -> dict:
     if d.kind not in mg.BettingStrategy.kinds:
         raise ParseError(f"cannot serialize strategy kind {d.kind!r}")
     doc: dict[str, Any] = {"kind": d.kind}
     for name in d.fields:
-        doc[name] = to_doc(getattr(d, name))
+        doc[name] = to_doc(getattr(d, name), frac)
     return doc
 
 

@@ -369,9 +369,15 @@ class PrefixFreeSet:
     def __iter__(self) -> Iterator[str]:
         return iter(self.elements)
 
-    def __len__(self) -> int:
+    @property
+    def count(self) -> int:
+        """The exact number of generators, read without listing them; unlike
+        len(), which Python caps at 2^63 - 1, it holds for any size."""
         elems = self._elements
         return len(elems) if elems is not None else _stats(self._root)[0]
+
+    def __len__(self) -> int:
+        return self.count
 
     def __contains__(self, s: str) -> bool:
         """s is a generator: its path ends at a leaf and passes none before."""
@@ -389,7 +395,7 @@ class PrefixFreeSet:
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        if not isinstance(other, PrefixFreeSet) or len(self) != len(other):
+        if not isinstance(other, PrefixFreeSet) or self.count != other.count:
             return False
         if self._root is not None and other._root is not None:
             return _same(self._root, other._root)

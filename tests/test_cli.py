@@ -1,18 +1,22 @@
 """Batch front door: dispatch, determinism, exactness, error mapping."""
 
+import argparse
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from cantorlab import cli
 from cantorlab.cli import _HANDLERS, dispatch, main
 
 from util import time_limit
 
 
 def run_cli(capsys, subcommand, doc, *flags):
-    import io
-    import sys
-
     stdin = sys.stdin
     sys.stdin = io.StringIO(json.dumps(doc))
     try:
@@ -64,6 +68,39 @@ class TestDispatch:
                               "--decimal")
         assert rep["output"]["measure"] == "1/2"
         assert rep["decimal"]["measure"] == 0.5
+
+    def test_decimal_shadows_exact_rationals_only(self, capsys):
+        """Bit strings that parse as numbers, a set's generators or a point's
+        head and period, stay strings; a rational past the float range
+        keeps its exact form instead of stopping the report; the rationals
+        inside a domain object, a dyadic function's values and sum or a
+        strategy's fields, shadow as floats."""
+        _, rep = run_cli(capsys, "condition",
+                         {"set": {"elements": ["01", "1"]}, "sigma": ""}, "--decimal")
+        assert rep["decimal"] == {"set": {"elements": ["1", "01"]}}
+        _, rep = run_cli(capsys, "tails", {"point": {"head": "1", "period": "01"}},
+                         "--decimal")
+        assert rep["decimal"]["tails"][0] == {"head": "1", "period": "01"}
+        _, rep = run_cli(capsys, "measure", {"set": {"elements": ["1"]}}, "--decimal")
+        assert rep["decimal"] == {"measure": 0.5}
+        zero = {"head": "", "period": "0"}
+        status, rep = run_cli(capsys, "success-capital",
+                              {"strategy": {"kind": "point-doubler", "point": zero},
+                               "point": zero, "depth": 1100}, "--decimal")
+        capitals = rep["decimal"]["capitals"]
+        assert status == 0
+        assert capitals[1023] == 2.0 ** 1023 and capitals[1100] == str(2 ** 1100)
+        _, rep = run_cli(capsys, "normalize", {"f": {"values": [[0, "1/4"]]}, "N": 1},
+                         "--decimal")
+        assert rep["output"]["f"] == {"values": [[0, "1"]], "sum": "1"}
+        assert rep["decimal"]["f"] == {"values": [[0, 1.0]], "sum": 1.0}
+        _, rep = run_cli(capsys, "reset", {"strategy": SHIFTED, "q": "3/2",
+                                           "blocks": {"elements": ["0"]}}, "--decimal")
+        strategy = rep["decimal"]["strategy"]
+        assert strategy["q"] == 1.5 and strategy["blocks"] == {"elements": ["0"]}
+        (w1, doubler), (w2, constant) = strategy["base"]["terms"]
+        assert (w1, w2, constant["c"]) == (0.5, 0.5, 1.0)
+        assert doubler["point"] == {"head": "", "period": "0"}
 
     def test_flag_overrides_document(self, capsys):
         doc = {"table": {"depth": 1, "values": {"": "1", "0": "2", "1": "0"}},
@@ -319,6 +356,23 @@ class TestFrontDoorContract:
                     assert isinstance(rep["error"]["message"], str), where
         assert count > 3900
 
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._parser.cache_clear()
+        try:
+            run_cli(capsys, "measure", {"set": {"elements": ["0"]}})
+            run_cli(capsys, "measure", {"set": {"elements": ["1"]}}, "--decimal")
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
     def test_flags_override_only_fields_the_subcommand_reads(self):
         flagged = {sub: sorted(op.flags) for sub, op in _HANDLERS.items() if op.flags}
         assert flagged == {
@@ -347,3 +401,46 @@ def mutations(node):
         for i, value in enumerate(node):
             for new in [*MUTANTS, *mutations(value)]:
                 yield node[:i] + [new] + node[i + 1:]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_process(*args, stdin=""):
+    """python -m cantorlab.cli as its own process, cantorlab from src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "cantorlab.cli", *args],
+                          input=stdin.encode(), capture_output=True, env=env,
+                          timeout=60)
+
+
+class TestProcess:
+    """The real __main__ entry writes the bytes an in-process main writes."""
+
+    def test_measure_on_stdin(self, capsys):
+        job = json.dumps({"set": {"elements": ["0", "10"]}})
+        proc = run_process("measure", stdin=job)
+        assert proc.returncode == 0, proc.stderr
+        sys.stdin, stdin = io.StringIO(job), sys.stdin
+        try:
+            assert main(["measure"]) == 0
+        finally:
+            sys.stdin = stdin
+        assert proc.stdout == capsys.readouterr().out.encode()
+
+    def test_b_set_with_files(self, tmp_path):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"n": 1, "alpha": "7/8"}))
+        proc = run_process("b-set", "--input", str(job),
+                           "--output", str(tmp_path / "process.json"))
+        assert proc.returncode == 0 and proc.stdout == b"", proc.stderr
+        assert main(["b-set", "--input", str(job),
+                     "--output", str(tmp_path / "inprocess.json")]) == 0
+        got = (tmp_path / "process.json").read_bytes()
+        assert got == (tmp_path / "inprocess.json").read_bytes()
+        assert json.loads(got)["result"] == "PASS"
+
+    def test_help(self):
+        proc = run_process("--help")
+        assert proc.returncode == 0
+        assert b"usage: cantorlab" in proc.stdout and b"--decimal" in proc.stdout

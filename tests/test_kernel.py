@@ -11,6 +11,7 @@ import gc
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +41,7 @@ from util import (
     scan_covers,
     scan_measure,
     scan_member,
+    time_limit,
     walk_union_generators,
 )
 
@@ -97,6 +99,16 @@ class TestAgainstScans:
             n = 1
         same_set(power(u, n), list_power(u, n))
 
+    @given(prefix_free, prefix_free, bits)
+    def test_count(self, u, v, sigma):
+        """count is the generator count of a set built from strings and of
+        one a kernel operation built, and reading it lists nothing."""
+        for w in (u, PrefixFreeSet.from_trie(u.trie()), union(u, v), condition(u, sigma)):
+            listed = w._elements is not None
+            count = w.count
+            assert (w._elements is not None) == listed
+            assert count == len(w) == len(w.elements)
+
     @given(prefix_free, bits)
     def test_contains(self, u, s):
         assert (s in u) == (s in set(u.elements))
@@ -136,6 +148,16 @@ class TestSparseSets:
             assert measure(u) == Fraction(255, 256)
             assert len(u) > 10 ** 8
             assert u._elements is None
+
+    def test_count_past_the_len_cap(self):
+        """len() stops at 2^63 - 1; count is exact beyond it, unlisted."""
+        with time_limit(1, "b_set(60, 3/4).count"):
+            u = b_set(60, Fraction(3, 4))
+            assert u.count > 2 ** 63 - 1
+            assert u == b_set(60, Fraction(3, 4))
+        assert u._elements is None
+        with pytest.raises(OverflowError):
+            len(u)
 
     def test_sibling_pair_stays_two_generators(self):
         pair = union(PrefixFreeSet(["0"]), PrefixFreeSet(["1"]))
