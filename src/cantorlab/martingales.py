@@ -6,9 +6,9 @@ martingales carry values up to a fixed depth; betting strategies evaluate
 lazily at any string, so the transformed objects (translations, truncated
 tail averages, resets, mixtures) stay exact at every node.
 
-All strategy objects are immutable after construction; value() memoizes
-per instance, which is safe under concurrent use (dict updates are atomic
-and recomputed values are identical).
+All strategy objects are immutable after construction, and value()
+memoizes per instance.  Every derived kind is a LinearStrategy: one
+evaluation rule and one flat_beyond serve them all.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import (
 from .reports import Report
 from .space import (
     ONE,
+    ZERO,
     PeriodicPoint,
     PrefixFreeSet,
     check_bits,
@@ -116,21 +117,41 @@ class BettingStrategy:
         return False
 
 
-class ConstantStrategy(BettingStrategy):
+class LinearStrategy(BettingStrategy):
+    """D(tau) = c + sum of w * base(rho tau) over the terms (w, base, rho).
+
+    Every derived kind is one.  A translate of a martingale is fair, so D
+    is a martingale when c and every w are >= 0.  flat_beyond is sound and
+    monotone when each base's is: a base flat beyond rho sigma is flat
+    beyond rho sigma b, and if all are, every term, hence D, is constant
+    below sigma.  A zero-weight term is still evaluated and asked; a kind
+    that must skip one omits it.
+    """
+
+    def __init__(self, terms: tuple, const: Fraction = ZERO):
+        super().__init__()
+        self._terms = terms
+        self._const = const
+
+    def _compute(self, tau: str) -> Fraction:
+        total = self._const
+        for w, base, rho in self._terms:
+            total += w * base.value(rho + tau)
+        return total
+
+    def flat_beyond(self, sigma: str) -> bool:
+        return all(base.flat_beyond(rho + sigma) for _, base, rho in self._terms)
+
+
+class ConstantStrategy(LinearStrategy):
     kind = "constant"
     fields = {"c": Fraction}
 
     def __init__(self, c: Fraction | int = 1):
-        super().__init__()
         self.c = Fraction(c)
         if self.c < 0:
             raise ValueError("negative constant")
-
-    def _compute(self, sigma: str) -> Fraction:
-        return self.c
-
-    def flat_beyond(self, sigma: str) -> bool:
-        return True
+        super().__init__((), self.c)
 
 
 class TableStrategy(BettingStrategy):
@@ -173,45 +194,33 @@ class PointDoubler(BettingStrategy):
         return self.value(sigma) == 0
 
 
-class TranslateStrategy(BettingStrategy):
+class TranslateStrategy(LinearStrategy):
     """tau -> base(sigma tau): capital seen after entering [sigma]."""
 
     kind = "translated"
     fields = {"base": BettingStrategy, "sigma": str}
 
     def __init__(self, base: BettingStrategy, sigma: str):
-        super().__init__()
         self.base = base
         self.sigma = check_bits(sigma)
-
-    def _compute(self, tau: str) -> Fraction:
-        return self.base.value(self.sigma + tau)
-
-    def flat_beyond(self, sigma: str) -> bool:
-        return self.base.flat_beyond(self.sigma + sigma)
+        super().__init__(((ONE, base, self.sigma),))
 
 
-class ScaledStrategy(BettingStrategy):
+class ScaledStrategy(LinearStrategy):
     """Positive rescaling; fairness is preserved by linearity."""
 
     kind = "scaled"
     fields = {"base": BettingStrategy, "factor": Fraction}
 
     def __init__(self, base: BettingStrategy, factor: Fraction):
-        super().__init__()
         if factor <= 0:
             raise ValueError("scale factor must be positive")
         self.base = base
         self.factor = Fraction(factor)
-
-    def _compute(self, sigma: str) -> Fraction:
-        return self.factor * self.base.value(sigma)
-
-    def flat_beyond(self, sigma: str) -> bool:
-        return self.base.flat_beyond(sigma)
+        super().__init__(((self.factor, base, ""),))
 
 
-class BlendStrategy(BettingStrategy):
+class BlendStrategy(LinearStrategy):
     """Nonnegative-weight combination of strategies (constant 1 included via
     ConstantStrategy); the workhorse behind shifts and averages."""
 
@@ -219,18 +228,11 @@ class BlendStrategy(BettingStrategy):
     fields = {"terms": [(Fraction, BettingStrategy)]}
 
     def __init__(self, terms: list[tuple[Fraction, BettingStrategy]]):
-        super().__init__()
         self.terms = tuple((Fraction(w), s) for w, s in terms)
         if any(w < 0 for w, _ in self.terms):
             raise ValueError("blend weights must be nonnegative")
-
-    def _compute(self, sigma: str) -> Fraction:
-        # A zero-weight term is never evaluated, as flat_beyond ignores it.
-        return sum((w * s.value(sigma) for w, s in self.terms if w != 0),
-                   start=Fraction(0))
-
-    def flat_beyond(self, sigma: str) -> bool:
-        return all(s.flat_beyond(sigma) for w, s in self.terms if w != 0)
+        # A zero-weight term is never evaluated, nor asked for flatness.
+        super().__init__(tuple((w, s, "") for w, s in self.terms if w != 0))
 
 
 def positive_shift(d: BettingStrategy) -> BettingStrategy:
@@ -238,29 +240,23 @@ def positive_shift(d: BettingStrategy) -> BettingStrategy:
     return BlendStrategy([(Fraction(1, 2), d), (Fraction(1, 2), ConstantStrategy(1))])
 
 
-class MixtureStrategy(BettingStrategy):
+class MixtureStrategy(LinearStrategy):
     """D = (1 - 2^(-n_e+1)) d + 2^(-n_e+1) d_e, the closure-step mixture."""
 
     kind = "mixture"
     fields = {"d": BettingStrategy, "d_e": BettingStrategy, "n_e": int}
 
     def __init__(self, d: BettingStrategy, d_e: BettingStrategy, n_e: int):
-        super().__init__()
         if n_e < 1:
             raise ValueError("n_e must be >= 1")
         self.d = d
         self.d_e = d_e
         self.n_e = n_e
-        self.weight = Fraction(1, 2 ** (n_e - 1))
-
-    def _compute(self, sigma: str) -> Fraction:
-        return (1 - self.weight) * self.d.value(sigma) + self.weight * self.d_e.value(sigma)
-
-    def flat_beyond(self, sigma: str) -> bool:
-        return self.d.flat_beyond(sigma) and self.d_e.flat_beyond(sigma)
+        weight = Fraction(1, 2 ** (n_e - 1))
+        super().__init__(((1 - weight, d, ""), (weight, d_e, "")))
 
 
-class AverageStrategy(BettingStrategy):
+class AverageStrategy(LinearStrategy):
     """Truncated average of normalized translates plus the residual weight.
 
     D(tau) = sum over |sigma| <= L of 2^(-2|sigma|-1) base(sigma tau)/base(sigma)
@@ -273,26 +269,17 @@ class AverageStrategy(BettingStrategy):
     fields = {"base": BettingStrategy, "level": int}
 
     def __init__(self, base: BettingStrategy, level: int):
-        super().__init__()
         if level < 0:
             raise ValueError("negative truncation level")
         self.base = base
         self.level = level
-        self.residual = Fraction(1, 2 ** (level + 1))
-        self._anchors = list(strings_to_depth(level))
-        self._roots = {s: base.value(s) for s in self._anchors}
-        if any(v == 0 for v in self._roots.values()):
+        roots = {s: base.value(s) for s in strings_to_depth(level)}
+        if any(v == 0 for v in roots.values()):
             raise ZeroPrefix("base has zero capital at some string of length <= L")
-
-    def _compute(self, tau: str) -> Fraction:
-        total = self.residual
-        for s in self._anchors:
-            w = Fraction(1, 2 ** (2 * len(s) + 1))
-            total += w * self.base.value(s + tau) / self._roots[s]
-        return total
-
-    def flat_beyond(self, sigma: str) -> bool:
-        return all(self.base.flat_beyond(s + sigma) for s in self._anchors)
+        super().__init__(
+            tuple((Fraction(1, 2 ** (2 * len(s) + 1)) / v, base, s)
+                  for s, v in roots.items()),
+            Fraction(1, 2 ** (level + 1)))
 
 
 def translate(d: BettingStrategy, sigma: str) -> BettingStrategy:

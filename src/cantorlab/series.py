@@ -243,6 +243,7 @@ class BlockDoubler(BettingStrategy):
         for i, a in enumerate(self.exponents):
             for p in PARTITION.block(i, a):
                 self._bets[p] = (i, self.q * Fraction(1, 2 ** a))
+        self._last_bet = max(self._bets, default=-1)
 
     def _compute(self, sigma: str) -> Fraction:
         capital = ONE
@@ -264,7 +265,7 @@ class BlockDoubler(BettingStrategy):
         return capital
 
     def flat_beyond(self, sigma: str) -> bool:
-        return not self._bets or len(sigma) > max(self._bets)
+        return len(sigma) > self._last_bet
 
 
 def encode_series(exponents: Sequence[int], q: Fraction
@@ -360,51 +361,33 @@ def tree_embed(d: BettingStrategy, depth: int, budget: int = 10
     for k in range(depth):
         bound = 2 - Fraction(1, 2 ** (k + 1))
         for node in sorted((s for s in mapping if len(s) == k), key=lenlex_key):
+            # Incomparable strings below the bound first appear as siblings,
+            # so one path is followed until both children of its end qualify.
             tau = mapping[node]
-            frontier = [tau]
-            kept: list[str] = []
-            pair = None
-            while frontier and pair is None:
-                nxt = []
-                for parent in frontier:
-                    for bit in "01":
-                        cand = parent + bit
-                        if d.value(cand) > bound:
-                            continue
-                        for other in kept:
-                            if not cand.startswith(other) and not other.startswith(cand):
-                                pair = (other, cand)
-                                break
-                        if pair:
-                            break
-                        kept.append(cand)
-                        nxt.append(cand)
-                    if pair:
-                        break
-                if nxt and len(nxt[0]) - len(tau) >= budget:
+            end, path = tau, []
+            for _ in range(max(budget, 1)):
+                low = [end + b for b in "01" if d.value(end + b) <= bound]
+                if len(low) != 1:
                     break
-                frontier = nxt
-            if pair is None:
+                end = low[0]
+                path.append(end)
+            if len(low) != 2:
                 raise SearchExhausted(
                     f"no incomparable pair below {bound} within {budget} bits of {tau!r}",
-                    frontier=kept,
+                    frontier=path,
                 )
-            mapping[node + "0"] = pair[0]
-            mapping[node + "1"] = pair[1]
+            mapping[node + "0"], mapping[node + "1"] = low
     rep = Report("tree-embed")
     names = sorted(mapping, key=lenlex_key)
     rep.record("monotone strict extensions", all(
         mapping[s + b].startswith(mapping[s]) and len(mapping[s + b]) > len(mapping[s])
         for s in names for b in "01" if s + b in mapping
     ))
-    incomparable = True
-    for a in names:
-        for b in names:
-            if a < b and not a.startswith(b) and not b.startswith(a):
-                ta, tb = mapping[a], mapping[b]
-                if ta.startswith(tb) or tb.startswith(ta):
-                    incomparable = False
-    rep.record("incomparability preserved", incomparable)
+    rep.record("incomparability preserved", not any(
+        mapping[a].startswith(mapping[b]) or mapping[b].startswith(mapping[a])
+        for a in names for b in names
+        if a < b and not a.startswith(b) and not b.startswith(a)
+    ))
     worst_overall = ZERO
     for s in names:
         tau = mapping[s]

@@ -402,7 +402,7 @@ class PrefixFreeSet:
         return self.elements == other.elements
 
     def __hash__(self) -> int:
-        return hash(("PrefixFreeSet", self.elements))
+        return hash(("PrefixFreeSet", self.count, self.maxlen))
 
     def __repr__(self) -> str:
         return f"PrefixFreeSet({list(self.elements)!r})"

@@ -19,6 +19,7 @@ from cantorlab.series import b_set, encode_series
 from cantorlab.space import (
     PeriodicPoint,
     PrefixFreeSet,
+    StagedOpenSet,
     condition,
     covers,
     covers_pinned,
@@ -158,6 +159,15 @@ class TestSparseSets:
         assert u._elements is None
         with pytest.raises(OverflowError):
             len(u)
+
+    def test_hash_without_listing(self):
+        """The hash reads (count, maxlen), so a set too large to list hashes
+        at once, and so does a staged set holding it."""
+        u = b_set(0, Fraction(255, 256))
+        with time_limit(1, "hash(b_set(0, 255/256))"):
+            assert hash(u) == hash(b_set(0, Fraction(255, 256)))
+            hash(StagedOpenSet([u]))
+        assert u._elements is None
 
     def test_sibling_pair_stays_two_generators(self):
         pair = union(PrefixFreeSet(["0"]), PrefixFreeSet(["1"]))

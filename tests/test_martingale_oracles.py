@@ -6,14 +6,15 @@ random compositions of every registered strategy kind; that rests on the
 flat_beyond contract (sound and monotone), checked here kind by kind.  A
 reset strategy resumes from its longest known prefix, so its values and its
 DeadCapital messages must match the replay from the root whatever order the
-strings are evaluated in.
+strings are evaluated in.  Each derived kind evaluates by the one linear
+rule, so its values must match its own closed formula.
 """
 
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cantorlab.errors import DeadCapital
@@ -21,6 +22,7 @@ from cantorlab.martingales import (
     BettingStrategy,
     BlendStrategy,
     ConstantStrategy,
+    LinearStrategy,
     MixtureStrategy,
     PointDoubler,
     ResetStrategy,
@@ -34,7 +36,14 @@ from cantorlab.martingales import (
 from cantorlab.series import BlockDoubler
 from cantorlab.space import PeriodicPoint, PrefixFreeSet, reduce
 
-from util import all_strings, doubler, exhaustive_winning_set, random_fair_table, replay_reset
+from util import (
+    all_strings,
+    closed_form,
+    doubler,
+    exhaustive_winning_set,
+    random_fair_table,
+    replay_reset,
+)
 
 SEARCH_DEPTHS = (0, 1, 3, 6)
 THRESHOLDS = (Fraction(9, 8), Fraction(3, 2), Fraction(2), Fraction(5))
@@ -150,6 +159,40 @@ class TestFlatBeyondContract:
             for t in all_strings(3):
                 assert d.value(s + t) == here, (s, t)
             assert d.flat_beyond(s + "0") and d.flat_beyond(s + "1"), s
+
+
+# The kinds built as a constant plus weighted translates of other strategies.
+DERIVED = ("constant", "translated", "scaled", "blend", "mixture", "averaged")
+
+
+def test_derived_kinds_share_one_rule():
+    """No derived kind has its own _compute or flat_beyond: each evaluates
+    by LinearStrategy's rule, whose docstring argues the flat_beyond
+    contract once for all of them."""
+    own = [f"{kind}.{name}" for kind in DERIVED
+           for name in ("_compute", "flat_beyond")
+           if getattr(BettingStrategy.kinds[kind], name) is not getattr(LinearStrategy, name)]
+    assert not own, own
+
+
+def outcome_at(f, tau):
+    """f(tau), or the DeadCapital message it raised."""
+    try:
+        return f(tau)
+    except DeadCapital as err:
+        return str(err)
+
+
+class TestLinearRule:
+    @pytest.mark.parametrize("kind", DERIVED)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), taus=st.lists(st.text(alphabet="01", max_size=5),
+                                         min_size=1, max_size=6))
+    def test_value_matches_closed_form(self, kind, data, taus):
+        d = data.draw(of_kind(kind))
+        assume(d.kind == kind)
+        for tau in taus:
+            assert outcome_at(d.value, tau) == outcome_at(lambda t: closed_form(d, t), tau), tau
 
 
 def evaluated(r, order):

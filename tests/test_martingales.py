@@ -6,9 +6,10 @@ from random import Random
 
 import pytest
 
-from cantorlab.errors import InvalidThreshold, NotWinningSet, ZeroPrefix
+from cantorlab.errors import DeadCapital, InvalidThreshold, NotWinningSet, ZeroPrefix
 from cantorlab.martingales import (
     AverageStrategy,
+    BlendStrategy,
     ConstantStrategy,
     MartingaleTable,
     TableStrategy,
@@ -23,6 +24,7 @@ from cantorlab.martingales import (
     verify_ville_kolmogorov,
     winning_set,
 )
+from cantorlab.serialize import strategy_doc
 from cantorlab.space import PeriodicPoint, PrefixFreeSet, measure
 
 from util import all_strings, doubler, random_fair_strategy, random_fair_table
@@ -252,6 +254,32 @@ class TestMixture:
             w = Fraction(1, 2 ** (n_e - 1))
             for s in all_strings(4):
                 assert m.value(s) - (1 - w) * d.value(s) - w * d_e.value(s) == 0
+
+
+def dying_reset():
+    """A normed reset strategy whose base dies inside a block past "01"."""
+    return reset(doubler(), Fraction(2), PrefixFreeSet(["0"]))
+
+
+class TestZeroWeightTerms:
+    def test_mixture_at_n_e_1_still_evaluates_d(self):
+        """At n_e = 1, d has weight 0 but is evaluated and asked for
+        flatness, so a dying d raises and keeps the mixture unflat."""
+        d = dying_reset()
+        with pytest.raises(DeadCapital) as want:
+            d.value("0101")
+        m = mixture(d, ConstantStrategy(1), 1)
+        with pytest.raises(DeadCapital) as got:
+            m.value("0101")
+        assert str(got.value) == str(want.value)
+        assert m.value("01") == 1 and not m.flat_beyond("")
+
+    def test_blend_skips_zero_weight_terms(self):
+        """A zero-weight blend term is never evaluated nor asked, but stays
+        on the wire."""
+        b = BlendStrategy([(0, dying_reset()), (1, ConstantStrategy(1))])
+        assert b.value("0101") == 1 and b.flat_beyond("")
+        assert [w for w, _ in strategy_doc(b)["terms"]] == ["0", "1"]
 
 
 class TestSuccessCapital:

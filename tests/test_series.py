@@ -9,7 +9,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorlab.cli import dispatch
@@ -24,8 +24,11 @@ from cantorlab.errors import (
 from cantorlab.martingales import (
     ConstantStrategy,
     MartingaleTable,
+    MixtureStrategy,
+    PointDoubler,
     TableStrategy,
     check_fairness,
+    positive_shift,
     table_of,
 )
 from cantorlab.pairing import cantor_pair
@@ -59,9 +62,11 @@ from cantorlab.space import (
 
 from util import (
     antidiagonal_pairs,
+    bfs_tree_embed,
     block_owner,
     doubler,
     pin_depth,
+    random_fair_table,
     random_prefix_free,
     scan_open_to_series_approx,
     time_limit,
@@ -396,7 +401,36 @@ class TestExtractSeries:
             assert res.series(i) >= Fraction(1, 2 ** a)
 
 
+points = st.builds(PeriodicPoint, st.text(alphabet="01", max_size=3),
+                   st.text(alphabet="01", min_size=1, max_size=3))
+normed = st.one_of(
+    st.just(ConstantStrategy(1)),
+    st.builds(PointDoubler, points),
+    points.map(lambda x: positive_shift(PointDoubler(x))),
+    st.integers(0, 2 ** 16).map(lambda seed: TableStrategy(random_fair_table(Random(seed), 4))),
+    st.builds(BlockDoubler, st.lists(st.integers(1, 3), max_size=3),
+              st.sampled_from([Fraction(1, 3), Fraction(2, 3)])),
+)
+embeddable = st.one_of(normed, st.builds(MixtureStrategy, normed, normed, st.integers(1, 4)))
+
+
+def embedded(embed, d, depth, budget):
+    """(map, report document), or the SearchExhausted message and frontier."""
+    try:
+        mapping, rep = embed(d, depth, budget)
+    except SearchExhausted as err:
+        return str(err), err.frontier
+    return mapping, rep.to_doc()
+
+
 class TestTreeEmbed:
+    @settings(max_examples=300, deadline=None)
+    @given(embeddable, st.integers(-1, 6), st.integers(0, 3))
+    def test_matches_breadth_first_search(self, d, budget, depth):
+        """The search along one path gives the map, report and error of the
+        breadth-first search over every kept string."""
+        assert embedded(tree_embed, d, depth, budget) == embedded(bfs_tree_embed, d, depth, budget)
+
     def test_constant_gives_identity(self):
         mapping, rep = tree_embed(ConstantStrategy(1), 3)
         assert rep.passed

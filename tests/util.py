@@ -5,16 +5,18 @@ from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 
-from cantorlab.errors import DeadCapital
+from cantorlab.errors import DeadCapital, SearchExhausted
 from cantorlab.martingales import MartingaleTable, PointDoubler, TableStrategy
 from cantorlab.pairing import cantor_pair
 from cantorlab.series import b_terms
 from cantorlab.reports import Report
 from cantorlab.space import (
     ONE,
+    ZERO,
     PeriodicPoint,
     PrefixFreeSet,
     condition,
+    lenlex_key,
     measure,
     reduce,
     union,
@@ -371,3 +373,92 @@ def replay_reset(r, sigma):
         if tau in blocks:
             tau = ""
     return cap
+
+
+def closed_form(d, tau):
+    """A derived strategy's value at tau by its kind's own formula, read off
+    the attributes its wire document carries."""
+    if d.kind == "constant":
+        return d.c
+    if d.kind == "translated":
+        return d.base.value(d.sigma + tau)
+    if d.kind == "scaled":
+        return d.factor * d.base.value(tau)
+    if d.kind == "blend":
+        return sum((w * s.value(tau) for w, s in d.terms if w != 0), start=ZERO)
+    if d.kind == "mixture":
+        weight = Fraction(1, 2 ** (d.n_e - 1))
+        return (1 - weight) * d.d.value(tau) + weight * d.d_e.value(tau)
+    if d.kind == "averaged":
+        total = Fraction(1, 2 ** (d.level + 1))
+        for s in all_strings(d.level):
+            total += Fraction(1, 2 ** (2 * len(s) + 1)) * d.base.value(s + tau) / d.base.value(s)
+        return total
+    raise ValueError(f"no closed form for {d.kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# Tree-embedding oracle: tree_embed as it was before its search followed a
+# single path, breadth-first over every kept string.
+
+def bfs_tree_embed(d, depth, budget=10):
+    if d.value("") != 1:
+        raise ValueError("tree embedding needs a normed strategy")
+    mapping = {"": ""}
+    for k in range(depth):
+        bound = 2 - Fraction(1, 2 ** (k + 1))
+        for node in sorted((s for s in mapping if len(s) == k), key=lenlex_key):
+            tau = mapping[node]
+            frontier = [tau]
+            kept = []
+            pair = None
+            while frontier and pair is None:
+                nxt = []
+                for parent in frontier:
+                    for bit in "01":
+                        cand = parent + bit
+                        if d.value(cand) > bound:
+                            continue
+                        for other in kept:
+                            if not cand.startswith(other) and not other.startswith(cand):
+                                pair = (other, cand)
+                                break
+                        if pair:
+                            break
+                        kept.append(cand)
+                        nxt.append(cand)
+                    if pair:
+                        break
+                if nxt and len(nxt[0]) - len(tau) >= budget:
+                    break
+                frontier = nxt
+            if pair is None:
+                raise SearchExhausted(
+                    f"no incomparable pair below {bound} within {budget} bits of {tau!r}",
+                    frontier=kept,
+                )
+            mapping[node + "0"] = pair[0]
+            mapping[node + "1"] = pair[1]
+    rep = Report("tree-embed")
+    names = sorted(mapping, key=lenlex_key)
+    rep.record("monotone strict extensions", all(
+        mapping[s + b].startswith(mapping[s]) and len(mapping[s + b]) > len(mapping[s])
+        for s in names for b in "01" if s + b in mapping
+    ))
+    incomparable = True
+    for a in names:
+        for b in names:
+            if a < b and not a.startswith(b) and not b.startswith(a):
+                ta, tb = mapping[a], mapping[b]
+                if ta.startswith(tb) or tb.startswith(ta):
+                    incomparable = False
+    rep.record("incomparability preserved", incomparable)
+    worst_overall = ZERO
+    for s in names:
+        tau = mapping[s]
+        worst = max(d.value(tau[:i]) for i in range(len(tau) + 1))
+        worst_overall = max(worst_overall, worst)
+        rep.check(f"capital along image of {s!r} <= 2 - 2^-|{s}|",
+                  worst, "<=", 2 - Fraction(1, 2 ** len(s)))
+    rep.check("capital on all images <= 2", worst_overall, "<=", Fraction(2))
+    return mapping, rep
