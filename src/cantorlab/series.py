@@ -383,11 +383,11 @@ def tree_embed(d: BettingStrategy, depth: int, budget: int = 10
         mapping[s + b].startswith(mapping[s]) and len(mapping[s + b]) > len(mapping[s])
         for s in names for b in "01" if s + b in mapping
     ))
+    # Incomparable nodes extend distinct siblings: with monotone extension,
+    # incomparable sibling images give every pair.
     rep.record("incomparability preserved", not any(
-        mapping[a].startswith(mapping[b]) or mapping[b].startswith(mapping[a])
-        for a in names for b in names
-        if a < b and not a.startswith(b) and not b.startswith(a)
-    ))
+        a.startswith(b) or b.startswith(a) for a, b in
+        ((mapping[s + "0"], mapping[s + "1"]) for s in names if s + "0" in mapping)))
     worst_overall = ZERO
     for s in names:
         tau = mapping[s]

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import compress, count, islice
+from operator import attrgetter, contains
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PowerOfEpsilon
@@ -38,7 +40,7 @@ def check_bits(s: str) -> str:
 
 
 def _sorted_bits(strings: Iterable[str]) -> list[str]:
-    """The distinct strings in lexicographic order, checked to be bit strings.
+    """The strings in lexicographic order, checked to be bit strings.
 
     The check is one scan over the joined strings; only when it fails are
     the strings checked one by one, so the error names the first bad
@@ -53,9 +55,16 @@ def _sorted_bits(strings: Iterable[str]) -> list[str]:
         for s in items:
             check_bits(s)
     items.sort()
-    if any(map(str.__eq__, items[1:], items)):
-        items = list(dict.fromkeys(items))
     return items
+
+
+def _neighbours(lex: list[str]) -> Iterator[bool]:
+    """Lazily, for each i, whether lex[i] occurs in lex[i + 1], as it does
+    where lex[i + 1] starts with lex[i]; only a flagged pair needs the
+    dearer prefix test.  In lexicographic order, if any string starts with
+    another (a duplicate included), some string starts with its left
+    neighbour, so one scan finds duplicates and violations together."""
+    return map(contains, islice(lex, 1, None), lex)
 
 
 def lenlex_key(s: str) -> tuple[int, str]:
@@ -221,56 +230,53 @@ def _trie_of(words: list[str]) -> Trie:
     return _close(prev, 0, pending, table)
 
 
-def _lex_words(root: Trie) -> list[str]:
-    """The generators of a trie in lexicographic order.
+def _listing(root: Trie) -> tuple[str, ...]:
+    """The generators of a trie in length-lex order.
 
-    The suffix list of a node is built once from its children's lists,
-    each suffix prefixed by one bit.  A child's list is dropped once its
-    parent has used it, unless several nodes point to that child, so the
-    lists in memory stay a small multiple of the output.
+    Each node keeps its tails as one text per length, each tail led by a
+    newline, in lexicographic order; a parent puts its bit in front of a
+    child's tails with one replace.  The root's texts, joined by ascending
+    length, are split once, so each generator string is made once.  Nodes
+    go by ascending height, children first; a child's texts are dropped
+    once its last parent has used them.
     """
     if type(root) is str:
-        return [root]
-    if root.zero is None:
-        return [""] if root is LEAF else []
-    seen: set[TrieNode] = set()
-    shared: set[TrieNode] = set()
+        return (root,)
+    uses = {root: 1}
+    inner = []
     stack = [root]
     while stack:
         node = stack.pop()
-        for child in {node.zero, node.one}:
-            if type(child) is str or child.zero is None:
-                continue
-            if child in seen:
-                shared.add(child)
-            else:
-                seen.add(child)
+        if type(node) is str or node.zero is None:
+            continue
+        inner.append(node)
+        for child in (node.zero, node.one):
+            if child not in uses:
                 stack.append(child)
-    lists: dict[TrieNode, list[str]] = {}
+            uses[child] = uses.get(child, 0) + 1
+    texts: dict[TrieNode, dict[int, str]] = {}
 
-    def take(child: Trie) -> list[str]:
-        if type(child) is str:
-            return [child]
-        if child.zero is None:
-            return [""] if child is LEAF else []
-        return lists[child] if child in shared else lists.pop(child)
+    def take(node: Trie) -> dict[int, str]:
+        if type(node) is str:
+            return {len(node): "\n" + node}
+        if node.zero is None:
+            return {0: "\n"} if node is LEAF else {}
+        uses[node] -= 1
+        return texts[node] if uses[node] else texts.pop(node)
 
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if node in lists:
-            stack.pop()
-            continue
-        todo = [c for c in (node.zero, node.one)
-                if type(c) is not str and c.zero is not None and c not in lists]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        zero = take(node.zero)
-        one = zero if node.one is node.zero else take(node.one)
-        lists[node] = ["0" + w for w in zero] + ["1" + w for w in one]
-    return lists[root]
+    inner.sort(key=attrgetter("height"))
+    for node in inner:
+        out: dict[int, str] = {}
+        for child, lead in ((node.zero, "\n0"), (node.one, "\n1")):
+            for size, text in take(child).items():
+                out[size + 1] = out.get(size + 1, "") + text.replace("\n", lead)
+        texts[node] = out
+    top = take(root)
+    if not top:
+        return ()
+    blocks = [top[size] for size in sorted(top)]
+    blocks[0] = blocks[0][1:]
+    return tuple("".join(blocks).split("\n"))
 
 
 def _down(node: Trie, sigma: str) -> Trie:
@@ -320,13 +326,14 @@ class PrefixFreeSet:
 
     def __init__(self, elements: Iterable[str] = ()):
         elems = _sorted_bits(elements)
-        # In lexicographic order a prefix violation always shows up between
-        # neighbours, so one adjacent sweep suffices.
-        extends = list(map(str.startswith, elems[1:], elems))
-        if any(extends):
-            i = extends.index(True)
-            raise ValueError(f"not prefix-free: {elems[i]!r} is a prefix of {elems[i + 1]!r}")
-        self._set(_lenlex(elems), None)
+        if any(_neighbours(elems)):
+            elems = list(dict.fromkeys(elems))
+            for i in compress(count(), _neighbours(elems)):
+                if elems[i + 1].startswith(elems[i]):
+                    raise ValueError(
+                        f"not prefix-free: {elems[i]!r} is a prefix of {elems[i + 1]!r}")
+        elems.sort(key=len)  # stable, so length-lex
+        self._set(tuple(elems), None)
 
     def _set(self, elements, root) -> None:
         object.__setattr__(self, "_elements", elements)
@@ -336,8 +343,9 @@ class PrefixFreeSet:
     @classmethod
     def _listed(cls, lex: list[str]) -> "PrefixFreeSet":
         """Set of checked, lexicographically sorted, prefix-free strings."""
+        lex.sort(key=len)
         out = object.__new__(cls)
-        out._set(_lenlex(lex), None)
+        out._set(tuple(lex), None)
         return out
 
     @classmethod
@@ -359,7 +367,7 @@ class PrefixFreeSet:
     def elements(self) -> tuple[str, ...]:
         elems = self._elements
         if elems is None:
-            elems = _lenlex(_lex_words(self._root))
+            elems = _listing(self._root)
             object.__setattr__(self, "_elements", elems)
         return elems
 
@@ -415,13 +423,6 @@ class PrefixFreeSet:
         return _stats(self._root)[1]
 
 
-def _lenlex(lex: list[str]) -> tuple[str, ...]:
-    """Length-lex order of a lexicographically sorted list, which a stable
-    sort by length gives; the list is sorted in place."""
-    lex.sort(key=len)
-    return tuple(lex)
-
-
 EMPTY_SET = PrefixFreeSet.from_trie(EMPTY)
 FULL_SET = PrefixFreeSet.from_trie(LEAF)
 
@@ -431,22 +432,21 @@ def reduce(strings: Iterable[str]) -> PrefixFreeSet:
 
     The generated open set is unchanged: dropping a string that extends a
     kept one removes nothing from the union of cylinders.  In lexicographic
-    order the extensions of a kept string k form one run right after it,
-    ending before k + "2"; runs are found from the neighbours that extend
-    each other.
+    order the extensions of a kept string k, its repeats included, form one
+    run right after it, ending before k + "2"; a run starts where a string
+    extends its left neighbour, and flags inside a run are passed over.
     """
     lex = _sorted_bits(strings)
-    extends = list(map(str.startswith, lex[1:], lex))
     kept: list[str] = []
     pos = 0
-    while True:
-        try:
-            i = extends.index(True, pos)
-        except ValueError:
-            kept += lex[pos:]
-            return PrefixFreeSet._listed(kept)
-        kept += lex[pos:i + 1]
-        pos = bisect_left(lex, lex[i] + "2", i + 1)
+    for i in compress(count(), _neighbours(lex)):
+        if i >= pos and lex[i + 1].startswith(lex[i]):
+            kept += lex[pos:i + 1]
+            pos = bisect_left(lex, lex[i] + "2", i + 1)
+    if not pos:
+        return PrefixFreeSet._listed(lex)
+    kept += lex[pos:]
+    return PrefixFreeSet._listed(kept)
 
 
 def measure(u: PrefixFreeSet) -> Fraction:

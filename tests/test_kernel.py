@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from cantorlab.series import b_set, encode_series
 from cantorlab.space import (
+    EMPTY_SET,
     PeriodicPoint,
     PrefixFreeSet,
     StagedOpenSet,
@@ -35,6 +36,8 @@ from cantorlab.space import (
 
 from util import (
     all_strings,
+    flagged_construction,
+    flagged_reduce,
     list_power,
     list_union,
     scan_condition,
@@ -42,6 +45,7 @@ from util import (
     scan_covers,
     scan_measure,
     scan_member,
+    tail_lists,
     time_limit,
     walk_union_generators,
 )
@@ -140,6 +144,77 @@ class TestAgainstScans:
         want = [(s, m) for s, m in walk(u, depth)
                 if not any(measure(condition(u, s[:i])) >= q for i in range(len(s)))]
         assert list(walk(u, depth, lambda s, m: m >= q)) == want
+
+
+short = st.text(alphabet="01", max_size=4)
+odd = st.sampled_from([2, None, b"01", "2", "01x", "0 1", "\u00e9", "1\n0"])
+
+
+@st.composite
+def raw_strings(draw, with_odd=False):
+    """String lists with duplicates, repeated extensions and "" in any
+    order, and with with_odd, maybe one item that is not a bit string."""
+    items = draw(st.lists(short, max_size=10))
+    for i, tail in draw(st.lists(st.tuples(st.integers(0, 99), short), max_size=8)):
+        if items:
+            items.append(items[i % len(items)] + tail)
+    if with_odd and draw(st.booleans()):
+        items.insert(draw(st.integers(0, len(items))), draw(odd))
+    return draw(st.permutations(items))
+
+
+def outcome(build, strings):
+    """The elements tuple, or the error's type and message."""
+    try:
+        got = build(strings)
+    except Exception as err:
+        return type(err), str(err)
+    return got if type(got) is tuple else got.elements
+
+
+def kernel_sets():
+    """Sets kernel walks built, with shared subtries among them."""
+    u = PrefixFreeSet(["00", "010", "1"])
+    v = PrefixFreeSet(["0", "11"])
+    pins = [[(0, "1"), (3, "0")], [(2, "1"), (5, "1")], [(4, "0")]]
+    return [
+        EMPTY_SET, PrefixFreeSet([""]), PrefixFreeSet(["0110"]),
+        union(u, v), union(u, PrefixFreeSet(["0111"])), power(u, 3), power(v, 4),
+        pinned_union(pins), pinned_union(pins[:1]), condition(power(u, 3), "0"),
+        condition(u, "01"), condition(u, "1"), condition(u, "11"),
+        b_set(0, Fraction(63, 64)), b_set(2, Fraction(5, 8)),
+    ]
+
+
+class TestStringSide:
+    """Construction and listing give what the flag-list construction and
+    the per-node tail lists gave, tuples, errors and messages alike."""
+
+    @settings(max_examples=300)
+    @given(raw_strings(with_odd=True))
+    def test_construction(self, strings):
+        assert outcome(PrefixFreeSet, strings) == outcome(flagged_construction, strings)
+
+    @settings(max_examples=300)
+    @given(raw_strings(with_odd=True))
+    def test_reduce(self, strings):
+        assert outcome(reduce, strings) == outcome(flagged_reduce, strings)
+
+    def test_messages(self):
+        assert outcome(PrefixFreeSet, ["1", "0", "01", "0"]) == (
+            ValueError, "not prefix-free: '0' is a prefix of '01'")
+        assert outcome(PrefixFreeSet, ["1", "1"]) == ("1",)
+        assert outcome(PrefixFreeSet, ["0", 2, "x"]) == (ValueError, "not a bit string: 2")
+        assert outcome(reduce, ["01", "", "0", ""]) == ("",)
+
+    @pytest.mark.parametrize("u", kernel_sets())
+    def test_listing(self, u):
+        assert PrefixFreeSet.from_trie(u.trie()).elements == tail_lists(u.trie())
+
+    @given(prefix_free, prefix_free, bits, st.integers(0, 3))
+    def test_listing_of_walks(self, u, v, sigma, n):
+        for w in (union(u, v), condition(union(u, v), sigma), power(u, n) if "" not in u else u):
+            assert w.elements == tail_lists(w.trie())
 
 
 class TestSparseSets:

@@ -61,6 +61,7 @@ from cantorlab.space import (
 )
 
 from util import (
+    all_pairs_incomparable,
     antidiagonal_pairs,
     bfs_tree_embed,
     block_owner,
@@ -430,6 +431,22 @@ class TestTreeEmbed:
         """The search along one path gives the map, report and error of the
         breadth-first search over every kept string."""
         assert embedded(tree_embed, d, depth, budget) == embedded(bfs_tree_embed, d, depth, budget)
+
+    @pytest.mark.parametrize("depth", range(8))
+    def test_sibling_check_matches_all_pairs(self, depth):
+        """The sibling check records what the check over all pairs of
+        nodes recorded."""
+        for d in (ConstantStrategy(1), doubler(), PointDoubler(PeriodicPoint("1", "01")),
+                  TableStrategy(random_fair_table(Random(depth), 4, positive=True))):
+            mapping, rep = tree_embed(d, depth)
+            recorded = [c["lhs"] for c in rep.to_doc()["checks"]
+                        if c["check"] == "incomparability preserved"]
+            assert recorded == [all_pairs_incomparable(mapping)]
+
+    def test_deep_embedding_in_linear_time(self):
+        with time_limit(1.0, "tree_embed(ConstantStrategy(1), 12)"):
+            mapping, rep = tree_embed(ConstantStrategy(1), 12)
+        assert len(mapping) == 2 ** 13 - 1 and rep.passed
 
     def test_constant_gives_identity(self):
         mapping, rep = tree_embed(ConstantStrategy(1), 3)

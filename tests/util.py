@@ -1,6 +1,7 @@
 """Shared fixture builders and brute-force oracles for the test suite."""
 
 import signal
+from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
@@ -11,10 +12,12 @@ from cantorlab.pairing import cantor_pair
 from cantorlab.series import b_terms
 from cantorlab.reports import Report
 from cantorlab.space import (
+    LEAF,
     ONE,
     ZERO,
     PeriodicPoint,
     PrefixFreeSet,
+    check_bits,
     condition,
     lenlex_key,
     measure,
@@ -445,14 +448,7 @@ def bfs_tree_embed(d, depth, budget=10):
         mapping[s + b].startswith(mapping[s]) and len(mapping[s + b]) > len(mapping[s])
         for s in names for b in "01" if s + b in mapping
     ))
-    incomparable = True
-    for a in names:
-        for b in names:
-            if a < b and not a.startswith(b) and not b.startswith(a):
-                ta, tb = mapping[a], mapping[b]
-                if ta.startswith(tb) or tb.startswith(ta):
-                    incomparable = False
-    rep.record("incomparability preserved", incomparable)
+    rep.record("incomparability preserved", all_pairs_incomparable(mapping))
     worst_overall = ZERO
     for s in names:
         tau = mapping[s]
@@ -462,3 +458,95 @@ def bfs_tree_embed(d, depth, budget=10):
                   worst, "<=", 2 - Fraction(1, 2 ** len(s)))
     rep.check("capital on all images <= 2", worst_overall, "<=", Fraction(2))
     return mapping, rep
+
+
+def all_pairs_incomparable(mapping):
+    """tree_embed's "incomparability preserved" by its old check: every two
+    incomparable nodes have incomparable images."""
+    names = sorted(mapping, key=lenlex_key)
+    return not any(
+        mapping[a].startswith(mapping[b]) or mapping[b].startswith(mapping[a])
+        for a in names for b in names
+        if a < b and not a.startswith(b) and not b.startswith(a)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Construction and listing oracles: the set kernel's string side as it was
+# before its neighbour scan and its per-length texts, a list of neighbour
+# flags and a list of tails per trie node.
+
+def flagged_sorted_bits(strings):
+    """The distinct strings in lexicographic order, checked to be bit strings."""
+    items = list(strings)
+    try:
+        bad = "".join(items).encode("ascii").translate(None, b"01")
+    except (TypeError, UnicodeEncodeError):
+        bad = True
+    if bad:
+        for s in items:
+            check_bits(s)
+    items.sort()
+    if any(map(str.__eq__, items[1:], items)):
+        items = list(dict.fromkeys(items))
+    return items
+
+
+def flagged_construction(strings):
+    """The elements tuple of PrefixFreeSet(strings), by the full list of
+    neighbour flags."""
+    elems = flagged_sorted_bits(strings)
+    extends = list(map(str.startswith, elems[1:], elems))
+    if any(extends):
+        i = extends.index(True)
+        raise ValueError(f"not prefix-free: {elems[i]!r} is a prefix of {elems[i + 1]!r}")
+    return tuple(sorted(elems, key=len))
+
+
+def flagged_reduce(strings):
+    """The elements tuple of reduce(strings), by the full list of neighbour
+    flags."""
+    lex = flagged_sorted_bits(strings)
+    extends = list(map(str.startswith, lex[1:], lex))
+    kept = []
+    pos = 0
+    while True:
+        try:
+            i = extends.index(True, pos)
+        except ValueError:
+            kept += lex[pos:]
+            return tuple(sorted(kept, key=len))
+        kept += lex[pos:i + 1]
+        pos = bisect_left(lex, lex[i] + "2", i + 1)
+
+
+def tail_lists(root):
+    """The generators of a trie in length-lex order, from one list of tails
+    per node, each tail prefixed by one bit at every level."""
+    if type(root) is str:
+        return (root,)
+    if root.zero is None:
+        return ("",) if root is LEAF else ()
+    lists = {}
+
+    def tails(node):
+        if type(node) is str:
+            return [node]
+        if node.zero is None:
+            return [""] if node is LEAF else []
+        return lists[node]
+
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in lists:
+            stack.pop()
+            continue
+        todo = [c for c in (node.zero, node.one)
+                if type(c) is not str and c.zero is not None and c not in lists]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        lists[node] = ["0" + w for w in tails(node.zero)] + ["1" + w for w in tails(node.one)]
+    return tuple(sorted(lists[root], key=len))
