@@ -25,7 +25,7 @@ from typing import Any, Callable
 from . import closure, coding, covers, diagonal, martingales, series, space
 from . import serialize as sz
 from .errors import CantorLabError, NoEscape, ParseError, UnknownSubcommand
-from .reports import Report, dumps, fmt
+from .reports import Report, dumps
 
 # Flags that override the document field of the same name, with their types.
 _FLAGS = {"depth": int, "stages": int, "q": str, "k": int, "c": int, "cap": int,
@@ -335,9 +335,9 @@ def dispatch(subcommand: str, doc: dict, decimal: bool = False) -> tuple[dict, i
         raise UnknownSubcommand(subcommand)
     out: dict[str, Any] = {"subcommand": subcommand}
     try:
-        out["parameters"] = fmt(doc)
+        out["parameters"] = sz.to_doc(doc)
         output, rep = _HANDLERS[subcommand].run(doc)
-        out["output"] = fmt(output)
+        out["output"] = sz.to_doc(output)
     except (CantorLabError, ValueError, TypeError, KeyError) as err:
         # Malformed input surfaces as ParseError from the field parsers (a
         # missing or mistyped field, a JSON float in the echo) or as
@@ -378,6 +378,12 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(subcommand: str, kind: str, err: Exception) -> tuple[dict, int]:
+    """The report of a job that did not run, and its exit status."""
+    return {"subcommand": subcommand, "result": "ERROR",
+            "error": {"type": kind, "message": str(err)}}, 2
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
@@ -390,10 +396,9 @@ def main(argv=None) -> int:
             doc = json.loads(text) if text else {}
         if not isinstance(doc, dict):
             raise ParseError("job document must be a JSON object")
-    except (json.JSONDecodeError, OSError, ParseError) as err:
-        report = {"subcommand": args.subcommand, "result": "ERROR",
-                  "error": {"type": "ParseError", "message": str(err)}}
-        status = 2
+    except (ValueError, OSError, ParseError) as err:
+        # A missing file, bytes that are not UTF-8, text that is not JSON.
+        report, status = _error(args.subcommand, "ParseError", err)
     else:
         op = _HANDLERS.get(args.subcommand)
         for name in op.flags if op else ():
@@ -402,16 +407,18 @@ def main(argv=None) -> int:
         try:
             report, status = dispatch(args.subcommand, doc, decimal=args.decimal)
         except UnknownSubcommand as err:
-            report = {"subcommand": args.subcommand, "result": "ERROR",
-                      "error": {"type": "UnknownSubcommand", "message": str(err)}}
-            status = 2
+            report, status = _error(args.subcommand, "UnknownSubcommand", err)
 
     text = dumps(report)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return status
+        except OSError as err:
+            report, status = _error(args.subcommand, type(err).__name__, err)
+            text = dumps(report)
+    sys.stdout.write(text)
     return status
 
 

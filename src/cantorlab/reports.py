@@ -111,9 +111,9 @@ def dumps(doc: Any) -> str:
 
     Byte for byte json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     plus "\n", which with an indent never reaches the stdlib's C encoder.
-    This writer takes the C string encoder for every key and string and one
-    C-level join for a list of strings, such as a set's generators; a NaN
-    or an infinity raises ValueError.
+    This writer dispatches on exact types, takes the C string encoder for each
+    key and string and one C-level join for a list of strings, such as a set's
+    generators; a NaN or an infinity raises ValueError.
     """
     out: list[str] = []
     _write(doc, "\n", out)
@@ -121,43 +121,60 @@ def dumps(doc: Any) -> str:
     return "".join(out)
 
 
-# int, bool, None and float as the stdlib writes them; NaN and inf raise.
+# A float as the stdlib writes it (NaN and inf raise), and json's own writer.
 _scalar = JSONEncoder(allow_nan=False).encode
+_json = JSONEncoder(sort_keys=True, indent=2, allow_nan=False).encode
+_ESCAPED = bytes(c for c in range(128) if len(_str(chr(c))) > 3)  # asked of json
 
 
 def _write(value: Any, newline: str, out: list[str]) -> None:
     """Append the pieces of one value to out; newline ends a line at its
     indent."""
     put = out.append
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         put(_str(value))
-    elif isinstance(value, dict):
+    elif kind is dict:
         if not value:
             put("{}")
             return
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(value):
-            put(sep + _str(key) + ": ")
-            _write(value[key], inner, out)
+            if type(item := value[key]) is str:
+                put(sep + _str(key) + ": " + _str(item))
+            else:
+                put(sep + _str(key) + ": ")
+                _write(item, inner, out)
             sep = "," + inner
         put(newline + "}")
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         if not value:
             put("[]")
             return
         inner = newline + "  "
         put("[" + inner)
         try:
-            # A megabyte list body is its own piece: joined with the
-            # brackets it would be copied once more.
-            put(("," + inner).join(map(_str, value)))
+            text = "".join(value)
         except TypeError:
             sep = ""
             for item in value:
                 put(sep)
                 _write(item, inner, out)
                 sep = "," + inner
+        else:
+            # Nothing to escape: each string quoted as is; the body is its own piece.
+            if text.isascii() and len(text.encode().translate(None, _ESCAPED)) == len(text):
+                out.extend(('"', ('",' + inner + '"').join(value), '"'))
+            else:
+                put(("," + inner).join(map(_str, value)))
         put(newline + "]")
-    else:
+    elif kind is int:
+        put(int.__repr__(value))
+    elif kind is bool or value is None:
+        put("null" if value is None else "true" if value else "false")
+    elif kind is float:
         put(_scalar(value))
+    else:
+        # A subclass of a JSON type by json's writer, at this indent; or TypeError.
+        put(_json(value).replace("\n", newline))

@@ -48,14 +48,15 @@ def parse_bool(doc: Any) -> bool:
 def to_doc(obj: Any, frac: Callable[[Fraction], Any] = str) -> Any:
     """The JSON document of a value; frac renders each Fraction in it, by
     default as its exact "num/den" string."""
-    if isinstance(obj, Fraction):
-        return frac(obj)
+    # Builtin types first: Fraction's isinstance goes through ABCMeta.
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, (list, tuple)):
         return [to_doc(x, frac) for x in obj]
     if isinstance(obj, dict):
         return {str(k): to_doc(v, frac) for k, v in obj.items()}
+    if isinstance(obj, Fraction):
+        return frac(obj)
     if isinstance(obj, PrefixFreeSet):
         return {"elements": list(obj.elements)}
     if isinstance(obj, PeriodicPoint):

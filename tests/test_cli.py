@@ -1,6 +1,7 @@
 """Batch front door: dispatch, determinism, exactness, error mapping."""
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -247,6 +248,16 @@ class TestMoreOps:
         assert status == 0 and rep["output"]["measure"] == "0"
 
 
+# sha256 of the (status, stdout) stream of test_every_report_byte_for_byte,
+# computed with the report path as it was before exact-type dispatch; it
+# changes only when a report is meant to change.  Many of those reports carry
+# the str() of a TypeError, ValueError or KeyError raised by a builtin, whose
+# wording can change between Python versions, so the pin holds on the minor
+# version it was computed with, Python 3.11 (3.11.7).
+REPORT_BYTES_SHA256 = "08bd0494d9626ec5dc91b1e1f33d6150f0a43f24bc18d1dc77eaa46051e81cc4"
+REPORT_BYTES_PYTHON = (3, 11)
+
+
 class TestFrontDoorContract:
     """Malformed jobs exit 2 with a typed error object, never a traceback."""
 
@@ -337,6 +348,35 @@ class TestFrontDoorContract:
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{",
+        pytest.param(b'{"n": ' + b"1" * 5000 + b"}", marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"),
+            reason="no limit on the digits of an int before Python 3.10.7")),
+    ], ids=["not-utf-8", "too-many-digits"])
+    def test_unreadable_input_file(self, capsys, tmp_path, content):
+        inp = tmp_path / "job.json"
+        inp.write_bytes(content)
+        status = main(["b-set", "--input", str(inp)])
+        rep = json.loads(capsys.readouterr().out)
+        assert status == 2
+        assert rep["result"] == "ERROR" and rep["subcommand"] == "b-set"
+        assert rep["error"]["type"] == "ParseError" and rep["error"]["message"]
+
+    @pytest.mark.parametrize("job", ['{"set": {"elements": ["0"]}}', "[1, 2]"])
+    def test_output_that_cannot_be_opened(self, capsys, monkeypatch, tmp_path, job):
+        """The report of the job is lost, and the error that lost it goes to
+        stdout instead, with exit 2, whatever the job's own outcome."""
+        out = tmp_path / "missing" / "report.json"
+        monkeypatch.setattr("sys.stdin", io.StringIO(job))
+        status = main(["measure", "--output", str(out)])
+        rep = json.loads(capsys.readouterr().out)
+        assert status == 2 and not out.parent.exists()
+        assert rep == {"subcommand": "measure", "result": "ERROR",
+                       "error": {"type": "FileNotFoundError",
+                                 "message": rep["error"]["message"]}}
+        assert str(out) in rep["error"]["message"]
+
     def test_single_mutations_keep_the_contract(self, capsys):
         """Every job one mutation away from a smoke job: stdout is one JSON
         object, 1 comes only with a failed check and 2 only with a typed
@@ -355,6 +395,29 @@ class TestFrontDoorContract:
                     assert rep["error"]["type"], where
                     assert isinstance(rep["error"]["message"], str), where
         assert count > 3900
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != REPORT_BYTES_PYTHON,
+        reason="error reports quote messages worded by the interpreter")
+    def test_every_report_byte_for_byte(self, capsys):
+        """The exit status and stdout bytes of every smoke and single-mutation
+        job, hashed in order, equal those of the writer before exact-type
+        dispatch: a change to fmt, to_doc or dumps that moves one byte of one
+        report fails here."""
+        digest = hashlib.sha256()
+        count = 0
+        for sub, doc, _ in SMOKE:
+            for job in [doc, *mutations(doc)]:
+                count += 1
+                sys.stdin, stdin = io.StringIO(json.dumps(job)), sys.stdin
+                try:
+                    status = main([sub])
+                finally:
+                    sys.stdin = stdin
+                out = capsys.readouterr().out.encode()
+                digest.update(b"%d %d\n" % (status, len(out)) + out)
+        assert count == 4008
+        assert digest.hexdigest() == REPORT_BYTES_SHA256
 
     def test_parser_built_once(self, capsys, monkeypatch):
         built = []

@@ -1,5 +1,7 @@
 """The canonical report writer against the stdlib's json.dumps."""
 
+import collections
+import enum
 import json
 import math
 
@@ -7,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantorlab import reports
+from cantorlab.cli import dispatch
 from cantorlab.reports import dumps
 
 
@@ -48,3 +52,97 @@ def test_nan_and_infinity_raise(bad):
     for doc in (bad, [bad], {"a": bad}, ["0", bad], {"a": [{"b": bad}]}):
         with pytest.raises(ValueError):
             dumps(doc)
+
+
+BITS = [format(i, "b") for i in range(1000)]
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x1f", "\n", '"', "\\", "\x7f", "\u00e9",
+                                  "\U0001F600"])
+@pytest.mark.parametrize("at", [0, 500, 999])
+def test_one_escaped_character_in_a_long_list(char, at):
+    """A list of strings is quoted as it stands only when json would escape
+    none of its characters; one such character anywhere sends it back to
+    the per-string encoder."""
+    strings = list(BITS)
+    strings[at] = strings[at][:1] + char + strings[at][1:]
+    for doc in (strings, {"set": {"elements": strings}}, tuple(strings)):
+        assert dumps(doc) == oracle(doc)
+
+
+class Text(str):
+    def __str__(self):
+        return "not the value"
+
+
+class Number(int):
+    pass
+
+
+class Real(float):
+    pass
+
+
+class Table(dict):
+    pass
+
+
+class Items(list):
+    pass
+
+
+class Pair(tuple):
+    pass
+
+
+class Colour(str, enum.Enum):
+    RED = "r\x7fed"
+
+
+class Level(enum.IntEnum):
+    HIGH = 3
+
+
+@pytest.mark.parametrize("doc", [
+    Text("a\"b"), Number(7), Real(0.5), Colour.RED, Level.HIGH,
+    Table(b=[1, Text("x")], a={}), Items(["0", "1"]), Items(["0", Number(2)]),
+    Pair(("01", "10")), Pair(()), Table(), Items(),
+    collections.OrderedDict([("z", 1), ("a", [Real(1.5), None])]),
+    {"k": [Table(x=Items([Pair(("0",)), {"y": Level.HIGH}]))], "s": Text("t")},
+    [[Colour.RED, Text("\n")], {"deep": Table(e=Items([Table(f="1")]))}],
+])
+def test_subclasses_written_as_their_base_type(doc):
+    """A subclass of str, int, float, dict, list or tuple, at any depth, is
+    written as json writes its base type, whatever its __str__ says."""
+    assert dumps(doc) == oracle(doc)
+
+
+def test_unserializable_value_raises_type_error():
+    with pytest.raises(TypeError):
+        dumps({"a": [object()]})
+
+
+def test_long_generator_list_is_one_join(monkeypatch):
+    """A b-set report lists its generators byte for byte as json does, with
+    a number of string-encoder calls that does not grow with the number of
+    generators: the list goes through one join, not one call per string."""
+    calls = []
+    encode = reports._str
+
+    def counting(text):
+        calls.append(1)
+        return encode(text)
+
+    monkeypatch.setattr(reports, "_str", counting)
+    counts = {}
+    for alpha, size in (("7/8", None), ("63/64", 33867)):
+        doc, status = dispatch("b-set", {"n": 0, "alpha": alpha})
+        assert status == 0
+        generators = doc["output"]["set"]["elements"]
+        assert size is None or len(generators) == size
+        calls.clear()
+        text = dumps(doc)
+        counts[len(generators)] = len(calls)
+        assert text == oracle(doc)
+    few, many = sorted(counts)
+    assert few < many and counts[few] == counts[many] < 100

@@ -129,3 +129,39 @@ def test_parse_errors_are_typed():
         parse_strategy({"kind": "teleport"})
     with pytest.raises(ParseError):
         parse_machine({"table": {"0": "1", "01": "1"}})
+
+
+class Bits(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Half(Fraction):
+    pass
+
+
+class Record(dict):
+    pass
+
+
+class Items(list):
+    pass
+
+
+def test_exact_types_and_subclasses_render_alike():
+    """Plain values and their subclasses give the same document: a string or
+    an integer as it is, a dict with str keys, a list for a list or tuple, a
+    Fraction through frac."""
+    assert to_doc(Bits("01")) == "01" and type(to_doc(Bits("01"))) is Bits
+    assert to_doc(Count(3)) == 3 and to_doc(True) is True and to_doc(None) is None
+    assert to_doc(Half(1, 2)) == "1/2" == to_doc(Fraction(1, 2))
+    assert to_doc(Half(1, 2), float) == 0.5
+    plain = {"a": [Fraction(1, 3), ("0", 1)], 2: {}}
+    sub = Record({"a": Items([Half(1, 3), ("0", Count(1))]), 2: Record()})
+    assert to_doc(plain) == to_doc(sub) == {"a": ["1/3", ["0", 1]], "2": {}}
+    assert type(to_doc(sub)) is dict and type(to_doc(sub)["a"]) is list
+    with pytest.raises(ParseError):
+        to_doc(1.5)
