@@ -31,6 +31,9 @@ from .reports import Report, dumps
 _FLAGS = {"depth": int, "stages": int, "q": str, "k": int, "c": int, "cap": int,
           "case": str}
 
+# The deepest nesting of objects and lists a job document may have.
+_MAX_DEPTH = 100
+
 
 def _decimal(value: Fraction) -> float | str:
     """The float shadow of one exact rational; past the float range, the
@@ -53,6 +56,19 @@ def _list(value) -> list:
     if not isinstance(value, list):
         raise TypeError("expected a list")
     return value
+
+
+def _check_depth(doc) -> None:
+    """ParseError if doc nests objects and lists deeper than _MAX_DEPTH;
+    walked one level at a time, so the check itself never recurses."""
+    level = [doc]
+    for _ in range(_MAX_DEPTH):
+        level = [x for node in level
+                 for x in (node.values() if isinstance(node, dict) else node)
+                 if isinstance(x, (dict, list, tuple))]
+        if not level:
+            return
+    raise ParseError(f"job document nested deeper than {_MAX_DEPTH} levels")
 
 
 def _case(value) -> str:
@@ -137,6 +153,20 @@ class _Op:
         return dict(zip(self.outputs, values)), rep
 
 
+class _ByCase:
+    """A subcommand with one _Op row per closure case, run by the job's
+    case; its flags are case and those of its rows."""
+
+    __slots__ = ("rows", "flags")
+
+    def __init__(self, **rows: _Op):
+        self.rows = rows
+        self.flags = ["case", *{key: None for op in rows.values() for key in op.flags}]
+
+    def run(self, doc: dict) -> tuple[dict, Report | None]:
+        return self.rows[_Job(doc, {"case": _case})("case")].run(doc)
+
+
 # Handlers that build their own report, branch, or reshape their output.
 
 def _power(job):
@@ -163,42 +193,6 @@ def _average(job):
     rep = Report("average")
     rep.check("normed", out.value(""), "==", Fraction(1))
     return {"strategy": out}, rep
-
-
-def _p1(job):
-    case = job("case")
-    if case == "mlr":
-        return {"set": closure.p1_mlr(job("set"), job("sigma"))}, None
-    if case == "cr":
-        d2, q2 = closure.p1_cr(job("strategy"), job("q"), job("sigma"),
-                               **job.given("empty_marker"))
-        return {"strategy": d2, "q": q2}, None
-    return {"staged": closure.p1_sr(job("staged"), job("sigma"))}, None
-
-
-def _p2(job):
-    case = job("case")
-    if case == "mlr":
-        v, rep = closure.p2_mlr(job("set"), job("q"))
-        return {"set": v}, rep
-    if case == "cr":
-        return {}, closure.p2_cr_check(job("strategy"), job("q"), job("sigma"),
-                                       job("depth"))
-    v, rep = closure.p2_sr(job("staged"), job("k"), job("depth"))
-    return {"set": v}, rep
-
-
-def _p3(job):
-    case = job("case")
-    if case == "mlr":
-        n_e, v, rep = closure.p3_mlr(job("set"), job("sigma"), job("k"),
-                                     **job.given("test"))
-        return {"n_e": n_e, "set": v}, rep
-    if case == "cr":
-        n_e, w, rep = closure.p3_cr(job("strategy"), job("q"), job("sigma"),
-                                    job("d_e"), job("depth"), **job.given("cap"))
-        return {"n_e": n_e, "winning_set": w}, rep
-    return {"staged": closure.p3_sr(job("staged"), job("other"))}, None
 
 
 def _main_lemma(job):
@@ -289,13 +283,23 @@ _HANDLERS = {
     "success-capital": _Op("martingales.success_capital",
                            {"strategy": _STRATEGY, "point": _POINT, "depth": _INT},
                            "capitals"),
-    "p1": _Op(_p1, {"case": _case, "set": _SET, "strategy": _STRATEGY, "q": _FRAC,
-                    "sigma": _bits, "empty_marker?": _BOOL, "staged": _STAGED}),
-    "p2": _Op(_p2, {"case": _case, "set": _SET, "strategy": _STRATEGY, "q": _FRAC,
-                    "sigma": _bits, "depth": _INT, "staged": _STAGED, "k": _INT}),
-    "p3": _Op(_p3, {"case": _case, "set": _SET, "sigma": _bits, "k": _INT, "test?": _TEST,
-                    "strategy": _STRATEGY, "q": _FRAC, "d_e": _STRATEGY, "depth": _INT,
-                    "cap?": _INT, "staged": _STAGED, "other": _STAGED}),
+    "p1": _ByCase(
+        mlr=_Op("closure.p1_mlr", {"set": _SET, "sigma": _bits}, "set"),
+        cr=_Op("closure.p1_cr", {"strategy": _STRATEGY, "q": _FRAC, "sigma": _bits,
+                                 "empty_marker?": _BOOL}, "strategy", "q"),
+        sr=_Op("closure.p1_sr", {"staged": _STAGED, "sigma": _bits}, "staged")),
+    "p2": _ByCase(
+        mlr=_Op("closure.p2_mlr", {"set": _SET, "q": _FRAC}, "set"),
+        cr=_Op("closure.p2_cr_check", {"strategy": _STRATEGY, "q": _FRAC,
+                                       "sigma": _bits, "depth": _INT}),
+        sr=_Op("closure.p2_sr", {"staged": _STAGED, "k": _INT, "depth": _INT}, "set")),
+    "p3": _ByCase(
+        mlr=_Op("closure.p3_mlr", {"set": _SET, "sigma": _bits, "k": _INT,
+                                   "test?": _TEST}, "n_e", "set"),
+        cr=_Op("closure.p3_cr", {"strategy": _STRATEGY, "q": _FRAC, "sigma": _bits,
+                                 "d_e": _STRATEGY, "depth": _INT, "cap?": _INT},
+               "n_e", "winning_set"),
+        sr=_Op("closure.p3_sr", {"staged": _STAGED, "other": _STAGED}, "staged")),
     "main-lemma": _Op(_main_lemma, {"w": _SET, "tests?": _each(_TEST), "case": _case,
                                     "q?": _FRAC, "k?": _INT, "depth?": _INT, "cap?": _INT,
                                     "stages": _INT}),
@@ -335,6 +339,7 @@ def dispatch(subcommand: str, doc: dict, decimal: bool = False) -> tuple[dict, i
         raise UnknownSubcommand(subcommand)
     out: dict[str, Any] = {"subcommand": subcommand}
     try:
+        _check_depth(doc)
         out["parameters"] = sz.to_doc(doc)
         output, rep = _HANDLERS[subcommand].run(doc)
         out["output"] = sz.to_doc(output)
@@ -396,8 +401,9 @@ def main(argv=None) -> int:
             doc = json.loads(text) if text else {}
         if not isinstance(doc, dict):
             raise ParseError("job document must be a JSON object")
-    except (ValueError, OSError, ParseError) as err:
-        # A missing file, bytes that are not UTF-8, text that is not JSON.
+    except (ValueError, OSError, ParseError, RecursionError) as err:
+        # A missing file, bytes that are not UTF-8, text that is not JSON or
+        # nested past what the decoder recurses into.
         report, status = _error(args.subcommand, "ParseError", err)
     else:
         op = _HANDLERS.get(args.subcommand)

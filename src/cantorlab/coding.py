@@ -106,15 +106,16 @@ def complexity(m: Machine, sigma: str) -> int | None:
 
 
 class DyadicFunction:
-    """Finite nonnegative dyadic-valued function with an exact declared sum.
+    """Finite nonnegative dyadic-valued function.
 
     Keys are all naturals or all bit strings; zero values are dropped, so
-    the stored entries are exactly the support.
+    the stored entries are exactly the support.  declared_sum is the exact
+    sum of the values, the "sum" of the wire form.
     """
 
     __slots__ = ("entries", "declared_sum")
 
-    def __init__(self, values: Mapping | Iterable[tuple], declared_sum=None):
+    def __init__(self, values: Mapping | Iterable[tuple]):
         items = values.items() if isinstance(values, Mapping) else list(values)
         cleaned = []
         for key, v in items:
@@ -135,11 +136,8 @@ class DyadicFunction:
             raise ValueError("keys must be all naturals or all strings")
         keyfn = (lambda kv: lenlex_key(kv[0])) if kinds == {str} else (lambda kv: kv[0])
         cleaned.sort(key=keyfn)
-        total = sum((v for _, v in cleaned), start=ZERO)
-        if declared_sum is not None and Fraction(declared_sum) != total:
-            raise ValueError(f"declared sum {declared_sum} != actual {total}")
         self.entries = tuple(cleaned)
-        self.declared_sum = total
+        self.declared_sum = sum((v for _, v in cleaned), start=ZERO)
 
     def __call__(self, key) -> Fraction:
         for k, v in self.entries:

@@ -22,9 +22,7 @@ from .space import PeriodicPoint, PrefixFreeSet, StagedOpenSet
 
 def parse_fraction(doc: Any) -> Fraction:
     try:
-        if isinstance(doc, int):
-            return Fraction(doc)
-        if isinstance(doc, str):
+        if isinstance(doc, (int, str)):
             return Fraction(doc)
     except (ValueError, ZeroDivisionError) as err:
         raise ParseError(f"bad rational {doc!r}: {err}") from None
@@ -45,9 +43,23 @@ def parse_bool(doc: Any) -> bool:
     return doc
 
 
+# The document of each record type: its attributes of these names, each
+# under its own name.
+_RECORDS = {
+    PeriodicPoint: ("head", "period"),
+    StagedOpenSet: ("stages", "final_measure"),
+    mg.MartingaleTable: ("depth", "values"),
+    mg.WinningSet: ("threshold", "generators", "source_depth", "truncated"),
+    Machine: ("table",),
+    KCRequestList: ("requests",),
+    DiagonalTrace: ("case", "stages"),
+}
+
+
 def to_doc(obj: Any, frac: Callable[[Fraction], Any] = str) -> Any:
     """The JSON document of a value; frac renders each Fraction in it, by
-    default as its exact "num/den" string."""
+    default as its exact "num/den" string.  A record writes the attributes
+    _RECORDS names; a strategy of a registered kind, its kind and fields."""
     # Builtin types first: Fraction's isinstance goes through ABCMeta.
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -59,53 +71,25 @@ def to_doc(obj: Any, frac: Callable[[Fraction], Any] = str) -> Any:
         return frac(obj)
     if isinstance(obj, PrefixFreeSet):
         return {"elements": list(obj.elements)}
-    if isinstance(obj, PeriodicPoint):
-        return {"head": obj.head, "period": obj.period}
-    if isinstance(obj, StagedOpenSet):
-        return {"stages": [to_doc(s) for s in obj.stages],
-                "final_measure": frac(Fraction(obj.final_measure))}
-    if isinstance(obj, mg.MartingaleTable):
-        return {"depth": obj.depth,
-                "values": {s: frac(Fraction(v)) for s, v in sorted(obj.values.items())}}
-    if isinstance(obj, mg.BettingStrategy):
-        return strategy_doc(obj, frac)
-    if isinstance(obj, mg.WinningSet):
-        return {"threshold": frac(Fraction(obj.threshold)),
-                "generators": to_doc(obj.generators),
-                "source_depth": obj.source_depth,
-                "truncated": obj.truncated}
+    names = _RECORDS.get(type(obj))
+    if names is None and isinstance(obj, mg.BettingStrategy) \
+            and obj.kind in mg.BettingStrategy.kinds:
+        names = ("kind", *obj.fields)
+    if names is not None:
+        return {name: to_doc(getattr(obj, name), frac) for name in names}
     if isinstance(obj, TestFamily):
-        doc = {"kind": obj.kind,
-               "levels": {str(n): to_doc(s) for n, s in obj.levels.items()}}
+        doc = {"kind": obj.kind, "levels": to_doc(obj.levels)}
         if obj.bound_schedule is not None:
-            doc["bounds"] = {str(n): frac(Fraction(v))
-                             for n, v in obj.bound_schedule.items()}
+            doc["bounds"] = to_doc(obj.bound_schedule, frac)
         if obj.martingale is not None:
-            doc["martingale"] = strategy_doc(obj.martingale, frac)
+            doc["martingale"] = to_doc(obj.martingale, frac)
         return doc
-    if isinstance(obj, Machine):
-        return {"table": dict(obj.table)}
-    if isinstance(obj, KCRequestList):
-        return {"requests": [[k, s] for k, s in obj.requests]}
     if isinstance(obj, DyadicFunction):
-        return {"values": [[k, frac(Fraction(v))] for k, v in obj.entries],
-                "sum": frac(Fraction(obj.declared_sum))}
+        return {"values": to_doc(obj.entries, frac), "sum": frac(obj.declared_sum)}
     if isinstance(obj, TraceStage):
         return {"index": obj.index, "sigma": obj.sigma,
                 "set": to_doc(obj.current), "n_e": obj.n_e, "tau": obj.tau}
-    if isinstance(obj, DiagonalTrace):
-        return {"case": obj.case, "stages": [to_doc(s) for s in obj.stages]}
     raise ParseError(f"cannot serialize {type(obj).__name__}")
-
-
-def strategy_doc(d: mg.BettingStrategy,
-                 frac: Callable[[Fraction], Any] = str) -> dict:
-    if d.kind not in mg.BettingStrategy.kinds:
-        raise ParseError(f"cannot serialize strategy kind {d.kind!r}")
-    doc: dict[str, Any] = {"kind": d.kind}
-    for name in d.fields:
-        doc[name] = to_doc(getattr(d, name), frac)
-    return doc
 
 
 def _need(doc: Any, key: str) -> Any:
@@ -223,6 +207,8 @@ def parse_trace(doc: Any) -> DiagonalTrace:
             )
             for s in _need(doc, "stages")
         )
+        if not stages:
+            raise ParseError("a trace needs at least its final stage")
         return DiagonalTrace(_need(doc, "case"), stages)
     except (ValueError, TypeError) as err:
         raise ParseError(str(err)) from None

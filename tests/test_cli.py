@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cantorlab import cli
+from cantorlab import cli, closure
 from cantorlab.cli import _HANDLERS, dispatch, main
 
 from util import time_limit
@@ -223,8 +223,48 @@ SMOKE = [
 ]
 
 
+# The trace the first main-lemma job of MORE writes.
+TRACE = {"case": "mlr", "stages": [
+    {"index": 0, "sigma": "", "set": {"elements": []}, "n_e": 1, "tau": "1"},
+    {"index": 1, "sigma": "1", "set": {"elements": ["0"]}, "n_e": 2, "tau": "1"},
+    {"index": 2, "sigma": "11", "set": {"elements": ["0"]}, "n_e": None, "tau": None},
+]}
+CR_ZEROS = {"kind": "ML", "martingale": DOUBLER,
+            "levels": {str(n): {"elements": ["0" * n]} for n in range(1, 4)}}
+SCHNORR_ZEROS = {"kind": "Schnorr",
+                 "levels": {str(n): {"elements": ["0" * n]} for n in range(6)}}
+
+# One well-formed job for each subcommand SMOKE leaves out, main-lemma in each
+# closure case and in its no-escape branch, and the optional boolean fields
+# given a value of their own: (subcommand, document, output key).
+MORE = [
+    ("measure", {"set": {"elements": ["0", "10"]}}, "measure"),
+    ("power", {"set": {"elements": ["0", "10"]}, "n": 2}, "set"),
+    ("vk-verify", {"table": {"depth": 1, "values": {"": "1", "0": "2", "1": "0"}},
+                   "sigma": "", "q": "2"}, None),
+    ("main-lemma", {"w": {"elements": ["1"]}, "tests": [ML_ZEROS, ML_ZEROS],
+                    "case": "mlr", "q": "3/4", "k": 1, "stages": 2}, "trace"),
+    ("main-lemma", {"w": {"elements": ["1"]}, "tests": [CR_ZEROS], "case": "cr",
+                    "depth": 4, "stages": 1}, "trace"),
+    ("main-lemma", {"w": {"elements": ["1"]}, "tests": [SCHNORR_ZEROS], "case": "sr",
+                    "k": 1, "stages": 1}, "trace"),
+    ("main-lemma", {"w": {"elements": ["0"]},
+                    "tests": [{"kind": "ML", "levels": {"1": {"elements": ["0"]}}}],
+                    "case": "mlr", "k": 1, "stages": 1}, "sigma"),
+    ("verify-trace", {"trace": TRACE, "w": {"elements": ["1"]},
+                      "tests": [ML_ZEROS, ML_ZEROS]}, None),
+    ("schnorr-merge", {"test": SCHNORR_ZEROS, "K": 1}, "set"),
+    ("kc-build", {"requests": [[1, "0"], [2, "00"], [2, "01"]]}, "machine"),
+    ("encode-series", {"exponents": [2, 3], "q": "2"}, "strategy"),
+    ("tree-embed", {"strategy": {"kind": "constant", "c": "1"}, "depth": 2}, "map"),
+    ("average", {"strategy": SHIFTED, "level": 1, "shift": False}, "strategy"),
+    ("p1", {"case": "cr", "strategy": DOUBLER, "q": "4", "sigma": "0",
+            "empty_marker": True}, "strategy"),
+]
+
+
 class TestMoreOps:
-    @pytest.mark.parametrize("sub,doc,key", SMOKE)
+    @pytest.mark.parametrize("sub,doc,key", SMOKE + MORE)
     def test_smoke(self, capsys, sub, doc, key):
         status, rep = run_cli(capsys, sub, doc)
         assert status == 0, rep
@@ -255,7 +295,28 @@ class TestMoreOps:
 # wording can change between Python versions, so the pin holds on the minor
 # version it was computed with, Python 3.11 (3.11.7).
 REPORT_BYTES_SHA256 = "08bd0494d9626ec5dc91b1e1f33d6150f0a43f24bc18d1dc77eaa46051e81cc4"
+# The same for test_more_reports_byte_for_byte, computed before p1, p2 and p3
+# became case tables and to_doc took its records from one field table (with a
+# trace of no stages already refused, the one job that then crashed).
+MORE_REPORT_BYTES_SHA256 = "4d0a8fa295bef43ab065856e54a65b0f87997b41cea1fe16d1acc9225237247e"
 REPORT_BYTES_PYTHON = (3, 11)
+
+
+def report_digest(capsys, runs) -> tuple[str, int]:
+    """sha256 of the exit status and stdout bytes of each (subcommand, job,
+    flags) run through main, in order, and the number of runs."""
+    digest = hashlib.sha256()
+    count = 0
+    for sub, job, flags in runs:
+        count += 1
+        sys.stdin, stdin = io.StringIO(json.dumps(job)), sys.stdin
+        try:
+            status = main([sub, *flags])
+        finally:
+            sys.stdin = stdin
+        out = capsys.readouterr().out.encode()
+        digest.update(b"%d %d\n" % (status, len(out)) + out)
+    return digest.hexdigest(), count
 
 
 class TestFrontDoorContract:
@@ -339,6 +400,29 @@ class TestFrontDoorContract:
         assert status == 0
         assert rep["output"]["block_lengths"] == ["infinity"] * 3000
 
+    @pytest.mark.parametrize("depth", [600, 100_000])
+    def test_deeply_nested_job(self, capsys, depth):
+        """A job nested past the decoder's recursion, or past the depth check
+        before the echo, is one ParseError object with exit 2: from stdin,
+        as a document handed to dispatch, and in its own process."""
+        text = '{"set": {"elements": ["0"]}, "x": ' + "[" * depth + "]" * depth + "}"
+        nested = []
+        for _ in range(depth - 1):
+            nested = [nested]
+        with time_limit(1.0, f"a job nested {depth} deep"):
+            sys.stdin, stdin = io.StringIO(text), sys.stdin
+            try:
+                status = main(["measure"])
+            finally:
+                sys.stdin = stdin
+            rep, direct = dispatch("measure", {"set": {"elements": ["0"]}, "x": nested})
+        proc = run_process("measure", stdin=text)
+        assert status == direct == proc.returncode == 2
+        for got in (json.loads(capsys.readouterr().out), rep, json.loads(proc.stdout)):
+            assert got == {"subcommand": "measure", "result": "ERROR",
+                           "error": {"type": "ParseError",
+                                     "message": got["error"]["message"]}}
+
     def test_parse_error_report_goes_to_output(self, capsys, tmp_path):
         inp = tmp_path / "job.json"
         out = tmp_path / "report.json"
@@ -382,7 +466,7 @@ class TestFrontDoorContract:
         object, 1 comes only with a failed check and 2 only with a typed
         error."""
         count = 0
-        for sub, doc, _ in SMOKE:
+        for sub, doc, _ in SMOKE + MORE:
             for job in mutations(doc):
                 count += 1
                 status, rep = run_cli(capsys, sub, job)
@@ -394,7 +478,7 @@ class TestFrontDoorContract:
                     assert rep["result"] == "ERROR", where
                     assert rep["error"]["type"], where
                     assert isinstance(rep["error"]["message"], str), where
-        assert count > 3900
+        assert count > 6500
 
     @pytest.mark.skipif(
         sys.version_info[:2] != REPORT_BYTES_PYTHON,
@@ -404,20 +488,21 @@ class TestFrontDoorContract:
         job, hashed in order, equal those of the writer before exact-type
         dispatch: a change to fmt, to_doc or dumps that moves one byte of one
         report fails here."""
-        digest = hashlib.sha256()
-        count = 0
-        for sub, doc, _ in SMOKE:
-            for job in [doc, *mutations(doc)]:
-                count += 1
-                sys.stdin, stdin = io.StringIO(json.dumps(job)), sys.stdin
-                try:
-                    status = main([sub])
-                finally:
-                    sys.stdin = stdin
-                out = capsys.readouterr().out.encode()
-                digest.update(b"%d %d\n" % (status, len(out)) + out)
-        assert count == 4008
-        assert digest.hexdigest() == REPORT_BYTES_SHA256
+        runs = [(sub, job, ()) for sub, doc, _ in SMOKE
+                for job in [doc, *mutations(doc)]]
+        assert report_digest(capsys, runs) == (REPORT_BYTES_SHA256, 4008)
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != REPORT_BYTES_PYTHON,
+        reason="error reports quote messages worded by the interpreter")
+    def test_more_reports_byte_for_byte(self, capsys):
+        """The same for what that stream leaves out: every MORE job and its
+        single mutations, then every SMOKE and MORE job with --decimal."""
+        runs = [(sub, job, ()) for sub, doc, _ in MORE
+                for job in [doc, *mutations(doc)]]
+        runs += [(sub, doc, ("--decimal",)) for sub, doc, _ in SMOKE + MORE]
+        digest, count = report_digest(capsys, runs)
+        assert digest == MORE_REPORT_BYTES_SHA256, (digest, count)
 
     def test_parser_built_once(self, capsys, monkeypatch):
         built = []
@@ -447,6 +532,26 @@ class TestFrontDoorContract:
             "g-to-machine": ["c"], "open-to-series": ["c"], "encode-series": ["q"],
             "tree-embed": ["depth"],
         }
+
+
+def test_case_tables_hold_one_row_per_closure_case():
+    """p1, p2 and p3 each map every closure case, and nothing else, to an
+    _Op row calling closure's function of that step and case; their flags
+    are case and the flags of their rows."""
+    found = []
+    for sub in ("p1", "p2", "p3"):
+        table = _HANDLERS[sub]
+        if list(table.rows) != list(closure.PROVIDERS):
+            found.append(f"{sub} has rows {list(table.rows)}")
+        for case, op in table.rows.items():
+            module, name = op.call
+            if module is not closure or not name.startswith(f"{sub}_{case}") \
+                    or not callable(getattr(closure, name, None)):
+                found.append(f"{sub} {case} calls {op.call}")
+        flags = {"case", *(flag for op in table.rows.values() for flag in op.flags)}
+        if sorted(table.flags) != sorted(flags):
+            found.append(f"{sub} flags {table.flags}")
+    assert not found, found
 
 
 MUTANTS = [None, True, -1, 0, 2, "", "2", "1/0", [], {}, 1.5, [1], {"a": 1}]

@@ -12,7 +12,7 @@ from cantorlab.errors import NoEscape
 from cantorlab.martingales import winning_set
 from cantorlab.reports import dumps
 from cantorlab.serialize import to_doc
-from cantorlab.space import PrefixFreeSet, condition, measure
+from cantorlab.space import PrefixFreeSet, condition, covers, measure
 
 from util import doubler, random_prefix_free
 
@@ -70,16 +70,29 @@ class TestGoldenRuns:
         assert docs[0] == docs[1]
 
 
+def covering_zeros() -> TestFamily:
+    return TestFamily("ML", {1: PrefixFreeSet(["0"])})
+
+
 class TestNoEscape:
-    def test_covered_w_yields_certificate(self):
+    @pytest.mark.parametrize("provider,test,stages,stage", [
+        (MLRProvider(k=1), covering_zeros, 1, 0),
+        (SRProvider(), covering_zeros, 1, 0),
+        # Stage 0 escapes by tau = 0; at stage 1 the doubler mixed in at
+        # stage 0 wins on all of [00], so no word of W escapes after sigma = 0.
+        (CRProvider(depth=8), lambda: cr_induced_from_doubler(6, 6), 2, 1),
+    ], ids=["mlr", "sr", "cr"])
+    def test_covered_w_yields_certificate(self, provider, test, stages, stage):
+        """W = {0} inside the first test's level: the run ends in the
+        contradiction branch, whose certificate covers W by a member of the
+        provider's class."""
         w = PrefixFreeSet(["0"])
-        test = TestFamily("ML", {1: PrefixFreeSet(["0"])})
         with pytest.raises(NoEscape) as err:
-            run(w, MLRProvider(k=1), [test], 1)
-        assert err.value.stage == 0
+            run(w, provider, [test()], stages)
+        assert err.value.stage == stage
         cert = err.value.certificate
         assert cert.passed
-        assert cert.data["covering_generators"] is not None
+        assert covers(cert.data["covering_generators"], w)
 
     def test_escape_dichotomy(self):
         # With W = {0,1}, mu(V|sigma) < 1 forces an escaping child exactly

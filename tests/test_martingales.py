@@ -24,7 +24,7 @@ from cantorlab.martingales import (
     verify_ville_kolmogorov,
     winning_set,
 )
-from cantorlab.serialize import strategy_doc
+from cantorlab.serialize import to_doc
 from cantorlab.space import PeriodicPoint, PrefixFreeSet, measure
 
 from util import all_strings, doubler, random_fair_strategy, random_fair_table
@@ -279,7 +279,7 @@ class TestZeroWeightTerms:
         on the wire."""
         b = BlendStrategy([(0, dying_reset()), (1, ConstantStrategy(1))])
         assert b.value("0101") == 1 and b.flat_beyond("")
-        assert [w for w, _ in strategy_doc(b)["terms"]] == ["0", "1"]
+        assert [w for w, _ in to_doc(b)["terms"]] == ["0", "1"]
 
 
 class TestSuccessCapital:

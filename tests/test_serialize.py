@@ -4,23 +4,29 @@ from fractions import Fraction
 
 import pytest
 
+from cantorlab.closure import MLRProvider
 from cantorlab.coding import DyadicFunction, KCRequestList, Machine
 from cantorlab.covers import TestFamily
+from cantorlab.diagonal import DiagonalTrace, run
 from cantorlab.errors import ParseError
 from cantorlab.martingales import (
     AverageStrategy,
     BettingStrategy,
     ConstantStrategy,
+    MartingaleTable,
     MixtureStrategy,
     PointDoubler,
     ScaledStrategy,
     TableStrategy,
     TranslateStrategy,
+    WinningSet,
     positive_shift,
     reset,
     table_of,
+    winning_set,
 )
 from cantorlab.serialize import (
+    _RECORDS,
     parse_dyadic,
     parse_fraction,
     parse_machine,
@@ -31,6 +37,7 @@ from cantorlab.serialize import (
     parse_strategy,
     parse_table,
     parse_test,
+    parse_trace,
     to_doc,
 )
 from cantorlab.series import BlockDoubler
@@ -120,6 +127,34 @@ def test_dyadic_round_trip():
     for f in (DyadicFunction({0: Fraction(1, 4), 3: Fraction(2)}),
               DyadicFunction({"0": Fraction(1, 2)})):
         assert parse_dyadic(to_doc(f)) == f
+
+
+def test_records_write_their_declared_fields():
+    """Each record type of the field table writes exactly the keys it
+    declares; where a parser exists, the document parses back to a value
+    of the same type with the same document."""
+    trace, _ = run(PrefixFreeSet(["1"]), MLRProvider(k=1), [], 2)
+    examples = {
+        PeriodicPoint: (PeriodicPoint("01", "1"), parse_point),
+        StagedOpenSet: (StagedOpenSet((PrefixFreeSet(["00"]), PrefixFreeSet(["0"]))),
+                        parse_staged),
+        MartingaleTable: (table_of(doubler(), 2), parse_table),
+        WinningSet: (winning_set(doubler(), Fraction(2), 3), None),
+        Machine: (Machine({"0": "1", "10": "11"}), parse_machine),
+        KCRequestList: (KCRequestList([(1, "0"), (3, "010")]), parse_requests),
+        DiagonalTrace: (trace, parse_trace),
+    }
+    assert set(examples) == set(_RECORDS)
+    found = []
+    for cls, (obj, parse) in examples.items():
+        doc = to_doc(obj)
+        if list(doc) != list(_RECORDS[cls]):
+            found.append(f"{cls.__name__} writes {list(doc)}")
+        if parse is not None:
+            back = parse(doc)
+            if type(back) is not cls or to_doc(back) != doc:
+                found.append(f"{cls.__name__} does not parse back")
+    assert not found, found
 
 
 def test_parse_errors_are_typed():
