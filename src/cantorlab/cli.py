@@ -25,7 +25,8 @@ from typing import Any, Callable
 from . import closure, coding, covers, diagonal, martingales, series, space
 from . import serialize as sz
 from .errors import CantorLabError, NoEscape, ParseError, UnknownSubcommand
-from .reports import Report, dumps
+from .reports import Report
+from .serialize import dumps
 
 # Flags that override the document field of the same name, with their types.
 _FLAGS = {"depth": int, "stages": int, "q": str, "k": int, "c": int, "cap": int,
@@ -35,13 +36,13 @@ _FLAGS = {"depth": int, "stages": int, "q": str, "k": int, "c": int, "cap": int,
 _MAX_DEPTH = 100
 
 
-def _decimal(value: Fraction) -> float | str:
+def _decimal(value: Fraction) -> float | Fraction:
     """The float shadow of one exact rational; past the float range, the
-    rational itself, exactly."""
+    rational itself, which the writer renders exactly."""
     try:
         return float(value)
     except OverflowError:
-        return str(value)
+        return value
 
 
 # Field parsers beyond serialize's: each takes the raw JSON value.
@@ -58,15 +59,17 @@ def _list(value) -> list:
     return value
 
 
-def _check_depth(doc) -> None:
-    """ParseError if doc nests objects and lists deeper than _MAX_DEPTH;
-    walked one level at a time, so the check itself never recurses."""
-    level = [doc]
+def _check_job(doc: dict) -> None:
+    """ParseError if doc nests objects and lists deeper than _MAX_DEPTH, or
+    else holds a float; walked level by level, so it never recurses."""
+    level, floats = [doc], False
     for _ in range(_MAX_DEPTH):
-        level = [x for node in level
-                 for x in (node.values() if isinstance(node, dict) else node)
-                 if isinstance(x, (dict, list, tuple))]
-        if not level:
+        items = [x for node in level
+                 for x in (node.values() if isinstance(node, dict) else node)]
+        floats = floats or float in map(type, items)
+        if not (level := [x for x in items if isinstance(x, (dict, list, tuple))]):
+            if floats:
+                raise ParseError("cannot serialize float")
             return
     raise ParseError(f"job document nested deeper than {_MAX_DEPTH} levels")
 
@@ -334,30 +337,26 @@ _HANDLERS = {
 
 
 def dispatch(subcommand: str, doc: dict, decimal: bool = False) -> tuple[dict, int]:
-    """Run one operation; returns (report document, exit status)."""
+    """Run one operation; returns (report, exit status).  The report holds
+    the job and the values as the operation returned them, for dumps."""
     if subcommand not in _HANDLERS:
         raise UnknownSubcommand(subcommand)
     out: dict[str, Any] = {"subcommand": subcommand}
     try:
-        _check_depth(doc)
-        out["parameters"] = sz.to_doc(doc)
+        _check_job(doc)
+        out["parameters"] = doc
         output, rep = _HANDLERS[subcommand].run(doc)
-        out["output"] = sz.to_doc(output)
     except (CantorLabError, ValueError, TypeError, KeyError) as err:
         # Malformed input surfaces as ParseError from the field parsers (a
-        # missing or mistyped field, a JSON float in the echo) or as
+        # missing or mistyped field, a JSON float in the job) or as
         # ValueError / TypeError from the operation (a bad bit string, a
         # negative index): an error report, never a traceback.
-        out["result"] = "ERROR"
-        out["error"] = {"type": type(err).__name__, "message": str(err)}
+        out.update(result="ERROR", error={"type": type(err).__name__, "message": str(err)})
         return out, 2
+    out["output"] = output
     if rep is not None:
-        repdoc = rep.to_doc()
-        out["checks"] = repdoc["checks"]
-        out["data"] = repdoc["data"]
-        out["result"] = repdoc["result"]
-    else:
-        out["result"] = "PASS"
+        out["checks"], out["data"] = rep.checks, rep.data
+    out["result"] = "PASS" if rep is None or rep.passed else "FAIL"
     if decimal:
         out["decimal"] = sz.to_doc(output, _decimal)
     return out, 0 if out["result"] == "PASS" else 1

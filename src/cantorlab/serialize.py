@@ -3,13 +3,16 @@
 Rationals travel as exact "num/den" strings (plain integers when whole),
 sets as {"elements": [...]}, points as {"head": ..., "period": ...},
 martingale tables as {"depth": D, "values": {...}}, strategies as tagged
-records naming their kind.  parse_* functions are the inverse direction
-used by the batch front door.
+records naming their kind, written by to_doc and by dumps from one shape
+rule.  parse_* functions are the inverse direction used by the front door.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from json import JSONEncoder
+from json.encoder import encode_basestring_ascii as _str
 from typing import Any, Callable
 
 from . import martingales as mg
@@ -17,6 +20,7 @@ from .coding import DyadicFunction, KCRequestList, Machine
 from .covers import TestFamily
 from .diagonal import DiagonalTrace, TraceStage
 from .errors import ParseError
+from .reports import Check, Report
 from .space import PeriodicPoint, PrefixFreeSet, StagedOpenSet
 
 
@@ -56,40 +60,147 @@ _RECORDS = {
 }
 
 
-def to_doc(obj: Any, frac: Callable[[Fraction], Any] = str) -> Any:
-    """The JSON document of a value; frac renders each Fraction in it, by
-    default as its exact "num/den" string.  A record writes the attributes
-    _RECORDS names; a strategy of a registered kind, its kind and fields."""
-    # Builtin types first: Fraction's isinstance goes through ABCMeta.
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [to_doc(x, frac) for x in obj]
+def _shape(obj: Any, frac: Callable[[Fraction], Any] = str) -> Any:
+    """A value's document one level deep, its parts left as they are: a
+    Fraction as frac renders it, a dict with str keys, a list; a record's
+    attributes _RECORDS names; a registered strategy's kind and fields;
+    None for a JSON scalar or a value with no wire form."""
+    # Fraction's isinstance goes through ABCMeta, so commoner types come first.
     if isinstance(obj, dict):
-        return {str(k): to_doc(v, frac) for k, v in obj.items()}
+        return {str(k): v for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return list(obj)
+    if isinstance(obj, Check):
+        return {"check": obj.name, "lhs": obj.lhs, "relation": obj.relation,
+                "rhs": obj.rhs, "result": "PASS" if obj.passed else "FAIL"}
+    if isinstance(obj, PrefixFreeSet):
+        return {"elements": obj.elements}
     if isinstance(obj, Fraction):
         return frac(obj)
-    if isinstance(obj, PrefixFreeSet):
-        return {"elements": list(obj.elements)}
     names = _RECORDS.get(type(obj))
     if names is None and isinstance(obj, mg.BettingStrategy) \
             and obj.kind in mg.BettingStrategy.kinds:
         names = ("kind", *obj.fields)
     if names is not None:
-        return {name: to_doc(getattr(obj, name), frac) for name in names}
+        return {name: getattr(obj, name) for name in names}
+    if isinstance(obj, Report):
+        return {"title": obj.title, "checks": obj.checks, "data": obj.data,
+                "result": "PASS" if obj.passed else "FAIL"}
     if isinstance(obj, TestFamily):
-        doc = {"kind": obj.kind, "levels": to_doc(obj.levels)}
-        if obj.bound_schedule is not None:
-            doc["bounds"] = to_doc(obj.bound_schedule, frac)
-        if obj.martingale is not None:
-            doc["martingale"] = to_doc(obj.martingale, frac)
-        return doc
+        doc = {"kind": obj.kind, "levels": obj.levels,
+               "bounds": obj.bound_schedule, "martingale": obj.martingale}
+        return {key: part for key, part in doc.items() if part is not None}
     if isinstance(obj, DyadicFunction):
-        return {"values": to_doc(obj.entries, frac), "sum": frac(obj.declared_sum)}
+        return {"values": obj.entries, "sum": obj.declared_sum}
     if isinstance(obj, TraceStage):
         return {"index": obj.index, "sigma": obj.sigma,
-                "set": to_doc(obj.current), "n_e": obj.n_e, "tau": obj.tau}
-    raise ParseError(f"cannot serialize {type(obj).__name__}")
+                "set": obj.current, "n_e": obj.n_e, "tau": obj.tau}
+    return None
+
+
+def to_doc(obj: Any, frac: Callable[[Fraction], Any] = str) -> Any:
+    """The JSON document of a value, built from its shape; frac renders each
+    Fraction in it, by default as its exact "num/den" string."""
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    doc = _shape(obj, frac)
+    if type(doc) is dict:  # a str part, such as a generator, is already its document
+        return {key: part if type(part) is str else to_doc(part, frac)
+                for key, part in doc.items()}
+    if type(doc) is list:
+        return [part if type(part) is str else to_doc(part, frac) for part in doc]
+    if doc is None:
+        raise ParseError(f"cannot serialize {type(obj).__name__}")
+    return doc
+
+
+def dumps(value: Any) -> str:
+    """Canonical JSON: sorted keys, two-space indent, ASCII, trailing newline.
+
+    Byte for byte json.dumps(to_doc(value), sort_keys=True, indent=2,
+    allow_nan=False) + "\n", which with an indent never reaches the stdlib's
+    C encoder.  Written from the values themselves: exact types first, the C
+    string encoder per key and string, one C-level join for a list of
+    strings such as a set's generators, _shape for the rest; NaN and inf
+    raise ValueError, a value with no wire form TypeError.  The
+    interpreter's cap on an int's digits is lifted meanwhile.
+    """
+    out: list[str] = []
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no cap
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        _write(value, "\n", out)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    out.append("\n")
+    return "".join(out)
+
+
+# A float as the stdlib writes it (NaN and inf raise), and json's own writer.
+_scalar = JSONEncoder(allow_nan=False).encode
+_json = JSONEncoder(sort_keys=True, indent=2, allow_nan=False).encode
+_ESCAPED = bytes(c for c in range(128) if len(_str(chr(c))) > 3)  # asked of json
+
+
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    """Append the pieces of one value to out; newline ends a line at its
+    indent."""
+    put = out.append
+    kind = type(value)
+    if kind is str:
+        put(_str(value))
+    elif kind is dict:
+        if not value:
+            put("{}")
+            return
+        try:
+            "".join(keys := sorted(value))  # TypeError for a key not a str
+        except TypeError:  # which is written as its str(), sorted as one
+            keys = sorted(value := _shape(value))
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in keys:
+            if type(item := value[key]) is str:
+                put(sep + _str(key) + ": " + _str(item))
+            else:
+                put(sep + _str(key) + ": ")
+                _write(item, inner, out)
+            sep = "," + inner
+        put(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        put("[" + inner)
+        try:
+            text = "".join(value)
+        except TypeError:
+            sep = ""
+            for item in value:
+                put(sep)
+                _write(item, inner, out)
+                sep = "," + inner
+        else:
+            # Nothing to escape: each string quoted as is; the body is its own piece.
+            if text.isascii() and len(text.encode().translate(None, _ESCAPED)) == len(text):
+                out.extend(('"', ('",' + inner + '"').join(value), '"'))
+            else:
+                put(("," + inner).join(map(_str, value)))
+        put(newline + "]")
+    elif kind is int:
+        put(int.__repr__(value))
+    elif kind is bool or value is None:
+        put("null" if value is None else "true" if value else "false")
+    elif kind is float:
+        put(_scalar(value))
+    elif (doc := _shape(value)) is not None:
+        _write(doc, newline, out)
+    else:
+        # A subclass of a JSON scalar by json's writer, at this indent; or TypeError.
+        put(_json(value).replace("\n", newline))
 
 
 def _need(doc: Any, key: str) -> Any:
@@ -98,36 +209,39 @@ def _need(doc: Any, key: str) -> Any:
     return doc[key]
 
 
+def _refusing(*errors: type) -> Callable:
+    """A parser whose errors of these types become a ParseError, same message."""
+    def wrap(parse: Callable) -> Callable:
+        def parsed(doc: Any) -> Any:
+            try:
+                return parse(doc)
+            except errors as err:
+                raise ParseError(str(err)) from None
+        return parsed
+    return wrap
+
+
+@_refusing(ValueError)
 def parse_set(doc: Any) -> PrefixFreeSet:
-    try:
-        return PrefixFreeSet(_need(doc, "elements"))
-    except ValueError as err:
-        raise ParseError(str(err)) from None
+    return PrefixFreeSet(_need(doc, "elements"))
 
 
+@_refusing(ValueError)
 def parse_point(doc: Any) -> PeriodicPoint:
-    try:
-        return PeriodicPoint(_need(doc, "head"), _need(doc, "period"))
-    except ValueError as err:
-        raise ParseError(str(err)) from None
+    return PeriodicPoint(_need(doc, "head"), _need(doc, "period"))
 
 
+@_refusing(ValueError)
 def parse_staged(doc: Any) -> StagedOpenSet:
-    try:
-        stages = tuple(parse_set(s) for s in _need(doc, "stages"))
-        declared = doc.get("final_measure")
-        return StagedOpenSet(
-            stages, None if declared is None else parse_fraction(declared))
-    except ValueError as err:
-        raise ParseError(str(err)) from None
+    stages = tuple(parse_set(s) for s in _need(doc, "stages"))
+    declared = doc.get("final_measure")
+    return StagedOpenSet(stages, None if declared is None else parse_fraction(declared))
 
 
+@_refusing(ValueError, TypeError, AttributeError)
 def parse_table(doc: Any) -> mg.MartingaleTable:
-    try:
-        values = {s: parse_fraction(v) for s, v in _need(doc, "values").items()}
-        return mg.MartingaleTable(parse_int(_need(doc, "depth")), values)
-    except (ValueError, TypeError, AttributeError) as err:
-        raise ParseError(str(err)) from None
+    values = {s: parse_fraction(v) for s, v in _need(doc, "values").items()}
+    return mg.MartingaleTable(parse_int(_need(doc, "depth")), values)
 
 
 def _parse_field(wire: Any, doc: Any) -> Any:
@@ -142,16 +256,13 @@ def _parse_field(wire: Any, doc: Any) -> Any:
     return _FIELD_PARSERS[wire](doc)
 
 
+@_refusing(ValueError, TypeError)
 def parse_strategy(doc: Any) -> mg.BettingStrategy:
     kind = _need(doc, "kind")
     cls = mg.BettingStrategy.kinds.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ParseError(f"unknown strategy kind {kind!r}")
-    try:
-        return cls(*[_parse_field(wire, _need(doc, name))
-                     for name, wire in cls.fields.items()])
-    except (ValueError, TypeError) as err:
-        raise ParseError(str(err)) from None
+    return cls(*[_parse_field(wire, _need(doc, name)) for name, wire in cls.fields.items()])
 
 
 _FIELD_PARSERS = {
@@ -161,54 +272,45 @@ _FIELD_PARSERS = {
 }
 
 
+def _index(key: str) -> int:
+    """A test family's level or bound index, a natural's canonical text."""
+    if str(n := int(key)) != key:
+        raise ParseError(f"index {key!r} is not written as a canonical natural")
+    return n
+
+
+@_refusing(ValueError, AttributeError)
 def parse_test(doc: Any) -> TestFamily:
-    try:
-        levels = {int(n): parse_set(s) for n, s in _need(doc, "levels").items()}
-        bounds = doc.get("bounds")
-        sched = None if bounds is None else {
-            int(n): parse_fraction(v) for n, v in bounds.items()}
-        mart = doc.get("martingale")
-        return TestFamily(_need(doc, "kind"), levels, bound_schedule=sched,
-                          martingale=None if mart is None else parse_strategy(mart))
-    except (ValueError, AttributeError) as err:
-        raise ParseError(str(err)) from None
+    levels = {_index(n): parse_set(s) for n, s in _need(doc, "levels").items()}
+    bounds = doc.get("bounds")
+    sched = None if bounds is None else {
+        _index(n): parse_fraction(v) for n, v in bounds.items()}
+    mart = doc.get("martingale")
+    return TestFamily(_need(doc, "kind"), levels, bound_schedule=sched,
+                      martingale=None if mart is None else parse_strategy(mart))
 
 
+@_refusing(ValueError, AttributeError)
 def parse_machine(doc: Any) -> Machine:
-    try:
-        return Machine(_need(doc, "table"))
-    except (ValueError, AttributeError) as err:
-        raise ParseError(str(err)) from None
+    return Machine(_need(doc, "table"))
 
 
+@_refusing(ValueError, TypeError)
 def parse_requests(doc: Any) -> KCRequestList:
-    try:
-        return KCRequestList([(parse_int(k), s) for k, s in _need(doc, "requests")])
-    except (ValueError, TypeError) as err:
-        raise ParseError(str(err)) from None
+    return KCRequestList([(parse_int(k), s) for k, s in _need(doc, "requests")])
 
 
+@_refusing(ValueError, TypeError)
 def parse_dyadic(doc: Any) -> DyadicFunction:
-    try:
-        return DyadicFunction([(k, parse_fraction(v)) for k, v in _need(doc, "values")])
-    except (ValueError, TypeError) as err:
-        raise ParseError(str(err)) from None
+    return DyadicFunction([(k, parse_fraction(v)) for k, v in _need(doc, "values")])
 
 
+@_refusing(ValueError, TypeError)
 def parse_trace(doc: Any) -> DiagonalTrace:
-    try:
-        stages = tuple(
-            TraceStage(
-                index=parse_int(_need(s, "index")),
-                sigma=_need(s, "sigma"),
-                current=parse_set(_need(s, "set")),
-                n_e=s.get("n_e"),
-                tau=s.get("tau"),
-            )
-            for s in _need(doc, "stages")
-        )
-        if not stages:
-            raise ParseError("a trace needs at least its final stage")
-        return DiagonalTrace(_need(doc, "case"), stages)
-    except (ValueError, TypeError) as err:
-        raise ParseError(str(err)) from None
+    stages = tuple(TraceStage(index=parse_int(_need(s, "index")), sigma=_need(s, "sigma"),
+                              current=parse_set(_need(s, "set")),
+                              n_e=s.get("n_e"), tau=s.get("tau"))
+                   for s in _need(doc, "stages"))
+    if not stages:
+        raise ParseError("a trace needs at least its final stage")
+    return DiagonalTrace(_need(doc, "case"), stages)

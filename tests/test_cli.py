@@ -1,18 +1,21 @@
 """Batch front door: dispatch, determinism, exactness, error mapping."""
 
 import argparse
+import decimal
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from cantorlab import cli, closure
 from cantorlab.cli import _HANDLERS, dispatch, main
+from cantorlab.serialize import dumps, to_doc
 
 from util import time_limit
 
@@ -285,6 +288,7 @@ class TestMoreOps:
 
     def test_dispatch_function_directly(self):
         rep, status = dispatch("measure", {"set": {"elements": []}})
+        rep = to_doc(rep)
         assert status == 0 and rep["output"]["measure"] == "0"
 
 
@@ -397,6 +401,7 @@ class TestFrontDoorContract:
         with time_limit(1.0, "extract-series over 3000 blocks"):
             rep, status = dispatch("extract-series", {"set": {"elements": ["00"]},
                                                       "count": 3000, "lmax": 1})
+            rep = to_doc(rep)
         assert status == 0
         assert rep["output"]["block_lengths"] == ["infinity"] * 3000
 
@@ -422,6 +427,18 @@ class TestFrontDoorContract:
             assert got == {"subcommand": "measure", "result": "ERROR",
                            "error": {"type": "ParseError",
                                      "message": got["error"]["message"]}}
+
+    def test_depth_refused_before_a_float(self):
+        """The one walk of the job refuses a float only once the whole
+        document is known to be shallow enough."""
+        nested = [1.5]
+        for _ in range(150):
+            nested = [nested]
+        for job in ({"note": 1.5, "x": nested}, {"note": 1.5}):
+            rep, status = dispatch("measure", {"set": {"elements": ["0"]}, **job})
+            assert status == 2 and rep["error"]["type"] == "ParseError"
+            assert rep["error"]["message"] == ("cannot serialize float" if len(job) == 1
+                                               else "job document nested deeper than 100 levels")
 
     def test_parse_error_report_goes_to_output(self, capsys, tmp_path):
         inp = tmp_path / "job.json"
@@ -503,6 +520,50 @@ class TestFrontDoorContract:
         runs += [(sub, doc, ("--decimal",)) for sub, doc, _ in SMOKE + MORE]
         digest, count = report_digest(capsys, runs)
         assert digest == MORE_REPORT_BYTES_SHA256, (digest, count)
+
+    def test_reports_written_straight_from_the_values(self):
+        """dispatch returns the values as the operations gave them; dumps
+        writes each report byte for byte as json writes its to_doc document."""
+        for sub, doc, _ in SMOKE + MORE:
+            rep, status = dispatch(sub, doc)
+            assert dumps(rep) == json.dumps(to_doc(rep), sort_keys=True, indent=2,
+                                            allow_nan=False) + "\n", sub
+
+    def test_exact_results_of_any_length(self, capsys):
+        """A result past the interpreter's 4,300-digit cap on an int's text is
+        written exactly, its float shadow too; the cap still guards the input
+        of the next job."""
+        job = {"set": {"elements": ["0" * 15000]}}
+        with time_limit(1.0, "measure of a generator of length 15000"):
+            status, rep = run_cli(capsys, "measure", job)
+            shadowed, shadow = run_cli(capsys, "measure", job, "--decimal")
+        power = str(decimal.Context(prec=5000).power(2, 15000))
+        assert status == shadowed == 0 and rep["output"]["measure"] == f"1/{power}"
+        assert shadow["output"] == rep["output"] and shadow["decimal"]["measure"] == 0.0
+        # Past the float range too, the shadow keeps the exact rational.
+        big = Fraction(2) ** 15000
+        assert dumps(to_doc({"x": big}, cli._decimal)) == dumps({"x": big})
+        if hasattr(sys, "get_int_max_str_digits"):
+            cap = sys.get_int_max_str_digits()
+            sys.stdin, stdin = io.StringIO('{"n": ' + "1" * 4301 + "}"), sys.stdin
+            try:
+                status = main(["b-set"])
+            finally:
+                sys.stdin = stdin
+            rep = json.loads(capsys.readouterr().out)
+            assert status == 2 and rep["error"]["type"] == "ParseError"
+            assert "digits" in rep["error"]["message"]
+            assert sys.get_int_max_str_digits() == cap > 0
+
+    def test_test_indices_are_canonical(self, capsys):
+        """Two keys for one level, or a key such as "1_0", is a ParseError
+        naming the key, not a level silently dropped or renamed."""
+        level = {"elements": ["0" * 12]}
+        for keys in (["1", "01"], ["1_0"], [" 2 "]):
+            job = {"test": {"kind": "ML", "levels": dict.fromkeys(keys, level)}}
+            status, rep = run_cli(capsys, "f-from-test", job)
+            assert status == 2 and rep["error"]["type"] == "ParseError"
+            assert repr(keys[-1]) in rep["error"]["message"]
 
     def test_parser_built_once(self, capsys, monkeypatch):
         built = []

@@ -40,6 +40,7 @@ from cantorlab.martingales import (
     TableStrategy,
     winning_set,
 )
+from cantorlab.serialize import to_doc
 from cantorlab.space import (
     PeriodicPoint,
     PrefixFreeSet,
@@ -389,6 +390,7 @@ class TestWalkedSearches:
         # A search over all 2^161 strings to the depth fails here, within a second.
         with time_limit(1.0, f"p2 --case {job['case']} on a generator of length 160"):
             rep, status = dispatch("p2", job)
+            rep = to_doc(rep)
         assert status == 0 and rep["result"] == "PASS"
         assert rep["output"]["set"] == {"elements": ["0" * 160]}
         assert {c["check"]: c["result"] for c in rep["checks"]}[

@@ -17,6 +17,7 @@ from cantorlab.covers import (
     tails_to_power,
 )
 from cantorlab.errors import MissingLevel, TailEscapes, Unbounded
+from cantorlab.serialize import to_doc
 from cantorlab.series import b_set
 from cantorlab.space import (
     PeriodicPoint,
@@ -213,6 +214,7 @@ class TestSchnorrMerge:
         # Conditioning on all 2^k strings per layer fails here, within a second.
         with time_limit(1.0, "schnorr-merge at K = 140"):
             rep, status = dispatch("schnorr-merge", doc)
+            rep = to_doc(rep)
         assert status == 0 and rep["result"] == "PASS"
         assert rep["output"]["set"] == {"elements": ["11"]}
         assert rep["data"]["measure"] == "1/4"

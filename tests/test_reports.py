@@ -1,17 +1,44 @@
 """The canonical report writer against the stdlib's json.dumps."""
 
+import ast
 import collections
 import enum
+import functools
 import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorlab import reports
+from cantorlab import serialize
 from cantorlab.cli import dispatch
-from cantorlab.reports import dumps
+from cantorlab.closure import MLRProvider
+from cantorlab.coding import DyadicFunction, KCRequestList, Machine
+from cantorlab.covers import TestFamily
+from cantorlab.diagonal import run
+from cantorlab.martingales import (
+    AverageStrategy,
+    BettingStrategy,
+    ConstantStrategy,
+    MixtureStrategy,
+    PointDoubler,
+    ScaledStrategy,
+    TableStrategy,
+    TranslateStrategy,
+    positive_shift,
+    reset,
+    table_of,
+    winning_set,
+)
+from cantorlab.reports import Report
+from cantorlab.serialize import _RECORDS, dumps, to_doc
+from cantorlab.series import BlockDoubler, b_set
+from cantorlab.space import PeriodicPoint, PrefixFreeSet, StagedOpenSet, union
+
+from util import doubler
 
 
 def oracle(doc):
@@ -127,22 +154,118 @@ def test_long_generator_list_is_one_join(monkeypatch):
     a number of string-encoder calls that does not grow with the number of
     generators: the list goes through one join, not one call per string."""
     calls = []
-    encode = reports._str
+    encode = serialize._str
 
     def counting(text):
         calls.append(1)
         return encode(text)
 
-    monkeypatch.setattr(reports, "_str", counting)
+    monkeypatch.setattr(serialize, "_str", counting)
     counts = {}
     for alpha, size in (("7/8", None), ("63/64", 33867)):
-        doc, status = dispatch("b-set", {"n": 0, "alpha": alpha})
+        rep, status = dispatch("b-set", {"n": 0, "alpha": alpha})
+        doc = to_doc(rep)
         assert status == 0
         generators = doc["output"]["set"]["elements"]
         assert size is None or len(generators) == size
         calls.clear()
-        text = dumps(doc)
+        text = dumps(rep)
         counts[len(generators)] = len(calls)
         assert text == oracle(doc)
     few, many = sorted(counts)
     assert few < many and counts[few] == counts[many] < 100
+
+
+class Half(Fraction):
+    pass
+
+
+@functools.cache
+def wire_values():
+    """One value of each type with a wire form: the records, the ten
+    strategy kinds, sets built from strings and by the kernel, test families,
+    dyadic functions, a trace stage, a check, a report and a Fraction
+    subclass."""
+    trace, lemma = run(PrefixFreeSet(["1"]), MLRProvider(k=1), [], 2)
+    base = positive_shift(doubler())
+    report = Report("oracle")
+    report.check("measure", Fraction(1, 3), "<=", Half(1, 2))
+    report.record("flag", False)
+    report.put("levels", {10: "ten", 2: ["two", Fraction(2)]})
+    return {
+        "point": PeriodicPoint("01", "1"),
+        "staged": StagedOpenSet((PrefixFreeSet(["00"]), PrefixFreeSet(["0"]))),
+        "table": table_of(doubler(), 2),
+        "winning": winning_set(doubler(), Fraction(2), 3),
+        "machine": Machine({"0": "1", "10": "11"}),
+        "requests": KCRequestList([(1, "0"), (3, "010")]),
+        "trace": trace,
+        "constant": ConstantStrategy(Fraction(3, 2)),
+        "tabulated": TableStrategy(table_of(doubler(), 3)),
+        "point-doubler": PointDoubler(PeriodicPoint("", "0")),
+        "translated": TranslateStrategy(doubler(), "0"),
+        "scaled": ScaledStrategy(doubler(), Fraction(3, 4)),
+        "blend": base,
+        "mixture": MixtureStrategy(ConstantStrategy(1), doubler(), 2),
+        "averaged": AverageStrategy(base, 2),
+        "reset": reset(base, Fraction(3, 2), PrefixFreeSet(["0"])),
+        "block-doubler": BlockDoubler([2, 3], Fraction(2)),
+        "strings": PrefixFreeSet(["0", "10", "110"]),
+        "kernel": union(PrefixFreeSet(["00"]), PrefixFreeSet(["01", "1"])),
+        "b-set": b_set(0, Fraction(63, 64)),
+        "family": TestFamily("ML", {2: PrefixFreeSet(["00"]),
+                                    10: PrefixFreeSet(["0" * 10])},
+                             bound_schedule={2: Fraction(1, 4), 10: Fraction(1, 1024)},
+                             martingale=doubler()),
+        "int-keyed": DyadicFunction({0: Fraction(1, 4), 3: Fraction(2)}),
+        "str-keyed": DyadicFunction({"0": Fraction(1, 2), "10": Fraction(1, 8)}),
+        "stage": trace.stages[0],
+        "check": report.checks[0],
+        "report": report,
+        "lemma": lemma,
+        "half": Half(1, 2),
+    }
+
+
+@pytest.mark.parametrize("name", list(wire_values()))
+def test_writer_matches_the_document_oracle(name):
+    """dumps writes a value straight from its objects byte for byte as json
+    writes its to_doc document, alone and nested in dicts and lists."""
+    value = wire_values()[name]
+    for doc in (value, [value, Half(3)], {"x": value, "y": [{"z": value}], 7: value}):
+        assert dumps(doc) == oracle(to_doc(doc)), name
+
+
+def test_every_wire_type_is_in_the_oracle():
+    values = wire_values()
+    kinds = {type(v) for v in values.values()}
+    assert set(_RECORDS) <= kinds
+    assert {v.kind for v in values.values() if isinstance(v, BettingStrategy)} \
+        == set(BettingStrategy.kinds)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cantorlab"
+
+
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def test_one_writer_and_no_global_state():
+    """Only serialize.py reaches json's encoder; no module rebinds a global;
+    cli.py builds a document with to_doc only for the --decimal shadow."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            names = ({alias.name for alias in node.names}
+                     if isinstance(node, ast.ImportFrom) else {_name(node)})
+            if path.name != "serialize.py" and (
+                    getattr(node, "module", None) == "json.encoder" or "JSONEncoder" in names):
+                found.append(f"{where} reaches json's encoder")
+            elif isinstance(node, ast.Global):
+                found.append(f"{where} has a global statement")
+            elif path.name == "cli.py" and isinstance(node, ast.Call) \
+                    and _name(node.func) == "to_doc" and "_decimal" not in map(_name, node.args):
+                found.append(f"{where} calls to_doc")
+    assert not found, found

@@ -157,6 +157,22 @@ def test_records_write_their_declared_fields():
     assert not found, found
 
 
+@pytest.mark.parametrize("field,keys", [
+    ("levels", ["1_0"]), ("levels", [" 2 "]), ("levels", ["01"]),
+    ("levels", ["1", "01"]), ("bounds", ["01"]),
+])
+def test_test_indices_are_canonical_naturals(field, keys):
+    """A level or bound key is refused unless it is the canonical text of
+    its natural, so no two keys name one level; the error names the key."""
+    level = {"elements": ["0" * 12]}
+    doc = {"kind": "ML", "levels": {"1": level}}
+    doc[field] = {key: level if field == "levels" else "1/2" for key in keys}
+    with pytest.raises(ParseError, match=repr(keys[-1])):
+        parse_test(doc)
+    canonical = {str(int(key)): value for key, value in doc[field].items()}
+    assert parse_test({**doc, field: canonical}).kind == "ML"
+
+
 def test_parse_errors_are_typed():
     with pytest.raises(ParseError):
         parse_set({"elements": ["0", "01"]})

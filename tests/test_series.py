@@ -46,6 +46,7 @@ from cantorlab.series import (
     tree_embed,
     vn_from_g,
 )
+from cantorlab.serialize import to_doc
 from cantorlab.space import (
     PeriodicPoint,
     PrefixFreeSet,
@@ -237,6 +238,7 @@ class TestOpenToSeries:
         # Walking the 2^45 grid points from the top fails here, within a second.
         with time_limit(1.0, "open-to-series (sup) at L = 1000"):
             rep, status = dispatch("open-to-series", {"n": 0, "set": {"elements": elements}})
+            rep = to_doc(rep)
         assert status == 0
         assert rep["output"]["alpha"] == "1/4"
 
