@@ -199,9 +199,8 @@ def _average(job):
 
 
 def _main_lemma(job):
-    case = job("case")
-    params = job.given(*(f.name for f in dataclass_fields(closure.PROVIDERS[case])))
-    provider = closure.provider_for(case, **params)
+    cls = closure.PROVIDERS[job("case")]
+    provider = cls(**job.given(*(f.name for f in dataclass_fields(cls))))
     tests = job("tests") if "tests" in job else []
     try:
         trace, rep = diagonal.run(job("w"), provider, tests, job("stages"))

@@ -8,9 +8,15 @@ completion (P2) and test absorption (P3):
   SR:  staged sets with exact stage measures.
 
 Each pX_* operation returns its construction together with an exact
-certificate report.  The provider classes bundle the three operations per
-family behind one interface for the diagonalizer; search depths are
-explicit everywhere the underlying statements quantify over all strings.
+certificate report; search depths are explicit everywhere the underlying
+statements quantify over all strings.
+
+The provider of each family, PROVIDERS[case], fixes its search parameters
+and shows the diagonalizer one face over a ProviderState: case; initial(),
+the empty set; p1(state, sigma), the conditioned state; p2(state), the
+completed state and its certificate; p3(state, sigma, test), the absorbed
+level n_e and the new state, built as by the pX_* operations but with no
+certificate: diagonal.verify_trace checks the finished trace.
 """
 
 from __future__ import annotations
@@ -50,13 +56,10 @@ from .space import (
 
 
 def _least_slack(m: Fraction) -> int:
-    """Least k >= 1 with m < 1 - 2^-k; requires m < 1."""
+    """Least k >= 1 with m < 1 - 2^-k, i.e. 2^k > 1/(1 - m); needs 0 <= m < 1."""
     if m >= 1:
         raise FullConditional("no slack below 1")
-    k = 1
-    while m >= 1 - Fraction(1, 2 ** k):
-        k += 1
-    return k
+    return int(1 / (1 - m)).bit_length()
 
 
 def _full_covered(u: PrefixFreeSet, v: PrefixFreeSet, depth: int) -> bool:
@@ -105,15 +108,21 @@ def p2_mlr(u: PrefixFreeSet, q: Fraction) -> tuple[PrefixFreeSet, Report]:
     return v, rep
 
 
-def p3_mlr(u: PrefixFreeSet, sigma: str, k: int,
-           test: TestFamily | None = None) -> tuple[int, PrefixFreeSet, Report]:
-    """Absorb test level n_e = |sigma| + k while keeping mu(V | sigma) < 1."""
+def _absorb_mlr(u: PrefixFreeSet, sigma: str, k: int, test: TestFamily | None
+                ) -> tuple[int, PrefixFreeSet, PrefixFreeSet]:
+    """n_e = |sigma| + k, test level n_e and V = U union it, given slack 2^-k at sigma."""
     m = measure(condition(u, sigma))
     if m >= 1 - Fraction(1, 2 ** k):
         raise SlackViolated(f"mu(U|sigma) = {m} >= 1 - 2^-{k}")
     n_e = len(sigma) + k
     level = EMPTY_SET if test is None else test.level(n_e)
-    v = union(u, level)
+    return n_e, level, union(u, level)
+
+
+def p3_mlr(u: PrefixFreeSet, sigma: str, k: int,
+           test: TestFamily | None = None) -> tuple[int, PrefixFreeSet, Report]:
+    """Absorb test level n_e = |sigma| + k while keeping mu(V | sigma) < 1."""
+    n_e, level, v = _absorb_mlr(u, sigma, k, test)
     rep = Report("p3-mlr")
     rep.put("n_e", n_e)
     rep.put("k", k)
@@ -170,15 +179,10 @@ def p2_cr_check(d: BettingStrategy, q: Fraction, sigma: str, depth: int) -> Repo
     return rep
 
 
-def p3_cr(d: BettingStrategy, q: Fraction, sigma: str, d_e: BettingStrategy,
-          depth: int, cap: int = 16) -> tuple[int, WinningSet, Report]:
-    """Mixture step: find n_e with D = (1-2^(-n_e+1)) d + 2^(-n_e+1) d_e staying
-    below min((1-2^(-n_e+1)) q, 2) along every prefix of sigma.
-
-    The resulting winning set of D covers both the (d, q)-winning set and the
-    level-n_e set induced by d_e, while mu(V | sigma) < 1.  The n_e search is
-    linear with a cap; on exhaustion the blocking inequality is reported.
-    """
+def _mix_cr(d: BettingStrategy, q: Fraction, sigma: str, d_e: BettingStrategy,
+            depth: int, cap: int) -> tuple[int, BettingStrategy, Fraction, WinningSet]:
+    """The least n_e <= cap whose mixture D stays below its threshold along
+    sigma; returns n_e, D, D's largest capital along sigma and D's winning set."""
     q = Fraction(q)
     if cap < 1:
         raise ValueError("need cap >= 1")
@@ -193,24 +197,36 @@ def p3_cr(d: BettingStrategy, q: Fraction, sigma: str, d_e: BettingStrategy,
         last = (n_e, worst, threshold)
         if threshold <= 1 or worst >= threshold:
             continue
-        v = winning_set(big, threshold, depth)
-        rep = Report("p3-cr")
-        rep.put("n_e", n_e)
-        rep.put("threshold", threshold)
-        rep.put("D_at_sigma", big.value(sigma))
-        rep.check("D along sigma < threshold", worst, "<", threshold)
-        rep.check("mu(V | sigma) < 1",
-                  measure(condition(v.generators, sigma)), "<", Fraction(1))
-        u_gens = winning_set(d, q, depth).generators
-        t_gens = winning_set(d_e, Fraction(2 ** n_e), depth).generators
-        rep.record("V covers (d,q)-winning set", covers(v.generators, u_gens))
-        rep.record("V covers induced test level", covers(v.generators, t_gens))
-        return n_e, v, rep
+        return n_e, big, worst, winning_set(big, threshold, depth)
     raise SearchExhausted(
         f"no n_e <= {cap} works; at n_e={last[0]} capital along sigma reaches "
         f"{last[1]} against threshold {last[2]}",
         frontier=last,
     )
+
+
+def p3_cr(d: BettingStrategy, q: Fraction, sigma: str, d_e: BettingStrategy,
+          depth: int, cap: int = 16) -> tuple[int, WinningSet, Report]:
+    """Mixture step: find n_e with D = (1-2^(-n_e+1)) d + 2^(-n_e+1) d_e staying
+    below min((1-2^(-n_e+1)) q, 2) along every prefix of sigma.
+
+    The resulting winning set of D covers both the (d, q)-winning set and the
+    level-n_e set induced by d_e, while mu(V | sigma) < 1.  The n_e search is
+    linear with a cap; on exhaustion the blocking inequality is reported.
+    """
+    n_e, big, worst, v = _mix_cr(d, q, sigma, d_e, depth, cap)
+    rep = Report("p3-cr")
+    rep.put("n_e", n_e)
+    rep.put("threshold", v.threshold)
+    rep.put("D_at_sigma", big.value(sigma))
+    rep.check("D along sigma < threshold", worst, "<", v.threshold)
+    rep.check("mu(V | sigma) < 1",
+              measure(condition(v.generators, sigma)), "<", Fraction(1))
+    u_gens = winning_set(d, q, depth).generators
+    t_gens = winning_set(d_e, Fraction(2 ** n_e), depth).generators
+    rep.record("V covers (d,q)-winning set", covers(v.generators, u_gens))
+    rep.record("V covers induced test level", covers(v.generators, t_gens))
+    return n_e, v, rep
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +290,8 @@ class ProviderState:
         self.payload = payload
 
 
-class ClosureProvider:
-    """One of the three closed families, with its search parameters fixed."""
-
-    case = "abstract"
-
-    def initial(self) -> ProviderState:
-        raise NotImplementedError
-
-    def p3(self, state: ProviderState, sigma: str, test: TestFamily | None
-           ) -> tuple[int | None, ProviderState, Report]:
-        raise NotImplementedError
-
-    def p1(self, state: ProviderState, sigma: str) -> ProviderState:
-        raise NotImplementedError
-
-    def p2(self, state: ProviderState) -> tuple[ProviderState, Report]:
-        raise NotImplementedError
-
-
 @dataclass
-class MLRProvider(ClosureProvider):
+class MLRProvider:
     """Bounded sets; q and k left unset (or k = 0) are chosen per stage."""
 
     case = "mlr"
@@ -307,8 +304,8 @@ class MLRProvider(ClosureProvider):
     def p3(self, state, sigma, test):
         u = state.generators
         k = self.k or _least_slack(measure(condition(u, sigma)))
-        n_e, v, rep = p3_mlr(u, sigma, k, test)
-        return n_e, ProviderState(v), rep
+        n_e, _, v = _absorb_mlr(u, sigma, k, test)
+        return n_e, ProviderState(v)
 
     def p1(self, state, sigma):
         return ProviderState(p1_mlr(state.generators, sigma))
@@ -321,7 +318,7 @@ class MLRProvider(ClosureProvider):
 
 
 @dataclass
-class CRProvider(ClosureProvider):
+class CRProvider:
     """Winning sets; the payload threads the (strategy, threshold) pair."""
 
     case = "cr"
@@ -337,9 +334,8 @@ class CRProvider(ClosureProvider):
         d, q = state.payload
         d_e = test.martingale if test is not None and test.martingale is not None \
             else ConstantStrategy(1)
-        n_e, v, rep = p3_cr(d, q, sigma, d_e, self.depth, cap=self.cap)
-        big = mixture(d, d_e, n_e)
-        return n_e, ProviderState(v.generators, payload=(big, v.threshold)), rep
+        n_e, big, _, v = _mix_cr(d, q, sigma, d_e, self.depth, self.cap)
+        return n_e, ProviderState(v.generators, payload=(big, v.threshold))
 
     def p1(self, state, sigma):
         d, q = state.payload
@@ -360,7 +356,7 @@ class CRProvider(ClosureProvider):
 
 
 @dataclass
-class SRProvider(ClosureProvider):
+class SRProvider:
     """Staged sets; k left unset (or 0) is chosen per stage, and the P2
     search depth is never below the longest generator."""
 
@@ -369,24 +365,15 @@ class SRProvider(ClosureProvider):
     depth: int | None = None
 
     def initial(self) -> ProviderState:
-        st = StagedOpenSet((EMPTY_SET,))
-        return ProviderState(EMPTY_SET, payload=st)
+        return ProviderState(EMPTY_SET, payload=StagedOpenSet((EMPTY_SET,)))
 
     def p3(self, state, sigma, test):
         staged = state.payload
-        m = measure(condition(staged.final, sigma))
-        k = self.k or _least_slack(m)
+        k = self.k or _least_slack(measure(condition(staged.final, sigma)))
         n_e = len(sigma) + k
         level = EMPTY_SET if test is None else test.level(n_e)
         merged = p3_sr(staged, StagedOpenSet((level,)))
-        rep = Report("p3-sr")
-        rep.put("n_e", n_e)
-        rep.put("k", k)
-        rep.check("mu(V | sigma) < 1",
-                  measure(condition(merged.final, sigma)), "<", Fraction(1))
-        rep.record("V covers U", covers(merged.final, staged.final))
-        rep.record("V covers test level", covers(merged.final, level))
-        return n_e, ProviderState(merged.final, payload=merged), rep
+        return n_e, ProviderState(merged.final, payload=merged)
 
     def p1(self, state, sigma):
         conditioned = p1_sr(state.payload, sigma)
@@ -402,10 +389,3 @@ class SRProvider(ClosureProvider):
 
 PROVIDERS = {"mlr": MLRProvider, "cr": CRProvider, "sr": SRProvider}
 
-
-def provider_for(case: str, **kwargs) -> ClosureProvider:
-    """The provider of a case, with the search parameters given; the others
-    keep their defaults."""
-    if case not in PROVIDERS:
-        raise ValueError(f"unknown closure case {case!r}")
-    return PROVIDERS[case](**kwargs)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .closure import ClosureProvider
 from .covers import TestFamily
 from .errors import NoEscape
 from .reports import Report
@@ -46,9 +45,10 @@ class DiagonalTrace:
         return self.stages[-1].sigma
 
 
-def run(w: PrefixFreeSet, provider: ClosureProvider, tests: Sequence[TestFamily],
+def run(w: PrefixFreeSet, provider, tests: Sequence[TestFamily],
         stage_count: int) -> tuple[DiagonalTrace, Report]:
-    """Execute stage_count stages of the construction over the word set W.
+    """Execute stage_count stages of the construction over the word set W,
+    with a provider of closure.PROVIDERS; verify_trace certifies the trace.
 
     tau is always the first escaping word of W in length-lex order, so runs
     are deterministic and traces diffable.  Stages past the supplied test
@@ -64,12 +64,9 @@ def run(w: PrefixFreeSet, provider: ClosureProvider, tests: Sequence[TestFamily]
     records = []
     for e in range(stage_count):
         test = tests[e] if e < len(tests) else None
-        n_e, vstate, _ = provider.p3(state, sigma, test)
-        tau = None
-        for t in w:
-            if measure(condition(vstate.generators, sigma + t)) < 1:
-                tau = t
-                break
+        n_e, vstate = provider.p3(state, sigma, test)
+        tau = next((t for t in w if measure(condition(vstate.generators, sigma + t)) < 1),
+                   None)
         if tau is None:
             raise NoEscape(e, sigma, _covering_certificate(w, provider, vstate, sigma))
         records.append(TraceStage(e, sigma, state.generators, n_e, tau))
@@ -80,8 +77,7 @@ def run(w: PrefixFreeSet, provider: ClosureProvider, tests: Sequence[TestFamily]
     return trace, verify_trace(trace, w, tests)
 
 
-def _covering_certificate(w: PrefixFreeSet, provider: ClosureProvider,
-                          vstate, sigma: str) -> Report:
+def _covering_certificate(w: PrefixFreeSet, provider, vstate, sigma: str) -> Report:
     """Certificate for the contradiction branch: [W] covered in-class.
 
     Every word of W has full conditional measure in V after sigma; P1 turns

@@ -8,6 +8,8 @@ antidiagonals.
 
 from __future__ import annotations
 
+import math
+
 
 def cantor_pair(a: int, b: int) -> int:
     if a < 0 or b < 0:
@@ -19,8 +21,6 @@ def cantor_pair(a: int, b: int) -> int:
 def cantor_unpair(n: int) -> tuple[int, int]:
     if n < 0:
         raise ValueError("pairing needs naturals")
-    s = 0
-    while (s + 1) * (s + 2) // 2 <= n:
-        s += 1
+    s = (math.isqrt(8 * n + 1) - 1) // 2  # the largest s with s(s+1)/2 <= n
     b = n - s * (s + 1) // 2
     return s - b, b

@@ -25,8 +25,9 @@ from .space import PeriodicPoint, PrefixFreeSet, StagedOpenSet
 
 
 def parse_fraction(doc: Any) -> Fraction:
+    """A JSON integer or a rational's text; a boolean is not a rational."""
     try:
-        if isinstance(doc, (int, str)):
+        if type(doc) is int or isinstance(doc, str):
             return Fraction(doc)
     except (ValueError, ZeroDivisionError) as err:
         raise ParseError(f"bad rational {doc!r}: {err}") from None
@@ -104,13 +105,19 @@ def to_doc(obj: Any, frac: Callable[[Fraction], Any] = str) -> Any:
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     doc = _shape(obj, frac)
-    if type(doc) is dict:  # a str part, such as a generator, is already its document
-        return {key: part if type(part) is str else to_doc(part, frac)
-                for key, part in doc.items()}
-    if type(doc) is list:
-        return [part if type(part) is str else to_doc(part, frac) for part in doc]
     if doc is None:
         raise ParseError(f"cannot serialize {type(obj).__name__}")
+    # The shape's dict or list is fresh, so its parts are converted in place;
+    # a str part, such as a generator, is already its document.
+    if type(doc) is dict:
+        parts = doc.items()
+    elif type(doc) is list:
+        parts = enumerate(doc)
+    else:
+        return doc
+    for key, part in parts:
+        if type(part) is not str:
+            doc[key] = to_doc(part, frac)
     return doc
 
 

@@ -1,5 +1,6 @@
 """The nine closure constructions, with their exact bound certificates."""
 
+import dataclasses
 from fractions import Fraction
 from random import Random
 
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from cantorlab.cli import dispatch
 from cantorlab.closure import (
+    PROVIDERS,
     CRProvider,
     MLRProvider,
     ProviderState,
     SRProvider,
+    _least_slack,
     p1_cr,
     p1_mlr,
     p1_sr,
@@ -22,7 +25,6 @@ from cantorlab.closure import (
     p3_cr,
     p3_mlr,
     p3_sr,
-    provider_for,
 )
 from cantorlab.covers import TestFamily
 from cantorlab.errors import (
@@ -70,6 +72,21 @@ prefix_free = st.lists(bits, max_size=8).map(reduce)
 def full_verdict(rep):
     return next(c.passed for c in rep.checks
                 if c.name == "full cylinders within depth covered")
+
+
+def test_least_slack_matches_the_loop():
+    rng = Random(5)
+    ms = [Fraction(a, b) for b in range(1, 40) for a in range(b)]
+    ms += [1 - Fraction(1, 2 ** k) + Fraction(e, 2 ** (k + 9)) for k in range(1, 40)
+           for e in (-1, 0, 1)]
+    ms += [Fraction(rng.randrange(2 ** 70), 2 ** 70) for _ in range(500)]
+    for m in ms:
+        k = 1
+        while m >= 1 - Fraction(1, 2 ** k):
+            k += 1
+        assert _least_slack(m) == k, m
+    with pytest.raises(FullConditional):
+        _least_slack(Fraction(1))
 
 
 class TestP1MLR:
@@ -311,23 +328,33 @@ class TestP1P3SR:
 
 class TestProviders:
     def test_factory(self):
-        assert isinstance(provider_for("mlr"), MLRProvider)
-        assert isinstance(provider_for("cr"), CRProvider)
-        assert isinstance(provider_for("sr"), SRProvider)
-        with pytest.raises(ValueError):
-            provider_for("zfc")
+        assert PROVIDERS == {"mlr": MLRProvider, "cr": CRProvider, "sr": SRProvider}
+
+    def test_providers_share_one_face(self):
+        for key, cls in PROVIDERS.items():
+            assert dataclasses.is_dataclass(cls) and cls.case == key
+            provider = cls()
+            for name in ("initial", "p1", "p2", "p3"):
+                assert callable(getattr(provider, name)), (key, name)
+
+    def test_unknown_case_refused(self):
+        rep, status = dispatch("main-lemma", {"case": "zfc", "w": {"elements": ["1"]},
+                                              "stages": 1})
+        assert status == 2
+        assert rep["error"] == {"type": "ParseError", "message":
+                                "bad parameter 'case': must be one of mlr, cr, sr"}
 
     def test_initial_states_are_empty(self):
-        for case in ("mlr", "cr", "sr"):
-            st = provider_for(case).initial()
+        for cls in PROVIDERS.values():
+            st = cls().initial()
             assert measure(st.generators) == 0
 
     def test_mlr_p3_p1_p2_chain(self):
         prov = MLRProvider()
         st = prov.initial()
         t = ml_test_toward_ones(5)
-        n_e, st2, rep = prov.p3(st, "", t)
-        assert rep.passed and n_e == 1
+        n_e, st2 = prov.p3(st, "", t)
+        assert n_e == 1
         st3 = prov.p1(st2, "0")
         st4, rep2 = prov.p2(st3)
         assert rep2.passed
@@ -337,10 +364,64 @@ class TestProviders:
         st = prov.initial()
         t = TestFamily("ML", {n: winning_set(doubler(), Fraction(2 ** n), 6).generators
                               for n in range(1, 7)}, martingale=doubler())
-        n_e, st2, rep = prov.p3(st, "", t)
-        assert rep.passed
+        n_e, st2 = prov.p3(st, "", t)
         d, thr = st2.payload
         assert winning_set(d, thr, 6).generators == st2.generators
+
+
+class TestProviderP3IsTheCertifiedConstruction:
+    """Each provider's p3 builds the set its case's certified P3 step builds,
+    with the same n_e, and no certificate."""
+
+    @pytest.mark.parametrize("k", [None, 1, 2])
+    def test_mlr(self, k):
+        rng = Random(23)
+        t = ml_test_toward_ones(8)
+        done = 0
+        while done < 15:
+            u = random_prefix_free(rng, maxlen=4, count=3)
+            sigma = "".join(rng.choice("01") for _ in range(rng.randint(0, 3)))
+            m = measure(condition(u, sigma))
+            if m >= 1 - Fraction(1, 2 ** (k or 1)):
+                continue
+            n_e, state = MLRProvider(k=k).p3(ProviderState(u), sigma, t)
+            kk = k or next(j for j in range(1, 9) if m < 1 - Fraction(1, 2 ** j))
+            assert (n_e, state.generators) == p3_mlr(u, sigma, kk, t)[:2]
+            assert state.payload is None
+            done += 1
+
+    def test_cr(self):
+        rng = Random(29)
+        done = 0
+        while done < 10:
+            d = random_fair_strategy(rng, 5, positive=True)
+            d_e = random_fair_strategy(rng, 5, positive=True)
+            q = Fraction(rng.randint(9, 14), 8)
+            sigma = "".join(rng.choice("01") for _ in range(rng.randint(0, 2)))
+            try:
+                want_n, want, rep = p3_cr(d, q, sigma, d_e, 5, cap=8)
+            except (AlreadyWon, SearchExhausted):
+                continue
+            test = TestFamily("ML", {}, martingale=d_e)
+            state = ProviderState(winning_set(d, q, 5).generators, payload=(d, q))
+            n_e, got = CRProvider(depth=5, cap=8).p3(state, sigma, test)
+            assert n_e == want_n and got.generators == want.generators
+            big, threshold = got.payload
+            assert threshold == want.threshold
+            assert winning_set(big, threshold, 5).generators == want.generators
+            done += 1
+
+    @pytest.mark.parametrize("k", [None, 1, 2])
+    def test_sr(self, k):
+        t = ml_test_toward_ones(8)
+        for final, sigma in [(["00"], ""), (["011", "10"], "0"), ([], "11"), (["0"], "1")]:
+            u = staged(final)
+            n_e, state = SRProvider(k=k).p3(ProviderState(u.final, payload=u), sigma, t)
+            m = measure(condition(u.final, sigma))
+            kk = k or next(j for j in range(1, 9) if m < 1 - Fraction(1, 2 ** j))
+            assert n_e == len(sigma) + kk
+            want = p3_sr(u, StagedOpenSet((t.level(n_e),)))
+            assert state.payload == want and state.generators == want.final
 
 
 class TestWalkedSearches:

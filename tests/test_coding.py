@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from cantorlab.cli import dispatch
 from cantorlab.coding import (
     DyadicFunction,
     KCRequestList,
@@ -25,6 +26,10 @@ from cantorlab.errors import (
     SumMismatch,
     WeightOverflow,
 )
+from cantorlab.pairing import cantor_pair
+from cantorlab.serialize import to_doc
+
+from util import time_limit
 
 
 class TestKCBuild:
@@ -221,6 +226,14 @@ class TestFlatten:
             back = aggregate_pairs(flat)
             assert back == stages[-1]
             assert flat.declared_sum == stages[-1].declared_sum
+
+    def test_aggregate_of_a_huge_key(self):
+        # Walking up the antidiagonals to this key would take about 10^20 steps.
+        job = {"aggregate": {"values": [[cantor_pair(10**40, 3), "1/2"]]}}
+        with time_limit(1.0, "flatten of an aggregate key near 10^80"):
+            rep, status = dispatch("flatten", job)
+        assert status == 0
+        assert to_doc(rep)["output"]["g"]["values"] == [[10**40, "1/2"]]
 
 
 class TestNormalize:

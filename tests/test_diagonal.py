@@ -5,12 +5,13 @@ from random import Random
 
 import pytest
 
+from cantorlab import closure
 from cantorlab.closure import CRProvider, MLRProvider, SRProvider
 from cantorlab.covers import TestFamily
 from cantorlab.diagonal import DiagonalTrace, TraceStage, run, verify_trace
 from cantorlab.errors import NoEscape
 from cantorlab.martingales import winning_set
-from cantorlab.reports import dumps
+from cantorlab.reports import Report, dumps
 from cantorlab.serialize import to_doc
 from cantorlab.space import PrefixFreeSet, condition, covers, measure
 
@@ -68,6 +69,23 @@ class TestGoldenRuns:
                              [ml_toward_zeros(6)], 3)
             docs.append(dumps({"trace": to_doc(trace), "report": rep.to_doc()}))
         assert docs[0] == docs[1]
+
+
+def test_cr_stage_runs_one_search_and_no_certificate(monkeypatch):
+    """A CR stage searches one winning set, that of the mixture it keeps, and
+    builds no P3 certificate: verify_trace certifies the finished trace."""
+    searches, titles = [], []
+    search = closure.winning_set
+    monkeypatch.setattr(closure, "winning_set",
+                        lambda *args: searches.append(args) or search(*args))
+    init = Report.__init__
+    monkeypatch.setattr(Report, "__init__",
+                        lambda self, title: titles.append(title) or init(self, title))
+    tests = [cr_induced_from_doubler(8, 8)] * 3
+    trace, rep = run(PrefixFreeSet(["1"]), CRProvider(depth=8), tests, 3)
+    assert rep.passed and trace.final_sigma == "111"
+    assert len(searches) == 3
+    assert not [t for t in titles if t.startswith("p3-")]
 
 
 def covering_zeros() -> TestFamily:

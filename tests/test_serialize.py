@@ -1,5 +1,6 @@
 """Wire-format round trips for every domain object."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from cantorlab.coding import DyadicFunction, KCRequestList, Machine
 from cantorlab.covers import TestFamily
 from cantorlab.diagonal import DiagonalTrace, run
 from cantorlab.errors import ParseError
+from cantorlab.reports import Report
 from cantorlab.martingales import (
     AverageStrategy,
     BettingStrategy,
@@ -54,6 +56,10 @@ def test_fraction_forms():
         parse_fraction("1/0")
     with pytest.raises(ParseError):
         parse_fraction([1, 2])
+    # A JSON boolean is not a rational, though Python's bool is an int.
+    for flag in (True, False):
+        with pytest.raises(ParseError):
+            parse_fraction(flag)
 
 
 def test_set_and_point_round_trip():
@@ -216,3 +222,26 @@ def test_exact_types_and_subclasses_render_alike():
     assert type(to_doc(sub)) is dict and type(to_doc(sub)["a"]) is list
     with pytest.raises(ParseError):
         to_doc(1.5)
+
+
+def test_to_doc_leaves_the_values_as_they_were():
+    """to_doc converts the fresh containers of each shape in place; the
+    values a report holds, and their own containers, stay as they were."""
+    table = MartingaleTable(1, {"": Fraction(1), "0": Fraction(3, 2), "1": Fraction(1, 2)})
+    keyed = {1: [Fraction(1, 2), "0"], 2: {"x": Fraction(1, 4)}}
+    pair = ("0", [Fraction(1, 3)], {"k": [Fraction(1, 8)]})
+    u = PrefixFreeSet(["0", "10"])
+    rep = Report("held")
+    for key, value in {"table": table, "keyed": keyed, "pair": pair, "set": u}.items():
+        rep.put(key, value)
+    before = copy.deepcopy((table.values, keyed, pair, u.elements))
+    doc = to_doc(rep)
+    assert (table.values, keyed, pair, u.elements) == before
+    assert type(table.values[""]) is Fraction and type(keyed[2]["x"]) is Fraction
+    assert doc["data"] == {
+        "table": {"depth": 1, "values": {"": "1", "0": "3/2", "1": "1/2"}},
+        "keyed": {"1": ["1/2", "0"], "2": {"x": "1/4"}},
+        "pair": ["0", ["1/3"], {"k": ["1/8"]}],
+        "set": {"elements": ["0", "10"]},
+    }
+    assert to_doc(rep) == doc

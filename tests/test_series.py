@@ -31,7 +31,7 @@ from cantorlab.martingales import (
     positive_shift,
     table_of,
 )
-from cantorlab.pairing import cantor_pair
+from cantorlab.pairing import cantor_pair, cantor_unpair
 from cantorlab.series import (
     PARTITION,
     BlockDoubler,
@@ -67,6 +67,7 @@ from util import (
     bfs_tree_embed,
     block_owner,
     doubler,
+    loop_unpair,
     pin_depth,
     random_fair_table,
     random_prefix_free,
@@ -95,6 +96,16 @@ class TestPairingAndPartition:
     def test_pairing_injective(self):
         seen = {cantor_pair(n, j) for n in range(6) for j in range(6)}
         assert len(seen) == 36
+
+    @pytest.mark.parametrize("a,b", [(0, 0), (3, 0), (0, 7), (5, 9), (10**40, 0),
+                                     (10**40, 3), (2, 10**40), (10**40, 10**40 + 1)])
+    def test_unpair_inverts_pair(self, a, b):
+        assert cantor_unpair(cantor_pair(a, b)) == (a, b)
+
+    def test_unpair_matches_the_walk(self):
+        assert all(cantor_unpair(n) == loop_unpair(n) for n in range(20_000))
+        with pytest.raises(ValueError):
+            cantor_unpair(-1)
 
     def test_partition_blocks_tile(self):
         got = [PARTITION.block(i, l) for i, l in

@@ -234,6 +234,15 @@ def block_owner(partition, position):
             return (i, l)
 
 
+def loop_unpair(n):
+    """cantor_unpair by the walk up the antidiagonals it replaced."""
+    s = 0
+    while (s + 1) * (s + 2) // 2 <= n:
+        s += 1
+    b = n - s * (s + 1) // 2
+    return s - b, b
+
+
 def scan_open_to_series_approx(v, n, c):
     """open_to_series_approx by the scan it replaced: mu(B cap [W]) summed
     over the terms of B = B_(n, alpha) and the generators of the stage W,
