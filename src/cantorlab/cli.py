@@ -81,7 +81,7 @@ def _case(value) -> str:
 
 
 def _each(parse: Callable) -> Callable:
-    return lambda value: [parse(x) for x in value]
+    return lambda value: [parse(x) for x in _list(value)]
 
 
 def _requests(value):
@@ -260,6 +260,7 @@ def _extract_series(job):
 
 _SET, _POINT, _STRATEGY, _INT, _BOOL = (sz.parse_set, sz.parse_point,
                                         sz.parse_strategy, sz.parse_int, sz.parse_bool)
+_NAT = functools.partial(_INT, natural=True)
 _FRAC, _STAGED, _DYADIC, _TEST = (sz.parse_fraction, sz.parse_staged,
                                   sz.parse_dyadic, sz.parse_test)
 
@@ -294,16 +295,16 @@ _HANDLERS = {
         mlr=_Op("closure.p2_mlr", {"set": _SET, "q": _FRAC}, "set"),
         cr=_Op("closure.p2_cr_check", {"strategy": _STRATEGY, "q": _FRAC,
                                        "sigma": _bits, "depth": _INT}),
-        sr=_Op("closure.p2_sr", {"staged": _STAGED, "k": _INT, "depth": _INT}, "set")),
+        sr=_Op("closure.p2_sr", {"staged": _STAGED, "k": _NAT, "depth": _INT}, "set")),
     "p3": _ByCase(
-        mlr=_Op("closure.p3_mlr", {"set": _SET, "sigma": _bits, "k": _INT,
+        mlr=_Op("closure.p3_mlr", {"set": _SET, "sigma": _bits, "k": _NAT,
                                    "test?": _TEST}, "n_e", "set"),
         cr=_Op("closure.p3_cr", {"strategy": _STRATEGY, "q": _FRAC, "sigma": _bits,
                                  "d_e": _STRATEGY, "depth": _INT, "cap?": _INT},
                "n_e", "winning_set"),
         sr=_Op("closure.p3_sr", {"staged": _STAGED, "other": _STAGED}, "staged")),
     "main-lemma": _Op(_main_lemma, {"w": _SET, "tests?": _each(_TEST), "case": _case,
-                                    "q?": _FRAC, "k?": _INT, "depth?": _INT, "cap?": _INT,
+                                    "q?": _FRAC, "k?": _NAT, "depth?": _INT, "cap?": _INT,
                                     "stages": _INT}),
     "verify-trace": _Op("diagonal.verify_trace",
                         {"trace": sz.parse_trace, "w": _SET, "tests?": _each(_TEST)}),
@@ -323,11 +324,11 @@ _HANDLERS = {
     "b-set": _Op(_b_set, {"n": _INT, "alpha": _FRAC}),
     "series-to-open": _Op("series.series_to_open", {"f": _DYADIC},
                           "set", "product_measure"),
-    "open-to-series": _Op(_open_to_series, {"n": _INT, "staged?": _STAGED, "c": _INT,
+    "open-to-series": _Op(_open_to_series, {"n": _INT, "staged?": _STAGED, "c": _NAT,
                                             "set": _SET}),
     "vn-from-g": _Op("series.vn_from_g", {"g": _DYADIC, "n": _INT}, "set"),
     "f-from-test": _Op("series.f_from_test", {"test": _TEST}, "f"),
-    "encode-series": _Op("series.encode_series", {"exponents": _list, "q": _FRAC},
+    "encode-series": _Op("series.encode_series", {"exponents": _each(_NAT), "q": _FRAC},
                          "set", "strategy"),
     "extract-series": _Op(_extract_series, {"set": _SET, "count": _INT, "lmax": _INT}),
     "tree-embed": _Op("series.tree_embed",

@@ -16,7 +16,8 @@ and shows the diagonalizer one face over a ProviderState: case; initial(),
 the empty set; p1(state, sigma), the conditioned state; p2(state), the
 completed state and its certificate; p3(state, sigma, test), the absorbed
 level n_e and the new state, built as by the pX_* operations but with no
-certificate: diagonal.verify_trace checks the finished trace.
+certificate: diagonal.verify_trace checks the finished trace.  MLR and SR
+absorb by one rule, _absorb, which checks the slack at sigma.
 """
 
 from __future__ import annotations
@@ -108,21 +109,23 @@ def p2_mlr(u: PrefixFreeSet, q: Fraction) -> tuple[PrefixFreeSet, Report]:
     return v, rep
 
 
-def _absorb_mlr(u: PrefixFreeSet, sigma: str, k: int, test: TestFamily | None
-                ) -> tuple[int, PrefixFreeSet, PrefixFreeSet]:
-    """n_e = |sigma| + k, test level n_e and V = U union it, given slack 2^-k at sigma."""
+def _absorb(u: PrefixFreeSet, sigma: str, k: int | None, test: TestFamily | None
+            ) -> tuple[int, PrefixFreeSet]:
+    """n_e = |sigma| + k and test level n_e, given slack 2^-k at sigma; least k if None."""
     m = measure(condition(u, sigma))
+    if k is None:
+        k = _least_slack(m)
     if m >= 1 - Fraction(1, 2 ** k):
         raise SlackViolated(f"mu(U|sigma) = {m} >= 1 - 2^-{k}")
     n_e = len(sigma) + k
-    level = EMPTY_SET if test is None else test.level(n_e)
-    return n_e, level, union(u, level)
+    return n_e, EMPTY_SET if test is None else test.level(n_e)
 
 
 def p3_mlr(u: PrefixFreeSet, sigma: str, k: int,
            test: TestFamily | None = None) -> tuple[int, PrefixFreeSet, Report]:
     """Absorb test level n_e = |sigma| + k while keeping mu(V | sigma) < 1."""
-    n_e, level, v = _absorb_mlr(u, sigma, k, test)
+    n_e, level = _absorb(u, sigma, k, test)
+    v = union(u, level)
     rep = Report("p3-mlr")
     rep.put("n_e", n_e)
     rep.put("k", k)
@@ -271,9 +274,9 @@ def p2_sr(u: StagedOpenSet, k: int, depth: int) -> tuple[PrefixFreeSet, Report]:
     rep.put("k", k)
     rep.put("depth", depth)
     rep.record("full cylinders within depth covered", _full_covered(final, v, depth))
-    overshoot = measure(union(v, final)) - mu_final
-    rep.check("mu([V] \\ [U]) < 2^-k", overshoot, "<", Fraction(1, 2 ** k))
-    rep.check("mu([V] + [U]) < 1", measure(union(v, final)), "<", Fraction(1))
+    mu_both = measure(union(v, final))
+    rep.check("mu([V] \\ [U]) < 2^-k", mu_both - mu_final, "<", Fraction(1, 2 ** k))
+    rep.check("mu([V] + [U]) < 1", mu_both, "<", Fraction(1))
     return v, rep
 
 
@@ -302,10 +305,8 @@ class MLRProvider:
         return ProviderState(EMPTY_SET)
 
     def p3(self, state, sigma, test):
-        u = state.generators
-        k = self.k or _least_slack(measure(condition(u, sigma)))
-        n_e, _, v = _absorb_mlr(u, sigma, k, test)
-        return n_e, ProviderState(v)
+        n_e, level = _absorb(state.generators, sigma, self.k or None, test)
+        return n_e, ProviderState(union(state.generators, level))
 
     def p1(self, state, sigma):
         return ProviderState(p1_mlr(state.generators, sigma))
@@ -368,11 +369,8 @@ class SRProvider:
         return ProviderState(EMPTY_SET, payload=StagedOpenSet((EMPTY_SET,)))
 
     def p3(self, state, sigma, test):
-        staged = state.payload
-        k = self.k or _least_slack(measure(condition(staged.final, sigma)))
-        n_e = len(sigma) + k
-        level = EMPTY_SET if test is None else test.level(n_e)
-        merged = p3_sr(staged, StagedOpenSet((level,)))
+        n_e, level = _absorb(state.payload.final, sigma, self.k or None, test)
+        merged = p3_sr(state.payload, StagedOpenSet((level,)))
         return n_e, ProviderState(merged.final, payload=merged)
 
     def p1(self, state, sigma):

@@ -33,12 +33,12 @@ class Check:
 
     __slots__ = ("name", "lhs", "relation", "rhs", "passed")
 
-    def __init__(self, name: str, lhs, relation: str, rhs, passed: bool | None = None):
+    def __init__(self, name: str, lhs, relation: str, rhs):
         self.name = name
         self.lhs = lhs
         self.relation = relation
         self.rhs = rhs
-        self.passed = bool(_REL[relation](lhs, rhs) if passed is None else passed)
+        self.passed = bool(_REL[relation](lhs, rhs))
 
     def __repr__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -59,7 +59,7 @@ class Report:
 
     def record(self, name: str, passed: bool) -> Check:
         """A boolean certificate that is not a two-sided comparison."""
-        self.checks.append(Check(name, bool(passed), "==", True, passed=passed))
+        self.checks.append(Check(name, bool(passed), "==", True))
         return self.checks[-1]
 
     def put(self, key: str, value) -> None:

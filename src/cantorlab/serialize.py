@@ -21,7 +21,7 @@ from .covers import TestFamily
 from .diagonal import DiagonalTrace, TraceStage
 from .errors import ParseError
 from .reports import Check, Report
-from .space import PeriodicPoint, PrefixFreeSet, StagedOpenSet
+from .space import PeriodicPoint, PrefixFreeSet, StagedOpenSet, check_bits
 
 
 def parse_fraction(doc: Any) -> Fraction:
@@ -34,10 +34,12 @@ def parse_fraction(doc: Any) -> Fraction:
     raise ParseError(f"bad rational {doc!r}")
 
 
-def parse_int(doc: Any) -> int:
-    """A JSON integer; a boolean or a numeric string is rejected."""
+def parse_int(doc: Any, natural: bool = False) -> int:
+    """A JSON integer, >= 0 if natural; a boolean or a numeric string is rejected."""
     if type(doc) is not int:
         raise TypeError(f"expected an integer, got {type(doc).__name__}")
+    if natural and doc < 0:
+        raise ValueError(f"expected a natural, got {doc}")
     return doc
 
 
@@ -312,11 +314,21 @@ def parse_dyadic(doc: Any) -> DyadicFunction:
     return DyadicFunction([(k, parse_fraction(v)) for k, v in _need(doc, "values")])
 
 
+def _stage_field(s: dict, key: str, parse: Callable, null: bool = True) -> Any:
+    """A trace stage's field by its parser, or None where it may be null and is."""
+    try:
+        return None if null and s.get(key) is None else parse(_need(s, key))
+    except (ValueError, TypeError) as err:
+        raise ParseError(f"trace stage field {key!r}: {err}") from None
+
+
 @_refusing(ValueError, TypeError)
 def parse_trace(doc: Any) -> DiagonalTrace:
-    stages = tuple(TraceStage(index=parse_int(_need(s, "index")), sigma=_need(s, "sigma"),
+    stages = tuple(TraceStage(index=parse_int(_need(s, "index")),
+                              sigma=_stage_field(s, "sigma", check_bits, null=False),
                               current=parse_set(_need(s, "set")),
-                              n_e=s.get("n_e"), tau=s.get("tau"))
+                              n_e=_stage_field(s, "n_e", parse_int),
+                              tau=_stage_field(s, "tau", check_bits))
                    for s in _need(doc, "stages"))
     if not stages:
         raise ParseError("a trace needs at least its final stage")

@@ -2,7 +2,6 @@
 
 import argparse
 import decimal
-import hashlib
 import io
 import json
 import os
@@ -17,6 +16,9 @@ from cantorlab import cli, closure
 from cantorlab.cli import _HANDLERS, dispatch, main
 from cantorlab.serialize import dumps, to_doc
 
+from streams import (DOUBLER, ML_ZEROS, MORE, MORE_REPORT_BYTES_SHA256,
+                     REPORT_BYTES_SHA256, SHIFTED, SMOKE, TRACE, more_runs, mutations,
+                     report_digest, report_runs)
 from util import time_limit
 
 
@@ -159,111 +161,29 @@ class TestMainLemma:
         assert rep["output"]["stage"] == 0
         assert rep["result"] == "PASS"
 
+    @pytest.mark.parametrize("case", ["sr", "mlr"])
+    def test_slack_checked_at_p3_in_every_bounded_case(self, case):
+        """With k = 1 and mu(U | sigma) = 1/2 at the second stage, absorbing
+        level 2 could fill [sigma]: both cases stop at P3's slack check."""
+        doc = {"case": case, "k": 1, "w": {"elements": ["0"]}, "stages": 2,
+               "tests": [{"kind": "ML", "levels": {"1": {"elements": ["00"]}}},
+                         {"kind": "ML", "levels": {"2": {"elements": ["01"]}}}]}
+        rep, status = dispatch("main-lemma", doc)
+        assert status == 2
+        assert rep["error"] == {"type": "SlackViolated",
+                                "message": "mu(U|sigma) = 1/2 >= 1 - 2^-1"}
 
-DOUBLER = {"kind": "point-doubler", "point": {"head": "", "period": "0"}}
-SHIFTED = {"kind": "blend", "terms": [["1/2", DOUBLER], ["1/2", {"kind": "constant", "c": "1"}]]}
-ML_ZEROS = {"kind": "ML",
-            "levels": {str(n): {"elements": ["0" * n]} for n in range(5)}}
-
-
-# One well-formed job per subcommand branch: (subcommand, document, output key).
-SMOKE = [
-    ("reduce", {"strings": ["0", "00"]}, "set"),
-    ("condition", {"set": {"elements": ["00"]}, "sigma": "0"}, "set"),
-    ("covers", {"cover": {"elements": ["0"]},
-                "covered": {"elements": ["00"]}}, "covers"),
-    ("tails", {"point": {"head": "0", "period": "1"}}, "tails"),
-    ("member", {"set": {"elements": ["0"]},
-                "point": {"head": "", "period": "0"}}, "member"),
-    ("fairness", {"table": {"depth": 1,
-                            "values": {"": "1", "0": "2", "1": "0"}}}, "fair"),
-    ("winning-set", {"strategy": DOUBLER, "q": "2", "depth": 4}, "winning_set"),
-    ("translate", {"strategy": DOUBLER, "sigma": "0"}, "strategy"),
-    ("average", {"strategy": SHIFTED, "level": 1}, "strategy"),
-    ("reset", {"strategy": SHIFTED, "q": "3/2",
-               "blocks": {"elements": ["0"]}}, "strategy"),
-    ("mixture", {"d": {"kind": "constant", "c": "1"}, "d_e": DOUBLER,
-                 "n_e": 2}, "strategy"),
-    ("success-capital", {"strategy": DOUBLER,
-                         "point": {"head": "", "period": "0"},
-                         "depth": 3}, "capitals"),
-    ("p1", {"case": "mlr", "set": {"elements": ["00"]}, "sigma": "0"}, "set"),
-    ("p1", {"case": "cr", "strategy": DOUBLER, "q": "4", "sigma": "0"}, "strategy"),
-    ("p1", {"case": "sr", "staged": {"stages": [{"elements": ["00"]}]},
-            "sigma": "0"}, "staged"),
-    ("p2", {"case": "mlr", "set": {"elements": ["00"]}, "q": "3/4"}, "set"),
-    ("p2", {"case": "cr", "strategy": DOUBLER, "q": "2", "sigma": "0",
-            "depth": 3}, None),
-    ("p2", {"case": "sr", "staged": {"stages": [{"elements": ["00"]}]},
-            "k": 2, "depth": 2}, "set"),
-    ("p3", {"case": "mlr", "set": {"elements": []}, "sigma": "", "k": 1,
-            "test": ML_ZEROS}, "set"),
-    ("p3", {"case": "cr", "strategy": {"kind": "constant", "c": "1"},
-            "q": "3/2", "sigma": "", "d_e": DOUBLER, "depth": 5}, "winning_set"),
-    ("p3", {"case": "sr", "staged": {"stages": [{"elements": ["00"]}]},
-            "other": {"stages": [{"elements": ["11"]}]}}, "staged"),
-    ("power-test", {"set": {"elements": ["00", "01", "10"]}, "N": 2}, "test"),
-    ("tails-to-power", {"set": {"elements": ["0"]},
-                        "point": {"head": "", "period": "0"}, "n": 3}, "factors"),
-    ("remark-bundle", {"set": {"elements": ["0"]},
-                       "points": [{"head": "", "period": "0"}], "n": 2}, None),
-    ("complexity", {"machine": {"table": {"0": "1"}}, "sigma": "1"}, "complexity"),
-    ("machine-to-f", {"machine": {"table": {"0": "1", "10": "1"}}}, "f"),
-    ("g-to-machine", {"g": {"values": [["0", "1/2"]]}, "c": 0}, "machine"),
-    ("flatten", {"stage_functions": [{"values": []},
-                                     {"values": [[5, "1/4"]]}]}, "flat"),
-    ("flatten", {"aggregate": {"values": [[0, "1/4"], [1, "1/4"]]}}, "g"),
-    ("normalize", {"f": {"values": [[0, "1/4"]]}, "N": 1}, "f"),
-    ("b-set", {"n": 0, "alpha": "1/2"}, "set"),
-    ("series-to-open", {"f": {"values": [[0, "1/2"], [1, "1/2"]]}}, "set"),
-    ("open-to-series", {"set": {"elements": ["0"]}, "n": 0}, "alpha"),
-    ("open-to-series", {"staged": {"stages": [{"elements": [""]}]},
-                        "n": 0, "c": 2}, "alpha"),
-    ("vn-from-g", {"g": {"values": [["0", "1/2"]]}, "n": 1}, "set"),
-    ("f-from-test", {"test": ML_ZEROS}, "f"),
-    ("extract-series", {"set": {"elements": ["0"]}, "count": 1,
-                        "lmax": 2}, "g"),
-]
-
-
-# The trace the first main-lemma job of MORE writes.
-TRACE = {"case": "mlr", "stages": [
-    {"index": 0, "sigma": "", "set": {"elements": []}, "n_e": 1, "tau": "1"},
-    {"index": 1, "sigma": "1", "set": {"elements": ["0"]}, "n_e": 2, "tau": "1"},
-    {"index": 2, "sigma": "11", "set": {"elements": ["0"]}, "n_e": None, "tau": None},
-]}
-CR_ZEROS = {"kind": "ML", "martingale": DOUBLER,
-            "levels": {str(n): {"elements": ["0" * n]} for n in range(1, 4)}}
-SCHNORR_ZEROS = {"kind": "Schnorr",
-                 "levels": {str(n): {"elements": ["0" * n]} for n in range(6)}}
-
-# One well-formed job for each subcommand SMOKE leaves out, main-lemma in each
-# closure case and in its no-escape branch, and the optional boolean fields
-# given a value of their own: (subcommand, document, output key).
-MORE = [
-    ("measure", {"set": {"elements": ["0", "10"]}}, "measure"),
-    ("power", {"set": {"elements": ["0", "10"]}, "n": 2}, "set"),
-    ("vk-verify", {"table": {"depth": 1, "values": {"": "1", "0": "2", "1": "0"}},
-                   "sigma": "", "q": "2"}, None),
-    ("main-lemma", {"w": {"elements": ["1"]}, "tests": [ML_ZEROS, ML_ZEROS],
-                    "case": "mlr", "q": "3/4", "k": 1, "stages": 2}, "trace"),
-    ("main-lemma", {"w": {"elements": ["1"]}, "tests": [CR_ZEROS], "case": "cr",
-                    "depth": 4, "stages": 1}, "trace"),
-    ("main-lemma", {"w": {"elements": ["1"]}, "tests": [SCHNORR_ZEROS], "case": "sr",
-                    "k": 1, "stages": 1}, "trace"),
-    ("main-lemma", {"w": {"elements": ["0"]},
-                    "tests": [{"kind": "ML", "levels": {"1": {"elements": ["0"]}}}],
-                    "case": "mlr", "k": 1, "stages": 1}, "sigma"),
-    ("verify-trace", {"trace": TRACE, "w": {"elements": ["1"]},
-                      "tests": [ML_ZEROS, ML_ZEROS]}, None),
-    ("schnorr-merge", {"test": SCHNORR_ZEROS, "K": 1}, "set"),
-    ("kc-build", {"requests": [[1, "0"], [2, "00"], [2, "01"]]}, "machine"),
-    ("encode-series", {"exponents": [2, 3], "q": "2"}, "strategy"),
-    ("tree-embed", {"strategy": {"kind": "constant", "c": "1"}, "depth": 2}, "map"),
-    ("average", {"strategy": SHIFTED, "level": 1, "shift": False}, "strategy"),
-    ("p1", {"case": "cr", "strategy": DOUBLER, "q": "4", "sigma": "0",
-            "empty_marker": True}, "strategy"),
-]
+    def test_unset_or_zero_k_takes_the_least_slack(self):
+        """In the main lemma an unset k and k = 0 both take the least slack
+        at each stage; p3 takes k as given, so there k = 0 leaves none."""
+        for case in ("sr", "mlr"):
+            doc = {key: v for key, v in self.fixture_doc().items() if key != "k"}
+            unset, status = dispatch("main-lemma", {**doc, "case": case})
+            zero, _ = dispatch("main-lemma", {**doc, "case": case, "k": 0})
+            assert status == 0 and dumps(unset["output"]) == dumps(zero["output"])
+        rep, status = dispatch("p3", {"case": "mlr", "set": {"elements": []},
+                                      "sigma": "", "k": 0, "test": ML_ZEROS})
+        assert status == 2 and rep["error"]["type"] == "SlackViolated"
 
 
 class TestMoreOps:
@@ -290,40 +210,6 @@ class TestMoreOps:
         rep, status = dispatch("measure", {"set": {"elements": []}})
         rep = to_doc(rep)
         assert status == 0 and rep["output"]["measure"] == "0"
-
-
-# sha256 of the (status, stdout) stream of test_every_report_byte_for_byte,
-# computed with the report path as it was before exact-type dispatch; it
-# changes only when a report is meant to change.  Many of those reports carry
-# the str() of a TypeError, ValueError or KeyError raised by a builtin, whose
-# wording can change between Python versions, so the pin holds on the minor
-# version it was computed with, Python 3.11 (3.11.7).  Re-pinned once on
-# purpose when JSON booleans stopped being read as rationals: the 26 runs
-# of this stream that put true where a rational is read became a ParseError.
-REPORT_BYTES_SHA256 = "8160362d768e641f96f7149d88a5a291fdde556247509a1c2d879b5a730bd1cf"
-# The same for test_more_reports_byte_for_byte, computed before p1, p2 and p3
-# became case tables and to_doc took its records from one field table (with a
-# trace of no stages already refused, the one job that then crashed), and
-# re-pinned with the same boolean change, which moved 11 of its runs.
-MORE_REPORT_BYTES_SHA256 = "a998f3043e2bae25724eb3b895249fa65dcb355c3bf9ff2694028ca1b7eafb0c"
-REPORT_BYTES_PYTHON = (3, 11)
-
-
-def report_digest(capsys, runs) -> tuple[str, int]:
-    """sha256 of the exit status and stdout bytes of each (subcommand, job,
-    flags) run through main, in order, and the number of runs."""
-    digest = hashlib.sha256()
-    count = 0
-    for sub, job, flags in runs:
-        count += 1
-        sys.stdin, stdin = io.StringIO(json.dumps(job)), sys.stdin
-        try:
-            status = main([sub, *flags])
-        finally:
-            sys.stdin = stdin
-        out = capsys.readouterr().out.encode()
-        digest.update(b"%d %d\n" % (status, len(out)) + out)
-    return digest.hexdigest(), count
 
 
 class TestFrontDoorContract:
@@ -374,6 +260,24 @@ class TestFrontDoorContract:
          "ParseError"),
         ("p1", json.dumps({"case": "cr", "strategy": DOUBLER, "q": "4", "sigma": "1",
                            "empty_marker": "no"}), "ParseError"),
+        # A list field is a JSON list, not a string or an object.
+        ("verify-trace", json.dumps({"trace": TRACE, "w": {"elements": ["1"]},
+                                     "tests": {}}), "ParseError"),
+        ("main-lemma", json.dumps({"w": {"elements": ["1"]}, "tests": "", "case": "mlr",
+                                   "k": 1, "stages": 1}), "ParseError"),
+        ("remark-bundle", '{"set": {"elements": ["0"]}, "points": {}}', "ParseError"),
+        # k, c and the exponents are naturals.
+        ("encode-series", '{"exponents": ["2", 3], "q": "2"}', "ParseError"),
+        ("encode-series", '{"exponents": [null, 3], "q": "2"}', "ParseError"),
+        ("encode-series", '{"exponents": [-1, 3], "q": "2"}', "ParseError"),
+        ("p2", json.dumps({"case": "sr", "staged": {"stages": [{"elements": ["00"]}]},
+                           "k": -1, "depth": 2}), "ParseError"),
+        ("p3", json.dumps({"case": "mlr", "set": {"elements": []}, "sigma": "",
+                           "k": -1}), "ParseError"),
+        ("main-lemma", json.dumps({"w": {"elements": ["1"]}, "case": "sr", "k": -1,
+                                   "stages": 1}), "ParseError"),
+        ("open-to-series", json.dumps({"staged": {"stages": [{"elements": [""]}]},
+                                       "n": 0, "c": -1}), "ParseError"),
     ])
     def test_malformed_job(self, capsys, monkeypatch, sub, text, error):
         import io
@@ -484,10 +388,25 @@ class TestFrontDoorContract:
                                  "message": rep["error"]["message"]}}
         assert str(out) in rep["error"]["message"]
 
+    @pytest.mark.parametrize("key,value", [
+        ("sigma", 1), ("sigma", None), ("sigma", "2"), ("tau", {}), ("tau", "1/0"),
+        ("n_e", True), ("n_e", "1"),
+    ])
+    def test_trace_stage_fields_are_typed(self, key, value):
+        """sigma is a bit string, tau one or null, n_e an integer or null: any
+        other value is a ParseError naming the field, not a TypeError from
+        the check that reads it or a boolean read as level 1."""
+        first = {**TRACE["stages"][0], key: value}
+        trace = {**TRACE, "stages": [first, *TRACE["stages"][1:]]}
+        rep, status = dispatch("verify-trace", {"trace": trace, "w": {"elements": ["1"]},
+                                                "tests": [ML_ZEROS, ML_ZEROS]})
+        assert status == 2 and rep["error"]["type"] == "ParseError"
+        assert f"trace stage field {key!r}" in rep["error"]["message"]
+
     def test_single_mutations_keep_the_contract(self, capsys):
         """Every job one mutation away from a smoke job: stdout is one JSON
         object, 1 comes only with a failed check and 2 only with a typed
-        error."""
+        error, never a TypeError worded by the interpreter."""
         count = 0
         for sub, doc, _ in SMOKE + MORE:
             for job in mutations(doc):
@@ -499,33 +418,21 @@ class TestFrontDoorContract:
                     assert any(c["result"] == "FAIL" for c in rep["checks"]), where
                 if status == 2:
                     assert rep["result"] == "ERROR", where
-                    assert rep["error"]["type"], where
+                    assert rep["error"]["type"] not in ("", "TypeError"), where
                     assert isinstance(rep["error"]["message"], str), where
         assert count > 6500
 
-    @pytest.mark.skipif(
-        sys.version_info[:2] != REPORT_BYTES_PYTHON,
-        reason="error reports quote messages worded by the interpreter")
-    def test_every_report_byte_for_byte(self, capsys):
+    def test_every_report_byte_for_byte(self):
         """The exit status and stdout bytes of every smoke and single-mutation
         job, hashed in order, equal those of the writer before exact-type
         dispatch: a change to fmt, to_doc or dumps that moves one byte of one
         report fails here."""
-        runs = [(sub, job, ()) for sub, doc, _ in SMOKE
-                for job in [doc, *mutations(doc)]]
-        assert report_digest(capsys, runs) == (REPORT_BYTES_SHA256, 4008)
+        assert report_digest(report_runs()) == (REPORT_BYTES_SHA256, 4008)
 
-    @pytest.mark.skipif(
-        sys.version_info[:2] != REPORT_BYTES_PYTHON,
-        reason="error reports quote messages worded by the interpreter")
-    def test_more_reports_byte_for_byte(self, capsys):
+    def test_more_reports_byte_for_byte(self):
         """The same for what that stream leaves out: every MORE job and its
         single mutations, then every SMOKE and MORE job with --decimal."""
-        runs = [(sub, job, ()) for sub, doc, _ in MORE
-                for job in [doc, *mutations(doc)]]
-        runs += [(sub, doc, ("--decimal",)) for sub, doc, _ in SMOKE + MORE]
-        digest, count = report_digest(capsys, runs)
-        assert digest == MORE_REPORT_BYTES_SHA256, (digest, count)
+        assert report_digest(more_runs()) == (MORE_REPORT_BYTES_SHA256, 3603)
 
     def test_reports_written_straight_from_the_values(self):
         """dispatch returns the values as the operations gave them; dumps
@@ -619,23 +526,6 @@ def test_case_tables_hold_one_row_per_closure_case():
         if sorted(table.flags) != sorted(flags):
             found.append(f"{sub} flags {table.flags}")
     assert not found, found
-
-
-MUTANTS = [None, True, -1, 0, 2, "", "2", "1/0", [], {}, 1.5, [1], {"a": 1}]
-
-
-def mutations(node):
-    """Each document one mutation away from node: one key dropped, or one
-    value, at any depth, replaced by one of MUTANTS."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield {k: v for k, v in node.items() if k != key}
-            for new in [*MUTANTS, *mutations(value)]:
-                yield {**node, key: new}
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            for new in [*MUTANTS, *mutations(value)]:
-                yield node[:i] + [new] + node[i + 1:]
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
