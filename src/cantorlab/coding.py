@@ -236,10 +236,12 @@ def flatten_staged(stages: Sequence[DyadicFunction]) -> DyadicFunction:
     if any(not isinstance(k, int) for k in keys):
         raise ValueError("flattening needs natural-number indices")
     out = {}
+    # Each stage read once; reversed, as st(i) is the first entry of key i.
+    tables = [dict(reversed(st.entries)) for st in stages]
     for i in keys:
         prev = ZERO
-        for t, st in enumerate(stages):
-            cur = st(i)
+        for t, table in enumerate(tables):
+            cur = table.get(i, ZERO)
             if cur < prev:
                 raise NonMonotone(f"index {i} decreases at stage {t}")
             if cur > prev:

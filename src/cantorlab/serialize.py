@@ -316,17 +316,20 @@ def parse_dyadic(doc: Any) -> DyadicFunction:
 
 def _stage_field(s: dict, key: str, parse: Callable, null: bool = True) -> Any:
     """A trace stage's field by its parser, or None where it may be null and is."""
+    if null and s.get(key) is None:
+        return None
+    value = _need(s, key)
     try:
-        return None if null and s.get(key) is None else parse(_need(s, key))
-    except (ValueError, TypeError) as err:
+        return parse(value)
+    except (ValueError, TypeError, ParseError) as err:
         raise ParseError(f"trace stage field {key!r}: {err}") from None
 
 
 @_refusing(ValueError, TypeError)
 def parse_trace(doc: Any) -> DiagonalTrace:
-    stages = tuple(TraceStage(index=parse_int(_need(s, "index")),
+    stages = tuple(TraceStage(index=_stage_field(s, "index", parse_int, null=False),
                               sigma=_stage_field(s, "sigma", check_bits, null=False),
-                              current=parse_set(_need(s, "set")),
+                              current=_stage_field(s, "set", parse_set, null=False),
                               n_e=_stage_field(s, "n_e", parse_int),
                               tau=_stage_field(s, "tau", check_bits))
                    for s in _need(doc, "stages"))

@@ -36,7 +36,6 @@ from .space import (
     ZERO,
     PrefixFreeSet,
     StagedOpenSet,
-    lenlex_key,
     measure,
 )
 
@@ -358,9 +357,10 @@ def tree_embed(d: BettingStrategy, depth: int, budget: int = 10
     if d.value("") != 1:
         raise ValueError("tree embedding needs a normed strategy")
     mapping = {"": ""}
+    level = [""]  # the nodes of length k in lexicographic order
     for k in range(depth):
         bound = 2 - Fraction(1, 2 ** (k + 1))
-        for node in sorted((s for s in mapping if len(s) == k), key=lenlex_key):
+        for node in level:
             # Incomparable strings below the bound first appear as siblings,
             # so one path is followed until both children of its end qualify.
             tau = mapping[node]
@@ -377,8 +377,9 @@ def tree_embed(d: BettingStrategy, depth: int, budget: int = 10
                     frontier=path,
                 )
             mapping[node + "0"], mapping[node + "1"] = low
+        level = [node + b for node in level for b in "01"]
     rep = Report("tree-embed")
-    names = sorted(mapping, key=lenlex_key)
+    names = list(mapping)  # inserted level by level: length-lex order
     rep.record("monotone strict extensions", all(
         mapping[s + b].startswith(mapping[s]) and len(mapping[s + b]) > len(mapping[s])
         for s in names for b in "01" if s + b in mapping

@@ -9,7 +9,8 @@ Bit strings are plain Python str over the alphabet {'0', '1'}; the empty
 string is the root cylinder (the whole space).
 
 Set kernel.  A PrefixFreeSet is backed by the binary trie of its
-generators: a generator is a path from the root to a leaf.  Structurally
+generators: a generator is a path from the root to a leaf.  Every trie,
+a string-built set's included, is made by NodeTable.build.  Structurally
 identical subtries built by one construction or operation are stored once
 (hash-consed), so a bit position no generator is pinned at costs one node,
 not a doubling of the generator list.  The trie encodes the generator set,
@@ -24,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress, count, islice
-from operator import attrgetter, contains
+from operator import attrgetter, contains, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PowerOfEpsilon
@@ -195,39 +196,22 @@ class NodeTable:
         return done[top]
 
 
-def _close(word: str, top: int, pending: list[Trie], table: NodeTable) -> Trie:
-    """Subtrie at word[:top] of a word and the 0-subtries pending on its path."""
-    node = None  # the subtrie below the current depth; None: the word's tail alone
-    for d in range(len(word) - 1, top - 1, -1):
-        zero = pending[d]
-        if zero is not EMPTY:
-            node = table.node(zero, (word[d + 1:] or LEAF) if node is None else node)
-        elif node is not None:
-            node = table.node(node, EMPTY) if word[d] == "0" else table.node(EMPTY, node)
-    return (word[top:] or LEAF) if node is None else node
-
-
-def _trie_of(words: list[str]) -> Trie:
+def _trie_of(lex: list[str]) -> Trie:
     """Trie of lexicographically sorted, prefix-free bit strings.
 
-    One sweep: pending[d] holds the finished 0-subtrie of the depth-d node
-    on the current word's path.  The next word leaves that path at the
-    first bit where the two differ; everything deeper is then finished.
+    Subproblem (lo, hi, d) is the subtrie of lex[lo:hi], whose strings share
+    their first d bits.  Two or more of them are all longer than d, as the
+    set is prefix-free, and one bisect on bit d splits them in two.
     """
-    if not words:
-        return EMPTY
-    table = NodeTable()
-    pending: list[Trie] = [EMPTY] * len(words[0])
-    prev = words[0]
-    for w in words[1:]:
-        c = 0
-        while prev[c] == w[c]:
-            c += 1
-        pending[c] = _close(prev, c + 1, pending, table)
-        del pending[c + 1:]
-        pending.extend([EMPTY] * (len(w) - c - 1))
-        prev = w
-    return _close(prev, 0, pending, table)
+    def split(key):
+        lo, hi, d = key
+        if hi - lo < 2:
+            return (lex[lo][d:] or LEAF) if hi > lo else EMPTY
+        mid = bisect_left(lex, "1", lo, hi, key=itemgetter(d))
+        return (lo, mid, d + 1), (mid, hi, d + 1)
+
+    top = (0, len(lex), 0)
+    return split(top) if len(lex) < 2 else NodeTable().build(top, split, {})
 
 
 def _listing(root: Trie) -> tuple[str, ...]:

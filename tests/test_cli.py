@@ -390,12 +390,13 @@ class TestFrontDoorContract:
 
     @pytest.mark.parametrize("key,value", [
         ("sigma", 1), ("sigma", None), ("sigma", "2"), ("tau", {}), ("tau", "1/0"),
-        ("n_e", True), ("n_e", "1"),
+        ("n_e", True), ("n_e", "1"), ("index", True), ("set", -1),
     ])
     def test_trace_stage_fields_are_typed(self, key, value):
-        """sigma is a bit string, tau one or null, n_e an integer or null: any
-        other value is a ParseError naming the field, not a TypeError from
-        the check that reads it or a boolean read as level 1."""
+        """index is an integer, set a set, sigma a bit string, tau one or
+        null, n_e an integer or null: any other value is a ParseError naming
+        the field, not a TypeError from the check that reads it or a boolean
+        read as level 1."""
         first = {**TRACE["stages"][0], key: value}
         trace = {**TRACE, "stages": [first, *TRACE["stages"][1:]]}
         rep, status = dispatch("verify-trace", {"trace": trace, "w": {"elements": ["1"]},

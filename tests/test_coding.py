@@ -212,6 +212,21 @@ class TestFlatten:
         with pytest.raises(SumMismatch):
             flatten_staged([DyadicFunction({0: Fraction(1, 4)}), last])
 
+    def test_repeated_key_reads_its_first_entry(self):
+        # As st(0) does: 1/4, not 1/2, so the stages do not decrease.
+        stages = [DyadicFunction([(0, Fraction(1, 4)), (0, Fraction(1, 2))]),
+                  DyadicFunction({0: Fraction(1, 4)})]
+        assert flatten_staged(stages).declared_sum == Fraction(1, 4)
+
+    def test_stages_are_read_once(self):
+        """8,000 keys over 5 stages: one lookup per key and stage, not a
+        scan of the stage's entries (about 4 s that way)."""
+        stages = [DyadicFunction({i: Fraction(t + 1, 64) for i in range(8000)})
+                  for t in range(5)]
+        with time_limit(2.0, "flatten of 8,000 keys over 5 stages"):
+            flat = flatten_staged(stages)
+        assert len(flat) == 40000 and flat.declared_sum == stages[-1].declared_sum
+
     def test_aggregate_inverts(self):
         rng = Random(9)
         for _ in range(20):

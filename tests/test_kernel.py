@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorlab.series import b_set, encode_series
@@ -21,6 +21,7 @@ from cantorlab.space import (
     PeriodicPoint,
     PrefixFreeSet,
     StagedOpenSet,
+    _same,
     condition,
     covers,
     covers_pinned,
@@ -217,6 +218,29 @@ class TestStringSide:
             assert w.elements == tail_lists(w.trie())
 
 
+class TestOneBuilder:
+    """A set read from strings gets its trie from NodeTable.build by one
+    bisect per position; pinned_union, one fully pinned term per word,
+    builds the same trie by walking bit positions."""
+
+    @settings(max_examples=300)
+    @given(st.lists(bits, max_size=10).map(lambda ws: list(reduce(ws).elements)))
+    @example([])
+    @example([""])
+    @example(["0110"])
+    def test_same_trie_as_the_pinned_terms(self, words):
+        got = PrefixFreeSet.from_trie(PrefixFreeSet(words[::-1]).trie())
+        want = pinned_union([list(enumerate(w)) for w in words])
+        assert _same(got.trie(), want.trie())
+        assert (got.count, got.maxlen, measure(got)) == (want.count, want.maxlen, measure(want))
+
+    def test_two_long_words_sharing_all_but_their_last_bit(self):
+        u = PrefixFreeSet(["0" * 20000 + "1", "0" * 20000 + "0"])
+        with time_limit(2, "trie of two 20,001-bit words"):
+            u = PrefixFreeSet.from_trie(u.trie())
+        assert (u.count, u.maxlen, measure(u)) == (2, 20001, Fraction(1, 2 ** 20000))
+
+
 class TestSparseSets:
     def test_large_b_sets_without_listing(self):
         for n in range(4):
@@ -301,4 +325,38 @@ def test_trie_code_stays_in_space():
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                     and node.func.attr in ("trie", "from_trie"):
                 found.append(f"{where} calls .{node.func.attr}()")
+    assert not found, found
+
+
+def _calls_by_scope(tree):
+    """(scope, call) for every call in a module: scope is the dotted name of
+    the innermost def or class around the call, or at the top level the
+    names an assignment binds."""
+    stack = [("", tree)]
+    while stack:
+        scope, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            elif isinstance(child, ast.Assign) and not scope:
+                inner = ",".join(t.id for t in child.targets if isinstance(t, ast.Name))
+            elif isinstance(child, ast.Call):
+                yield scope, child
+            stack.append((inner, child))
+
+
+def test_one_trie_builder():
+    """In space.py only NodeTable.build calls NodeTable.node, and a TrieNode
+    is made only by NodeTable.node and for LEAF and EMPTY: every trie, a
+    string-built set's included, comes out of the one builder."""
+    tree = ast.parse((SRC / "space.py").read_text())
+    found = []
+    for scope, call in _calls_by_scope(tree):
+        f = call.func
+        if isinstance(f, ast.Attribute) and f.attr == "node" and scope != "NodeTable.build":
+            found.append(f"{scope}:{call.lineno} calls .node()")
+        if isinstance(f, ast.Name) and f.id == "TrieNode" \
+                and scope not in ("NodeTable.node", "LEAF", "EMPTY"):
+            found.append(f"{scope}:{call.lineno} makes a TrieNode")
     assert not found, found
