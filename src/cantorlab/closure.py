@@ -283,14 +283,12 @@ def p2_sr(u: StagedOpenSet, k: int, depth: int) -> tuple[PrefixFreeSet, Report]:
 # ---------------------------------------------------------------------------
 # Providers: the uniform face the diagonalizer sees.
 
+@dataclass(slots=True, eq=False)
 class ProviderState:
     """Case-specific carrier; generators is the finite face of the open set."""
 
-    __slots__ = ("generators", "payload")
-
-    def __init__(self, generators: PrefixFreeSet, payload=None):
-        self.generators = generators
-        self.payload = payload
+    generators: PrefixFreeSet
+    payload: object = None
 
 
 @dataclass

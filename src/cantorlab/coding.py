@@ -9,6 +9,7 @@ request, the total free measure is below the requested size.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -18,22 +19,22 @@ from .reports import Report
 from .space import ZERO, check_bits, cylinder_measure, lenlex_key
 
 
+@dataclass(slots=True, eq=False)
 class KCRequestList:
     """List of (code length, target) requests with Kraft weight <= 1."""
 
-    __slots__ = ("requests",)
+    requests: Iterable[tuple[int, str]]
 
-    def __init__(self, requests: Iterable[tuple[int, str]]):
+    def __post_init__(self):
         reqs = []
-        for k, sigma in requests:
+        for k, sigma in self.requests:
             k = int(k)
             if k < 0:
                 raise ValueError("negative code length")
             reqs.append((k, check_bits(sigma)))
-        weight = sum((Fraction(1, 2 ** k) for k, _ in reqs), start=ZERO)
-        if weight > 1:
-            raise WeightOverflow(f"Kraft weight {weight} > 1")
         self.requests = tuple(reqs)
+        if (weight := self.weight) > 1:
+            raise WeightOverflow(f"Kraft weight {weight} > 1")
 
     @property
     def weight(self) -> Fraction:
@@ -46,15 +47,16 @@ class KCRequestList:
         return len(self.requests)
 
 
+@dataclass(slots=True, eq=False)
 class Machine:
     """Finite prefix-free code table p -> output, with exact domain measure."""
 
-    __slots__ = ("table",)
+    table: Mapping[str, str]
 
-    def __init__(self, table: Mapping[str, str]):
-        entries = sorted(table.items(), key=lambda kv: lenlex_key(kv[0]))
+    def __post_init__(self):
+        entries = sorted(self.table.items(), key=lambda kv: lenlex_key(kv[0]))
         progs = [check_bits(p) for p, _ in entries]
-        for out in table.values():
+        for out in self.table.values():
             check_bits(out)
         by_lex = sorted(progs)
         for a, b in zip(by_lex, by_lex[1:]):
@@ -101,6 +103,7 @@ def kc_build(requests: KCRequestList | Iterable[tuple[int, str]]) -> Machine:
 
 def complexity(m: Machine, sigma: str) -> int | None:
     """K_M(sigma): length of the shortest program, None when outside range."""
+    check_bits(sigma)
     lengths = [len(p) for p, out in m.table.items() if out == sigma]
     return min(lengths) if lengths else None
 

@@ -13,6 +13,7 @@ evaluation rule and one flat_beyond serve them all.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -34,6 +35,7 @@ from .space import (
 )
 
 
+@dataclass(slots=True, eq=False)
 class MartingaleTable:
     """Capital values on the full binary tree of strings up to a depth.
 
@@ -41,13 +43,14 @@ class MartingaleTable:
     decision procedure, and unfair tables are legitimate inputs to it.
     """
 
-    __slots__ = ("depth", "values")
+    depth: int
+    values: Mapping[str, Fraction]
 
-    def __init__(self, depth: int, values: Mapping[str, Fraction]):
-        if depth < 0:
+    def __post_init__(self):
+        if (depth := self.depth) < 0:
             raise ValueError("negative depth")
         vals = {}
-        for s, v in values.items():
+        for s, v in self.values.items():
             check_bits(s)
             v = Fraction(v)
             if v < 0:
@@ -56,7 +59,6 @@ class MartingaleTable:
         expected = 2 ** (depth + 1) - 1
         if len(vals) != expected or any(len(s) > depth for s in vals):
             raise ValueError(f"table must cover exactly the strings of length <= {depth}")
-        self.depth = depth
         self.values = vals
 
     def __getitem__(self, s: str) -> Fraction:
@@ -376,6 +378,7 @@ def mixture(d: BettingStrategy, d_e: BettingStrategy, n_e: int) -> BettingStrate
     return MixtureStrategy(d, d_e, n_e)
 
 
+@dataclass(slots=True, eq=False)
 class WinningSet:
     """Minimal strings at which a strategy's capital first reaches q.
 
@@ -383,14 +386,13 @@ class WinningSet:
     capital below the horizon means deeper wins may exist.
     """
 
-    __slots__ = ("threshold", "generators", "source_depth", "truncated")
+    threshold: Fraction
+    generators: PrefixFreeSet
+    source_depth: int
+    truncated: bool
 
-    def __init__(self, threshold: Fraction, generators: PrefixFreeSet,
-                 source_depth: int, truncated: bool):
-        self.threshold = Fraction(threshold)
-        self.generators = generators
-        self.source_depth = source_depth
-        self.truncated = truncated
+    def __post_init__(self):
+        self.threshold = Fraction(self.threshold)
 
     def __repr__(self) -> str:
         return (f"WinningSet(q={self.threshold}, generators={list(self.generators)!r}, "

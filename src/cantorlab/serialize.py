@@ -4,12 +4,15 @@ Rationals travel as exact "num/den" strings (plain integers when whole),
 sets as {"elements": [...]}, points as {"head": ..., "period": ...},
 martingale tables as {"depth": D, "values": {...}}, strategies as tagged
 records naming their kind, written by to_doc and by dumps from one shape
-rule.  parse_* functions are the inverse direction used by the front door.
+rule.  Each record type of _RECORDS is a dataclass whose fields are its
+document keys.  parse_* functions are the inverse direction used by the
+front door.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from json import JSONEncoder
 from json.encoder import encode_basestring_ascii as _str
@@ -50,17 +53,10 @@ def parse_bool(doc: Any) -> bool:
     return doc
 
 
-# The document of each record type: its attributes of these names, each
-# under its own name.
-_RECORDS = {
-    PeriodicPoint: ("head", "period"),
-    StagedOpenSet: ("stages", "final_measure"),
-    mg.MartingaleTable: ("depth", "values"),
-    mg.WinningSet: ("threshold", "generators", "source_depth", "truncated"),
-    Machine: ("table",),
-    KCRequestList: ("requests",),
-    DiagonalTrace: ("case", "stages"),
-}
+# The wire's record types: a record's document is its dataclass fields, by name.
+_RECORDS = {cls: tuple(f.name for f in fields(cls)) for cls in (
+    PeriodicPoint, StagedOpenSet, mg.MartingaleTable, mg.WinningSet, Machine,
+    KCRequestList, DiagonalTrace)}
 
 
 def _shape(obj: Any, frac: Callable[[Fraction], Any] = str) -> Any:

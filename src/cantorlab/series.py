@@ -7,12 +7,16 @@ are unions of sets pinned at finitely many positions, each given as a plain
 list of (position, bit) pins; the set kernel builds their unions as
 generator tries by a memoized tree walk and tests their containment by a
 walk along the pinned bits, so measures stay exact however the pins
-interleave, and positions no pin fixes cost nothing.  The pairing and the
-interval partition are fixed, and both are closed-form.
+interleave.  A position no pin fixes costs one shared trie node, not a
+doubling of the generators; but that node's generator count and measure
+numerator are integers about as long as its height, so memory grows with
+the square of the last pin's position.  The pairing and the interval
+partition are fixed, and both are closed-form.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -306,13 +310,11 @@ def encode_series(exponents: Sequence[int], q: Fraction
     return u, d, rep
 
 
+@dataclass(slots=True, eq=False)
 class ExtractionResult:
-    __slots__ = ("block_lengths", "series", "report")
-
-    def __init__(self, block_lengths, series, report):
-        self.block_lengths = block_lengths
-        self.series = series
-        self.report = report
+    block_lengths: tuple[int | None, ...]
+    series: DyadicFunction
+    report: Report
 
 
 def extract_series(w: PrefixFreeSet, count: int, lmax: int) -> ExtractionResult:

@@ -23,6 +23,7 @@ operations are walks over nodes, memoized on the nodes they visit.
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, islice
 from operator import attrgetter, contains, itemgetter
@@ -92,21 +93,21 @@ def strings_to_depth(depth: int) -> Iterator[str]:
 # a trie is kept as its bits rather than as a chain of one-child nodes), or
 # a TrieNode holding two or more generators.
 
+@dataclass(slots=True, eq=False, repr=False)
 class TrieNode:
     """The generators below one trie position, as a 0-subtrie and a 1-subtrie.
 
     count is the number of generators, height the length of the longest
-    one, and the measure of the generated set is num / 2^height.
+    one, and the measure of the generated set is num / 2^height.  Nodes
+    compare by identity, as NodeTable keys on them, and keep object's repr:
+    a hash-consed trie written out as a tree can be exponentially long.
     """
 
-    __slots__ = ("zero", "one", "count", "height", "num")
-
-    def __init__(self, zero, one, count: int, height: int, num: int):
-        self.zero = zero
-        self.one = one
-        self.count = count
-        self.height = height
-        self.num = num
+    zero: Trie | None
+    one: Trie | None
+    count: int
+    height: int
+    num: int
 
 
 # Neither has children: a walk stops at `node.zero is None`.
@@ -496,7 +497,12 @@ def union(u: PrefixFreeSet, v: PrefixFreeSet) -> PrefixFreeSet:
 
 
 def _covers(a: Trie, b: Trie) -> bool:
-    """Every cylinder of trie b lies inside the open set of trie a."""
+    """Every cylinder of trie b lies inside the open set of trie a.
+
+    A tail on either side is followed in one _down, not bit by bit: a tail
+    b is covered where a is full below it, and a tail a covers b where its
+    path through b keeps all of b's generators below it.
+    """
     seen = set()
     stack = [(a, b)]
     while stack:
@@ -505,6 +511,14 @@ def _covers(a: Trie, b: Trie) -> bool:
             continue
         if a is EMPTY or b is LEAF:
             return False
+        if type(b) is str:
+            if not is_full(_down(a, b)):
+                return False
+            continue
+        if type(a) is str:
+            if _stats(_down(b, a))[0] != b.count:
+                return False
+            continue
         seen.add((a, b))
         az, ao = kids(a)
         bz, bo = kids(b)
@@ -627,6 +641,7 @@ def covers_pinned(v: PrefixFreeSet, pins: Pins) -> bool:
     return True
 
 
+@dataclass(frozen=True, slots=True)
 class PeriodicPoint:
     """Eventually periodic point head . period^omega of Cantor space.
 
@@ -635,28 +650,13 @@ class PeriodicPoint:
     are decidable.
     """
 
-    __slots__ = ("head", "period")
+    head: str
+    period: str
 
-    def __init__(self, head: str, period: str):
-        check_bits(head)
-        check_bits(period)
-        if not period:
+    def __post_init__(self):
+        check_bits(self.head)
+        if not check_bits(self.period):
             raise ValueError("period must be nonempty")
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "period", period)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PeriodicPoint is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PeriodicPoint)
-            and self.head == other.head
-            and self.period == other.period
-        )
-
-    def __hash__(self) -> int:
-        return hash(("PeriodicPoint", self.head, self.period))
 
     def __repr__(self) -> str:
         return f"PeriodicPoint({self.head!r}, {self.period!r})"
@@ -712,6 +712,7 @@ def member(u: PrefixFreeSet, x: PeriodicPoint) -> bool:
     return _down(root, x.prefix(_stats(root)[1])) is LEAF
 
 
+@dataclass(frozen=True, slots=True)
 class StagedOpenSet:
     """Monotone finite enumeration of a prefix-free set with exact measures.
 
@@ -720,31 +721,23 @@ class StagedOpenSet:
     measure of the last stage exactly.
     """
 
-    __slots__ = ("stages", "final_measure")
+    stages: Iterable[PrefixFreeSet]
+    final_measure: Fraction | None = None
 
-    def __init__(self, stages: Iterable[PrefixFreeSet], final_measure: Fraction | None = None):
-        st = tuple(stages)
+    def __post_init__(self):
+        st = tuple(self.stages)
         if not st:
             raise ValueError("need at least one stage")
         for a, b in zip(st, st[1:]):
             if not covers(b, a):
                 raise ValueError("stages must be nondecreasing as open sets")
         final = measure(st[-1])
-        if final_measure is not None and final_measure != final:
+        if self.final_measure is not None and self.final_measure != final:
             raise ValueError(
-                f"declared final measure {final_measure} != measure of last stage {final}"
+                f"declared final measure {self.final_measure} != measure of last stage {final}"
             )
         object.__setattr__(self, "stages", st)
         object.__setattr__(self, "final_measure", final)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StagedOpenSet is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StagedOpenSet) and self.stages == other.stages
-
-    def __hash__(self) -> int:
-        return hash(("StagedOpenSet", self.stages))
 
     def __repr__(self) -> str:
         return f"StagedOpenSet({list(self.stages)!r})"

@@ -220,6 +220,7 @@ class TestFrontDoorContract:
         ("power", '{"set": {"elements": ["0"]}, "n": -1}', "ValueError"),
         ("b-set", '{"n": -1, "alpha": "1/2"}', "ValueError"),
         ("condition", '{"set": {"elements": ["0"]}, "sigma": "2"}', "ValueError"),
+        ("complexity", '{"machine": {"table": {"0": "1"}}, "sigma": "2x"}', "ValueError"),
         ("measure", "[1, 2]", "ParseError"),
         ("measure", '{"set": {"elements": ["0"]}, "note": 1.5}', "ParseError"),
         ("winning-set", json.dumps({"strategy": DOUBLER, "q": "2", "depth": -1}),

@@ -8,6 +8,7 @@ and the trie walk against the enumeration of every string.
 
 import ast
 import gc
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -267,6 +268,25 @@ class TestSparseSets:
             assert hash(u) == hash(b_set(0, Fraction(255, 256)))
             hash(StagedOpenSet([u]))
         assert u._elements is None
+
+    def test_covers_follows_a_long_tail_in_one_step(self):
+        """A 10,000-bit tail on either side of covers is not sliced bit by
+        bit into a memo of every suffix (about 100 MB)."""
+        p = "01" * 5000
+        tail, pair = PrefixFreeSet([p]), PrefixFreeSet([p + "0", p + "1"])
+        split = PrefixFreeSet([p + "0", "1"])
+        cases = [(tail, tail, True), (tail, pair, True), (pair, tail, True),
+                 (split, tail, False), (tail, split, False)]
+        for v, u, want in cases:
+            v.trie(), u.trie()  # built before the measured call
+            tracemalloc.start()
+            try:
+                got = covers(v, u)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            assert peak < 1 << 20, f"covers peaked at {peak} bytes"
 
     def test_sibling_pair_stays_two_generators(self):
         pair = union(PrefixFreeSet(["0"]), PrefixFreeSet(["1"]))

@@ -1,7 +1,10 @@
 """Wire-format round trips for every domain object."""
 
+import ast
 import copy
+import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +156,9 @@ def test_records_write_their_declared_fields():
     assert set(examples) == set(_RECORDS)
     found = []
     for cls, (obj, parse) in examples.items():
+        if not dataclasses.is_dataclass(cls) or \
+                _RECORDS[cls] != tuple(f.name for f in dataclasses.fields(cls)):
+            found.append(f"{cls.__name__}'s entry is not its dataclass fields")
         doc = to_doc(obj)
         if list(doc) != list(_RECORDS[cls]):
             found.append(f"{cls.__name__} writes {list(doc)}")
@@ -161,6 +167,37 @@ def test_records_write_their_declared_fields():
             if type(back) is not cls or to_doc(back) != doc:
                 found.append(f"{cls.__name__} does not parse back")
     assert not found, found
+
+
+# The value records whose fields, checks and immutability a dataclass
+# declares once.
+DATACLASS_RECORDS = {"TrieNode", "PeriodicPoint", "StagedOpenSet", "MartingaleTable",
+                     "WinningSet", "Machine", "KCRequestList", "ProviderState",
+                     "ExtractionResult"}
+SRC = Path(__file__).resolve().parent.parent / "src" / "cantorlab"
+
+
+def test_one_record_mechanism():
+    """No class but PrefixFreeSet, whose caches fill lazily, defines
+    __setattr__, and each value record is a dataclass that does not restate
+    the __init__, __eq__ or __hash__ its decorator writes."""
+    found = []
+    decorated = set()
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                   for d in cls.decorator_list):
+                decorated.add(cls.name)
+            defined = {f.name for f in cls.body if isinstance(f, ast.FunctionDef)}
+            banned = {"__init__", "__eq__", "__hash__"} if cls.name in DATACLASS_RECORDS else set()
+            if cls.name != "PrefixFreeSet":
+                banned.add("__setattr__")
+            found += [f"{path.name}: {cls.name} defines {name}"
+                      for name in sorted(defined & banned)]
+    assert not found, found
+    assert DATACLASS_RECORDS <= decorated, DATACLASS_RECORDS - decorated
 
 
 @pytest.mark.parametrize("field,keys", [
