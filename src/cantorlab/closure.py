@@ -31,6 +31,7 @@ from .errors import (
     BadThreshold,
     DeadCapital,
     FullConditional,
+    MissingLevel,
     SearchExhausted,
     SlackViolated,
 )
@@ -111,13 +112,22 @@ def p2_mlr(u: PrefixFreeSet, q: Fraction) -> tuple[PrefixFreeSet, Report]:
 
 def _absorb(u: PrefixFreeSet, sigma: str, k: int | None, test: TestFamily | None
             ) -> tuple[int, PrefixFreeSet]:
-    """n_e = |sigma| + k and test level n_e, given slack 2^-k at sigma; least k if None."""
+    """Test level n_e and its set, given slack 2^-k at sigma; least k if None.
+
+    n_e = |sigma| + k for an ML or Schnorr test; for a generalized one, the
+    least index whose scheduled bound is at most 2^-(|sigma| + k).
+    """
     m = measure(condition(u, sigma))
     if k is None:
         k = _least_slack(m)
     if m >= 1 - Fraction(1, 2 ** k):
         raise SlackViolated(f"mu(U|sigma) = {m} >= 1 - 2^-{k}")
     n_e = len(sigma) + k
+    if test is not None and test.kind == "generalized":
+        bound = Fraction(1, 2 ** n_e)
+        n_e = next((n for n in test.levels if test.bound_schedule[n] <= bound), None)
+        if n_e is None:
+            raise MissingLevel(f"test has no level with bound <= {bound}")
     return n_e, EMPTY_SET if test is None else test.level(n_e)
 
 

@@ -125,8 +125,8 @@ def dumps(value: Any) -> str:
     Byte for byte json.dumps(to_doc(value), sort_keys=True, indent=2,
     allow_nan=False) + "\n", which with an indent never reaches the stdlib's
     C encoder.  Written from the values themselves: exact types first, the C
-    string encoder per key and string, one C-level join for a list of
-    strings such as a set's generators, _shape for the rest; NaN and inf
+    string encoder per key and string, a set's lines quoted by one replace,
+    one C-level join for a list of strings, _shape for the rest; NaN and inf
     raise ValueError, a value with no wire form TypeError.  The
     interpreter's cap on an int's digits is lifted meanwhile.
     """
@@ -201,6 +201,15 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
         put("null" if value is None else "true" if value else "false")
     elif kind is float:
         put(_scalar(value))
+    elif kind is PrefixFreeSet:
+        # Generators are checked bit strings: each line is quoted as it stands.
+        if not value.count:
+            put("{" + newline + '  "elements": []' + newline + "}")
+            return
+        inner = newline + "    "
+        out.extend(("{" + newline + '  "elements": [' + inner + '"',
+                    value.lines().replace("\n", '",' + inner + '"'),
+                    '"' + newline + "  ]" + newline + "}"))
     elif (doc := _shape(value)) is not None:
         _write(doc, newline, out)
     else:

@@ -17,7 +17,8 @@ not a doubling of the generator list.  The trie encodes the generator set,
 not the open set: {"0", "1"} stays two generators, as the reports list it.
 Each node caches its generator count, its height (the longest generator)
 and its measure as an integer numerator over 2^height; the kernel
-operations are walks over nodes, memoized on the nodes they visit.
+operations are walks over nodes, memoized on the nodes they visit.  A set
+is listed as one text, a generator per line, by a walk down from the root.
 """
 
 from __future__ import annotations
@@ -215,53 +216,83 @@ def _trie_of(lex: list[str]) -> Trie:
     return split(top) if len(lex) < 2 else NodeTable().build(top, split, {})
 
 
-def _listing(root: Trie) -> tuple[str, ...]:
-    """The generators of a trie in length-lex order.
+# A subtrie of at most this many generators is listed whole, bottom-up, and
+# memoized; above it the listing walks down, so no text is copied per level.
+_WHOLE = 256
 
-    Each node keeps its tails as one text per length, each tail led by a
-    newline, in lexicographic order; a parent puts its bit in front of a
-    child's tails with one replace.  The root's texts, joined by ascending
-    length, are split once, so each generator string is made once.  Nodes
-    go by ascending height, children first; a child's texts are dropped
-    once its last parent has used them.
-    """
-    if type(root) is str:
-        return (root,)
-    uses = {root: 1}
-    inner = []
-    stack = [root]
+
+def _edge(node: Trie) -> tuple[str, Trie]:
+    """The bits down a run of one-child nodes from node, a tail's included,
+    joined once, and where the run ends: LEAF, EMPTY or a node with two
+    children."""
+    bits = []
+    while type(node) is not str:
+        if node.zero is EMPTY:
+            bits.append("1")
+            node = node.one
+        elif node.one is EMPTY:
+            bits.append("0")
+            node = node.zero
+        else:
+            return "".join(bits), node
+    bits.append(node)
+    return "".join(bits), LEAF
+
+
+def _texts(top: TrieNode) -> dict[int, str]:
+    """The generators of a subtrie as one text per length, each generator
+    led by a newline, in lexicographic order.  Nodes go by ascending
+    height, children first; a node puts each edge's bits in front of the
+    text below it with one replace."""
+    done: dict[TrieNode, dict[int, str]] = {LEAF: {0: "\n"}, EMPTY: {}}
+    edges = {}
+    stack = [top]
     while stack:
         node = stack.pop()
-        if type(node) is str or node.zero is None:
+        if node not in done and node not in edges:
+            edges[node] = pair = (_edge(node.zero), _edge(node.one))
+            stack += (pair[0][1], pair[1][1])
+    for node in sorted(edges, key=attrgetter("height")):
+        texts: dict[int, str] = {}
+        for bit, (bits, below) in zip("01", edges[node]):
+            lead = "\n" + bit + bits
+            for size, text in done[below].items():
+                size += len(lead) - 1
+                texts[size] = texts.get(size, "") + text.replace("\n", lead)
+        done[node] = texts
+    return done[top]
+
+
+def _lines(root: Trie) -> str:
+    """The generators of a trie in length-lex order, one per line.
+
+    The walk goes down from the root carrying the prefix, and follows a run
+    of one-child nodes once.  A subtrie of at most _WHOLE generators gets
+    its texts from _texts, once per node, and the prefix with one replace.
+    The texts are joined by ascending length; the empty set and {""} both
+    give "", told apart by their count.
+    """
+    if type(root) is str:
+        return root
+    memo: dict[TrieNode, dict[int, str]] = {}
+    out: dict[int, list[str]] = {}
+    stack = [_edge(root)]
+    while stack:
+        prefix, node = stack.pop()
+        if node.count > _WHOLE:
+            (zero, below0), (one, below1) = _edge(node.zero), _edge(node.one)
+            stack += ((prefix + "1" + one, below1), (prefix + "0" + zero, below0))
             continue
-        inner.append(node)
-        for child in (node.zero, node.one):
-            if child not in uses:
-                stack.append(child)
-            uses[child] = uses.get(child, 0) + 1
-    texts: dict[TrieNode, dict[int, str]] = {}
-
-    def take(node: Trie) -> dict[int, str]:
-        if type(node) is str:
-            return {len(node): "\n" + node}
-        if node.zero is None:
-            return {0: "\n"} if node is LEAF else {}
-        uses[node] -= 1
-        return texts[node] if uses[node] else texts.pop(node)
-
-    inner.sort(key=attrgetter("height"))
-    for node in inner:
-        out: dict[int, str] = {}
-        for child, lead in ((node.zero, "\n0"), (node.one, "\n1")):
-            for size, text in take(child).items():
-                out[size + 1] = out.get(size + 1, "") + text.replace("\n", lead)
-        texts[node] = out
-    top = take(root)
-    if not top:
-        return ()
-    blocks = [top[size] for size in sorted(top)]
-    blocks[0] = blocks[0][1:]
-    return tuple("".join(blocks).split("\n"))
+        texts = memo.get(node)
+        if texts is None:
+            texts = memo[node] = _texts(node)
+        lead = "\n" + prefix
+        for size, text in texts.items():
+            out.setdefault(size + len(prefix), []).append(text.replace("\n", lead))
+    pieces = [piece for size in sorted(out) for piece in out[size]]
+    if pieces:
+        pieces[0] = pieces[0][1:]
+    return "".join(pieces)
 
 
 def _down(node: Trie, sigma: str) -> Trie:
@@ -294,8 +325,8 @@ class PrefixFreeSet:
     Elements are deduplicated, validated pairwise prefix-free and listed in
     length-lex order.  A set built from strings keeps the tuple it validated
     and builds its trie on the first kernel operation; a set a kernel
-    operation returns holds only its trie and lists its generators when
-    `elements` is first read.  Instances are immutable and hashable.
+    operation returns holds only its trie, and lines() lists it as one text
+    that `elements` splits once.  Instances are immutable and hashable.
     """
 
     __slots__ = ("_elements", "_root", "_measure")
@@ -343,9 +374,14 @@ class PrefixFreeSet:
     def elements(self) -> tuple[str, ...]:
         elems = self._elements
         if elems is None:
-            elems = _listing(self._root)
+            elems = tuple(_lines(self._root).split("\n")) if self.count else ()
             object.__setattr__(self, "_elements", elems)
         return elems
+
+    def lines(self) -> str:
+        """The generators in length-lex order, one per line (see _lines)."""
+        elems = self._elements
+        return _lines(self._root) if elems is None else "\n".join(elems)
 
     def __setattr__(self, name, value):
         raise AttributeError("PrefixFreeSet is immutable")

@@ -26,12 +26,13 @@ from cantorlab.closure import (
     p3_mlr,
     p3_sr,
 )
-from cantorlab.covers import TestFamily
+from cantorlab.covers import TestFamily, power_test
 from cantorlab.errors import (
     AlreadyWon,
     BadThreshold,
     DeadCapital,
     FullConditional,
+    MissingLevel,
     SearchExhausted,
     SlackViolated,
 )
@@ -174,6 +175,35 @@ class TestP3MLR:
     def test_slack_violated(self):
         with pytest.raises(SlackViolated):
             p3_mlr(PrefixFreeSet(["00", "01"]), "0", 1, ml_test_toward_ones(4))
+
+    def test_generalized_level_by_bound_schedule(self):
+        """A generalized test gives the least level whose bound is at most
+        2^-(|sigma| + k), not level |sigma| + k, whose bound 3/4 here would
+        fail both certified bounds."""
+        t = TestFamily("generalized", {1: PrefixFreeSet(["0", "11"]), 2: PrefixFreeSet(["00"])},
+                       bound_schedule={1: Fraction(3, 4), 2: Fraction(1, 4)})
+        n_e, v, rep = p3_mlr(PrefixFreeSet(["10"]), "", 1, t)
+        assert n_e == 2 and v == PrefixFreeSet(["00", "10"])
+        assert rep.passed
+        assert MLRProvider(k=1).p3(ProviderState(PrefixFreeSet(["10"])), "", t)[0] == 2
+        with pytest.raises(MissingLevel, match="bound <= 1/8"):
+            p3_mlr(PrefixFreeSet(["10"]), "", 3, t)
+
+    @given(prefix_free, prefix_free, bits, st.integers(1, 3))
+    def test_power_test_levels_keep_the_slack(self, u, w, sigma, k):
+        """Against the generalized test power_test builds, the MLR and SR
+        providers absorb the same level, and its mass at sigma is at most
+        2^-k, so p3_mlr's certificate passes."""
+        assume(0 < measure(u) < 1 and "" not in u)
+        t = power_test(u, 6)
+        try:
+            n_e, v, rep = p3_mlr(w, sigma, k, t)
+        except (SlackViolated, MissingLevel):
+            return
+        assert rep.passed
+        assert measure(condition(t.level(n_e), sigma)) <= Fraction(1, 2 ** k)
+        staged = ProviderState(w, payload=StagedOpenSet((w,)))
+        assert SRProvider(k=k).p3(staged, sigma, t)[0] == n_e
 
 
 class TestP1CR:

@@ -70,7 +70,35 @@ def rebuilt(u):
     return PrefixFreeSet(list(u.elements)[::-1])
 
 
+def chain_terms(m, *more):
+    """Pinned terms whose generators share the m-bit prefix (01)^(m/2):
+    their trie is a run of m one-child nodes above a node with two
+    children.  Each pin list of `more` is one more term, its positions
+    counted from the end of the prefix."""
+    stem = [(i, "01"[i % 2]) for i in range(m)]
+    words = [list(enumerate(w)) for w in ("0", "10", "111")]
+    return [stem + [(m + i, b) for i, b in pins] for pins in (*words, *more)]
+
+
+# A term after the chain with 512 generators of its own.
+WIDE = [(0, "1"), (1, "1"), (2, "0"), (12, "1")]
+
+
+def many_terms(d):
+    """d + 2 pinned terms whose union has 2^(d + 1) generators."""
+    return [[(i, "1"), (d, "0")] for i in range(d)] + [[(d, "1")], [(0, "0"), (d + 1, "1")]]
+
+
+# Sets on both sides of the whole-text threshold of the listing (256
+# generators): powers of a four-generator set, a union of 512 words and
+# many-term pinned unions; the examples add the trie ends EMPTY, LEAF and a
+# lone tail.
+FOUR = PrefixFreeSet(["00", "01", "10", "110"])
+NINE_BITS = PrefixFreeSet(format(i, "09b") for i in range(512))
+
+
 def same_set(got, want):
+    assert got.lines() == "\n".join(want.elements)
     assert got.elements == want.elements
     assert len(got) == len(want)
     assert got.maxlen == max((len(s) for s in want.elements), default=0)
@@ -97,12 +125,21 @@ class TestAgainstScans:
         assert member(u, x) == scan_member(u, x)
 
     @given(prefix_free, prefix_free)
+    @example(EMPTY_SET, PrefixFreeSet())
+    @example(PrefixFreeSet([""]), PrefixFreeSet(["0110"]))
+    @example(PrefixFreeSet(["0110"]), EMPTY_SET)
+    @example(NINE_BITS, PrefixFreeSet(["00000", "111111111"]))
+    @example(power(FOUR, 4), PrefixFreeSet(["1111"]))
+    @example(pinned_union(chain_terms(300)), PrefixFreeSet(["1"]))
     def test_union(self, u, v):
         same_set(union(u, v), list_union(u, v))
         same_set(union(rebuilt(u), v), list_union(u, v))
 
     @given(prefix_free, st.integers(0, 4))
     @settings(max_examples=60)
+    @example(FOUR, 4)
+    @example(FOUR, 5)
+    @example(PrefixFreeSet(["0110"]), 3)
     def test_power(self, u, n):
         if "" in u and n >= 2:
             return
@@ -132,6 +169,12 @@ class TestAgainstScans:
             assert covers_pinned(w, pins) == scan_covered_by(pins, w)
 
     @given(terms)
+    @example([])
+    @example([[]])
+    @example([list(enumerate("0110"))])
+    @example(many_terms(6))
+    @example(many_terms(9))
+    @example(chain_terms(300, WIDE))
     def test_union_generators(self, ts):
         got = pinned_union(ts)
         want = PrefixFreeSet(walk_union_generators(ts))
@@ -191,6 +234,8 @@ def kernel_sets():
         pinned_union(pins), pinned_union(pins[:1]), condition(power(u, 3), "0"),
         condition(u, "01"), condition(u, "1"), condition(u, "11"),
         b_set(0, Fraction(63, 64)), b_set(2, Fraction(5, 8)),
+        power(FOUR, 4), power(FOUR, 5), pinned_union(many_terms(9)),
+        pinned_union(chain_terms(300, WIDE)),
     ]
 
 
@@ -313,6 +358,17 @@ class TestSparseSets:
             assert u == same and u != other and same != other
         assert u._elements is same._elements is other._elements is None
 
+    def test_listing_follows_a_long_chain_once(self):
+        """Three generators behind a 10,000-bit shared prefix are listed
+        with the prefix's bits joined once; a copy of the text at each of
+        its 10,000 nodes takes over 80 ms."""
+        u = pinned_union(chain_terms(10000))
+        p = "01" * 5000
+        with time_limit(0.025, "listing three generators behind a 10,000-bit prefix"):
+            got = u.elements
+        assert got == (p + "0", p + "10", p + "111")
+        assert pinned_union(chain_terms(10000)).lines() == "\n".join(got)
+
     def test_sibling_pair_stays_two_generators(self):
         pair = union(PrefixFreeSet(["0"]), PrefixFreeSet(["1"]))
         assert pair.elements == ("0", "1") and measure(pair) == 1
@@ -408,6 +464,26 @@ def test_equality_and_membership_reuse_the_kernel():
                   for n in inside if isinstance(n, ast.Call)}
         if needs not in called:
             found.append(f"{name} does not call {needs}")
+    assert not found, found
+
+
+def test_one_listing_walk():
+    """space.py has no _listing; PrefixFreeSet.elements and lines both call
+    _lines; serialize._write never reads .elements, so a report writes a
+    set from its lines."""
+    space = ast.parse((SRC / "space.py").read_text())
+    top = {n.name: n for n in space.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    found = ["space.py defines _listing"] if "_listing" in top else []
+    methods = {n.name: n for n in top["PrefixFreeSet"].body if isinstance(n, ast.FunctionDef)}
+    for name in ("elements", "lines"):
+        if not any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_lines"
+                   for n in ast.walk(methods[name])):
+            found.append(f"PrefixFreeSet.{name} does not call _lines")
+    serialize = ast.parse((SRC / "serialize.py").read_text())
+    write = next(n for n in serialize.body
+                 if isinstance(n, ast.FunctionDef) and n.name == "_write")
+    found += [f"serialize._write:{n.lineno} reads .elements" for n in ast.walk(write)
+              if isinstance(n, ast.Attribute) and n.attr == "elements"]
     assert not found, found
 
 

@@ -36,7 +36,15 @@ from cantorlab.martingales import (
 from cantorlab.reports import Report
 from cantorlab.serialize import _RECORDS, dumps, to_doc
 from cantorlab.series import BlockDoubler, b_set
-from cantorlab.space import PeriodicPoint, PrefixFreeSet, StagedOpenSet, union
+from cantorlab.space import (
+    EMPTY_SET,
+    FULL_SET,
+    PeriodicPoint,
+    PrefixFreeSet,
+    StagedOpenSet,
+    pinned_union,
+    union,
+)
 
 from util import doubler
 
@@ -152,7 +160,8 @@ def test_unserializable_value_raises_type_error():
 def test_long_generator_list_is_one_join(monkeypatch):
     """A b-set report lists its generators byte for byte as json does, with
     a number of string-encoder calls that does not grow with the number of
-    generators: the list goes through one join, not one call per string."""
+    generators: the set's lines are quoted with one replace, with no call
+    per string."""
     calls = []
     encode = serialize._str
 
@@ -183,7 +192,8 @@ class Half(Fraction):
 @functools.cache
 def wire_values():
     """One value of each type with a wire form: the records, the ten
-    strategy kinds, sets built from strings and by the kernel, test families,
+    strategy kinds, sets built from strings and by the kernel (the empty
+    set, {""} and one behind a 3,000-bit prefix among them), test families,
     dyadic functions, a trace stage, a check, a report and a Fraction
     subclass."""
     trace, lemma = run(PrefixFreeSet(["1"]), MLRProvider(k=1), [], 2)
@@ -213,6 +223,10 @@ def wire_values():
         "strings": PrefixFreeSet(["0", "10", "110"]),
         "kernel": union(PrefixFreeSet(["00"]), PrefixFreeSet(["01", "1"])),
         "b-set": b_set(0, Fraction(63, 64)),
+        "empty-set": EMPTY_SET,
+        "full-set": FULL_SET,
+        "chain": pinned_union([[(i, "1") for i in range(3000)] + pins
+                               for pins in ([(3000, "0")], [(3000, "1"), (3001, "1")])]),
         "family": TestFamily("ML", {2: PrefixFreeSet(["00"]),
                                     10: PrefixFreeSet(["0" * 10])},
                              bound_schedule={2: Fraction(1, 4), 10: Fraction(1, 1024)},
