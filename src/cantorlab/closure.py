@@ -133,7 +133,7 @@ def _absorb(u: PrefixFreeSet, sigma: str, k: int | None, test: TestFamily | None
 
 def p3_mlr(u: PrefixFreeSet, sigma: str, k: int,
            test: TestFamily | None = None) -> tuple[int, PrefixFreeSet, Report]:
-    """Absorb test level n_e = |sigma| + k while keeping mu(V | sigma) < 1."""
+    """Absorb the level _absorb picks for slack 2^-k, keeping mu(V | sigma) < 1."""
     n_e, level = _absorb(u, sigma, k, test)
     v = union(u, level)
     rep = Report("p3-mlr")

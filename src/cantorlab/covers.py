@@ -105,18 +105,14 @@ def power_test(u: PrefixFreeSet, n_max: int) -> TestFamily:
 class FactorizationCertificate:
     """Explicit witness that X starts with a concatenation of n generators."""
 
-    __slots__ = ("point", "factors")
+    __slots__ = ("point", "factors", "prefix")
 
     def __init__(self, point: PeriodicPoint, factors: Sequence[str]):
         self.point = point
         self.factors = tuple(factors)
-        joined = "".join(self.factors)
-        if point.prefix(len(joined)) != joined:
+        self.prefix = "".join(self.factors)
+        if point.prefix(len(self.prefix)) != self.prefix:
             raise ValueError("factors do not reproduce a prefix of the point")
-
-    @property
-    def prefix(self) -> str:
-        return "".join(self.factors)
 
     def __repr__(self) -> str:
         return f"FactorizationCertificate({'|'.join(self.factors)})"
@@ -126,8 +122,8 @@ def tails_to_power(u: PrefixFreeSet, x: PeriodicPoint, n: int) -> FactorizationC
     """Witness X in [U^n] from 'all tails of X lie in [U]', by greedy parsing.
 
     Each intermediate remainder is a tail of X, hence has exactly one
-    generator of U as a prefix, found by walking U's trie along it; peeling
-    n times yields the factorization without listing U.
+    generator of U as a prefix, found by space.factor in one walk of U's
+    trie along it; peeling n times yields the factorization without listing U.
     Raises TailEscapes with the offending tail when the hypothesis fails.
     """
     if n < 0:
@@ -138,7 +134,7 @@ def tails_to_power(u: PrefixFreeSet, x: PeriodicPoint, n: int) -> FactorizationC
     factors = []
     rest = x
     for _ in range(n):
-        block = next(rest.prefix(i) for i in range(u.maxlen + 1) if rest.prefix(i) in u)
+        block = space.factor(u, rest)
         factors.append(block)
         rest = rest.shift(len(block))
     return FactorizationCertificate(x, factors)

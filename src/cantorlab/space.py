@@ -295,18 +295,20 @@ def _lines(root: Trie) -> str:
     return "".join(pieces)
 
 
-def _down(node: Trie, sigma: str) -> Trie:
-    """Subtrie at sigma; LEAF when the path passes through a generator."""
+def _down(node: Trie, sigma: str) -> tuple[int, Trie]:
+    """Sigma's path down a trie, in one walk: (i, LEAF) when it meets a
+    generator after i bits, (i, EMPTY) when it leaves the trie, and
+    otherwise (len(sigma), the subtrie at sigma)."""
     for i, bit in enumerate(sigma):
         if type(node) is str:
             rest = sigma[i:]
             if rest.startswith(node):
-                return LEAF
-            return node[len(rest):] if node.startswith(rest) else EMPTY
+                return i + len(node), LEAF
+            return (len(sigma), node[len(rest):]) if node.startswith(rest) else (i, EMPTY)
         if node.zero is None:
-            return node
+            return i, node
         node = node.zero if bit == "0" else node.one
-    return node
+    return len(sigma), node
 
 
 def _same(a: Trie, b: Trie) -> bool:
@@ -400,11 +402,10 @@ class PrefixFreeSet:
         return self.count
 
     def __contains__(self, s: str) -> bool:
-        """s is a generator: its path reaches a leaf and s[:-1]'s does not."""
+        """s is a generator: its path meets one after exactly len(s) bits."""
         if not isinstance(s, str) or s.strip("01"):
             return False
-        root = self.trie()
-        return _down(root, s) is LEAF and (s == "" or _down(root, s[:-1]) is not LEAF)
+        return _down(self.trie(), s) == (len(s), LEAF)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -475,7 +476,7 @@ def condition(u: PrefixFreeSet, sigma: str) -> PrefixFreeSet:
     The subtrie at sigma is the answer, reached in |sigma| steps.
     """
     check_bits(sigma)
-    node = _down(u.trie(), sigma)
+    node = _down(u.trie(), sigma)[1]
     if is_full(node):
         return FULL_SET
     if node is EMPTY:
@@ -539,11 +540,11 @@ def _covers(a: Trie, b: Trie) -> bool:
         if a is EMPTY or b is LEAF:
             return False
         if type(b) is str:
-            if not is_full(_down(a, b)):
+            if not is_full(_down(a, b)[1]):
                 return False
             continue
         if type(a) is str:
-            if _stats(_down(b, a))[0] != b.count:
+            if _stats(_down(b, a)[1])[0] != b.count:
                 return False
             continue
         seen.add((a, b))
@@ -724,22 +725,24 @@ class PeriodicPoint:
 
 
 def tails(x: PeriodicPoint) -> list[PeriodicPoint]:
-    """All distinct tails: shifts through the head, then period rotations."""
-    seen = set()
-    out = []
-    for k in range(len(x.head) + len(x.period)):
-        t = x.shift(k)
-        key = t.canonical()
-        if key not in seen:
-            seen.add(key)
-            out.append(t)
-    return out
+    """All distinct tails, as the shifts of X by k < |head| + |period| of
+    X's canonical form: with a primitive period and no absorbable head
+    these are pairwise distinct, and every later shift repeats one."""
+    c = x.canonical()
+    return [x.shift(k) for k in range(len(c.head) + len(c.period))]
+
+
+def factor(u: PrefixFreeSet, x: PeriodicPoint) -> str | None:
+    """The generator of U that X starts with, met on X's path from the root
+    within maxlen(U) bits; None when X is not in [U]."""
+    path = x.prefix(u.maxlen)
+    i, node = _down(u.trie(), path)
+    return path[:i] if node is LEAF else None
 
 
 def member(u: PrefixFreeSet, x: PeriodicPoint) -> bool:
-    """X in [U]: X's path from the root meets a leaf within maxlen(U) bits."""
-    root = u.trie()
-    return _down(root, x.prefix(_stats(root)[1])) is LEAF
+    """X in [U]: X starts with a generator of U."""
+    return factor(u, x) is not None
 
 
 @dataclass(frozen=True, slots=True)

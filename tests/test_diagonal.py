@@ -1,19 +1,23 @@
 """Finite-extension construction: golden traces, escape dichotomy, tampering."""
 
+import re
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from cantorlab import closure
+from cantorlab.cli import dispatch
 from cantorlab.closure import CRProvider, MLRProvider, SRProvider
-from cantorlab.covers import TestFamily
+from cantorlab.covers import TestFamily, power_test
 from cantorlab.diagonal import DiagonalTrace, TraceStage, run, verify_trace
-from cantorlab.errors import NoEscape
+from cantorlab.errors import MissingLevel, NoEscape
 from cantorlab.martingales import winning_set
 from cantorlab.reports import Report, dumps
 from cantorlab.serialize import to_doc
-from cantorlab.space import PrefixFreeSet, condition, covers, measure
+from cantorlab.space import PrefixFreeSet, condition, covers, measure, reduce
 
 from util import doubler, random_prefix_free
 
@@ -125,6 +129,64 @@ class TestNoEscape:
             assert m == (m0 + m1) / 2
             if m < 1:
                 assert m0 < 1 or m1 < 1
+
+
+words = st.lists(st.text(alphabet="01", min_size=1, max_size=4), min_size=1, max_size=4)
+
+
+class TestAgainstPowerTests:
+    """The construction against generalized tests, as power_test builds them
+    from a single cover U with 0 < mu(U) < 1.  A run ends in one of three
+    ways: a trace verify_trace passes, a NoEscape whose certificate covers
+    W, or a MissingLevel naming the bound no level of a test meets."""
+
+    @staticmethod
+    def outcome(w, provider, tests, stages):
+        try:
+            trace, rep = run(w, provider, tests, stages)
+        except NoEscape as err:
+            assert err.certificate.passed
+            assert covers(err.certificate.data["covering_generators"], w)
+            return "no-escape"
+        except MissingLevel as err:
+            bound = Fraction(re.fullmatch(r"test has no level with bound <= (\S+)",
+                                          str(err))[1])
+            assert any(min(t.bound_schedule.values()) > bound for t in tests)
+            return "missing-level"
+        assert rep.passed and verify_trace(trace, w, tests).passed
+        return "trace"
+
+    @pytest.mark.parametrize("provider", [MLRProvider(), SRProvider()], ids=["mlr", "sr"])
+    @given(words, words, st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           st.integers(1, 4))
+    @example(["0"], ["1"], [3], 2)
+    @example(["11"], ["1"], [4], 4)
+    @example(["0"], ["1"], [2, 2, 2], 3)
+    def test_every_run_ends_certified(self, provider, u, w, levels, stages):
+        u, w = reduce(u), reduce(w)
+        assume(measure(u) < 1)
+        self.outcome(w, provider, [power_test(u, n) for n in levels], stages)
+
+    @pytest.mark.parametrize("case", ["mlr", "sr"])
+    @pytest.mark.parametrize("u,levels,stages,want,status", [
+        (["0"], [3], 2, "trace", 0),
+        (["11"], [4], 4, "no-escape", 0),
+        (["0"], [2, 2, 2], 3, "missing-level", 2),
+    ])
+    def test_main_lemma(self, case, u, levels, stages, want, status):
+        """The three outcomes as main-lemma reports them: a passing trace or
+        certificate exits 0, and MissingLevel exits 2 with its bound."""
+        w, tests = PrefixFreeSet(["1"]), [power_test(PrefixFreeSet(u), n) for n in levels]
+        provider = closure.PROVIDERS[case]()
+        assert self.outcome(w, provider, tests, stages) == want
+        rep, got = dispatch("main-lemma", {"case": case, "w": to_doc(w), "stages": stages,
+                                           "tests": [to_doc(t) for t in tests]})
+        assert got == status
+        if want == "missing-level":
+            assert rep["error"] == {"type": "MissingLevel",
+                                    "message": "test has no level with bound <= 1/8"}
+        else:
+            assert rep["result"] == "PASS" and rep["output"]["outcome"] == want
 
 
 class TestVerifyTrace:

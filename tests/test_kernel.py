@@ -26,6 +26,7 @@ from cantorlab.space import (
     condition,
     covers,
     covers_pinned,
+    factor,
     lenlex_key,
     measure,
     member,
@@ -33,6 +34,7 @@ from cantorlab.space import (
     power,
     powers,
     reduce,
+    tails,
     union,
     walk,
 )
@@ -46,8 +48,10 @@ from util import (
     scan_condition,
     scan_covered_by,
     scan_covers,
+    scan_factor,
     scan_measure,
     scan_member,
+    scan_tails,
     tail_lists,
     time_limit,
     walk_union_generators,
@@ -123,6 +127,25 @@ class TestAgainstScans:
     @given(prefix_free, points)
     def test_member(self, u, x):
         assert member(u, x) == scan_member(u, x)
+
+    @given(prefix_free, points)
+    @example(EMPTY_SET, PeriodicPoint("", "0"))
+    @example(PrefixFreeSet([""]), PeriodicPoint("1", "0"))
+    @example(PrefixFreeSet(["0110", "01111"]), PeriodicPoint("011", "1"))
+    def test_factor(self, u, x):
+        assert factor(u, x) == scan_factor(u, x)
+
+    @given(bits, st.text(alphabet="01", min_size=1, max_size=3), st.integers(1, 3),
+           st.integers(0, 9))
+    @example("", "0", 1, 0)
+    @example("1", "10", 2, 3)
+    @example("0110", "0110", 3, 9)
+    def test_tails(self, head, period, reps, absorbable):
+        """Periods repeated `reps` times are not primitive, and a head ending
+        in the last `absorbable` bits of the period can be shortened."""
+        period *= reps
+        x = PeriodicPoint(head + period[len(period) - min(absorbable, len(period)):], period)
+        assert tails(x) == scan_tails(x)
 
     @given(prefix_free, prefix_free)
     @example(EMPTY_SET, PrefixFreeSet())
@@ -464,6 +487,41 @@ def test_equality_and_membership_reuse_the_kernel():
                   for n in inside if isinstance(n, ast.Call)}
         if needs not in called:
             found.append(f"{name} does not call {needs}")
+    assert not found, found
+
+
+def test_points_meet_sets_in_one_walk():
+    """PrefixFreeSet.__contains__ calls _down exactly once; tails_to_power
+    finds each block with space.factor and makes no `in` test; tails calls
+    canonical outside any loop."""
+    space = ast.parse((SRC / "space.py").read_text())
+    top = {n.name: n for n in space.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    contains = next(n for n in top["PrefixFreeSet"].body
+                    if isinstance(n, ast.FunctionDef) and n.name == "__contains__")
+    covers = ast.parse((SRC / "covers.py").read_text())
+    to_power = next(n for n in covers.body
+                    if isinstance(n, ast.FunctionDef) and n.name == "tails_to_power")
+
+    def calls(fn, name):
+        return [n for n in ast.walk(fn) if isinstance(n, ast.Call)
+                and getattr(n.func, "attr", getattr(n.func, "id", None)) == name]
+
+    found = []
+    if len(calls(contains, "_down")) != 1:
+        found.append("PrefixFreeSet.__contains__ does not call _down exactly once")
+    if not any(isinstance(c.func, ast.Attribute) and getattr(c.func.value, "id", None) == "space"
+               for c in calls(to_power, "factor")):
+        found.append("tails_to_power does not call space.factor")
+    found += [f"tails_to_power:{n.lineno} tests membership with in"
+              for n in ast.walk(to_power) if isinstance(n, ast.Compare)
+              and any(isinstance(op, (ast.In, ast.NotIn)) for op in n.ops)]
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    looped = {id(c) for n in ast.walk(top["tails"]) if isinstance(n, loops)
+              for c in calls(n, "canonical")}
+    canonical = calls(top["tails"], "canonical")
+    if not canonical:
+        found.append("tails does not call canonical")
+    found += [f"tails:{c.lineno} calls canonical in a loop" for c in canonical if id(c) in looped]
     assert not found, found
 
 

@@ -130,6 +130,26 @@ def scan_member(u, x):
     return any(x.prefix(len(s)) == s for s in u.elements)
 
 
+def scan_factor(u, x):
+    """The generator of u that x starts with, or None, by a generator scan."""
+    return next((s for s in u.elements if x.prefix(len(s)) == s), None)
+
+
+def scan_tails(x):
+    """All distinct tails of x by the first-occurrence scan: each shift
+    through the head and the period, kept unless its canonical form was met
+    at a smaller shift."""
+    seen = set()
+    out = []
+    for k in range(len(x.head) + len(x.period)):
+        t = x.shift(k)
+        key = t.canonical()
+        if key not in seen:
+            seen.add(key)
+            out.append(t)
+    return out
+
+
 def list_power(u, n):
     words = [""]
     for _ in range(n):
