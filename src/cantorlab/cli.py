@@ -20,13 +20,18 @@ import json
 import sys
 from dataclasses import fields as dataclass_fields
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any
 
 from . import closure, coding, covers, diagonal, martingales, series, space
 from . import serialize as sz
+from .coding import DyadicFunction, KCRequestList, Machine
+from .covers import TestFamily
+from .diagonal import DiagonalTrace
 from .errors import CantorLabError, NoEscape, ParseError, UnknownSubcommand
+from .martingales import BettingStrategy, MartingaleTable
 from .reports import Report
 from .serialize import dumps
+from .space import Natural, PeriodicPoint, PrefixFreeSet, StagedOpenSet
 
 # Flags that override the document field of the same name, with their types.
 _FLAGS = {"depth": int, "stages": int, "q": str, "k": int, "c": int, "cap": int,
@@ -45,20 +50,6 @@ def _decimal(value: Fraction) -> float | Fraction:
         return value
 
 
-# Field parsers beyond serialize's: each takes the raw JSON value.
-
-def _bits(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError("expected a bit string")
-    return value
-
-
-def _list(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError("expected a list")
-    return value
-
-
 def _check_job(doc: dict) -> None:
     """ParseError if doc nests objects and lists deeper than _MAX_DEPTH, or
     else holds a float; walked level by level, so it never recurses."""
@@ -74,26 +65,10 @@ def _check_job(doc: dict) -> None:
     raise ParseError(f"job document nested deeper than {_MAX_DEPTH} levels")
 
 
-def _case(value) -> str:
-    if value not in closure.PROVIDERS:
-        raise ValueError(f"must be one of {', '.join(closure.PROVIDERS)}")
-    return value
-
-
-def _each(parse: Callable) -> Callable:
-    return lambda value: [parse(x) for x in _list(value)]
-
-
-def _requests(value):
-    return sz.parse_requests({"requests": value})
-
-
 class _Job:
-    """A job document read through the fields its subcommand declares.
-
-    job(key) parses one field with its declared parser; a missing field, or
-    one its parser rejects, is a ParseError naming the field.
-    """
+    """A job document read through the fields its subcommand declares:
+    job(key) reads one by its wire type through serialize.parse_field, and a
+    missing field, or one of the wrong shape, is a ParseError naming it."""
 
     __slots__ = ("doc", "fields")
 
@@ -105,7 +80,7 @@ class _Job:
         if key not in self.doc:
             raise ParseError(f"missing parameter {key!r}")
         try:
-            return self.fields[key](self.doc[key])
+            return sz.parse_field(self.fields[key], self.doc[key])
         except (TypeError, ValueError) as err:
             raise ParseError(f"bad parameter {key!r}: {err}") from None
 
@@ -120,10 +95,13 @@ class _Job:
 class _Op:
     """One subcommand: what it calls, the fields it reads, what it outputs.
 
-    fields maps each document field the subcommand reads to its parser; a
-    name ending in "?" is optional.  call is either "module.function",
-    looked up at call time and called with the required fields in order and
-    the optional ones present in the document by keyword, its return values
+    fields maps each document field the subcommand reads to its wire type,
+    which serialize.parse_field reads: a class by its parser, str a bit
+    string, [T] a JSON list of T, list any JSON list, (A, B) a pair,
+    Natural an integer >= 0, closure.PROVIDERS one of its keys.  A name
+    ending in "?" is optional.  call is either "module.function", looked up
+    at call time and called with the required fields in order and the
+    optional ones present in the document by keyword, its return values
     named by outputs and a trailing Report taken as the report; or a handler
     taking the _Job and returning (output document, Report or None).  The
     flags that may override the document are the fields named like one.
@@ -136,7 +114,7 @@ class _Op:
             module, name = call.split(".")
             call = (globals()[module], name)
         self.call = call
-        self.fields = {key.rstrip("?"): parse for key, parse in fields.items()}
+        self.fields = {key.rstrip("?"): wire for key, wire in fields.items()}
         self.required = [key for key in fields if not key.endswith("?")]
         self.optional = [key[:-1] for key in fields if key.endswith("?")]
         self.outputs = outputs
@@ -167,7 +145,7 @@ class _ByCase:
         self.flags = ["case", *{key: None for op in rows.values() for key in op.flags}]
 
     def run(self, doc: dict) -> tuple[dict, Report | None]:
-        return self.rows[_Job(doc, {"case": _case})("case")].run(doc)
+        return self.rows[_Job(doc, {"case": closure.PROVIDERS})("case")].run(doc)
 
 
 # Handlers that build their own report, branch, or reshape their output.
@@ -258,81 +236,82 @@ def _extract_series(job):
     return out, res.report
 
 
-_SET, _POINT, _STRATEGY, _INT, _BOOL = (sz.parse_set, sz.parse_point,
-                                        sz.parse_strategy, sz.parse_int, sz.parse_bool)
-_NAT = functools.partial(_INT, natural=True)
-_FRAC, _STAGED, _DYADIC, _TEST = (sz.parse_fraction, sz.parse_staged,
-                                  sz.parse_dyadic, sz.parse_test)
-
 _HANDLERS = {
-    "measure": _Op("space.measure", {"set": _SET}, "measure"),
-    "reduce": _Op("space.reduce", {"strings": _list}, "set"),
-    "condition": _Op("space.condition", {"set": _SET, "sigma": _bits}, "set"),
-    "power": _Op(_power, {"set": _SET, "n": _INT}),
-    "covers": _Op("space.covers", {"cover": _SET, "covered": _SET}, "covers"),
-    "tails": _Op("space.tails", {"point": _POINT}, "tails"),
-    "member": _Op("space.member", {"set": _SET, "point": _POINT}, "member"),
-    "fairness": _Op("martingales.check_fairness", {"table": sz.parse_table}, "fair"),
-    "winning-set": _Op(_winning_set, {"strategy": _STRATEGY, "q": _FRAC, "depth": _INT}),
+    "measure": _Op("space.measure", {"set": PrefixFreeSet}, "measure"),
+    "reduce": _Op("space.reduce", {"strings": list}, "set"),
+    "condition": _Op("space.condition", {"set": PrefixFreeSet, "sigma": str}, "set"),
+    "power": _Op(_power, {"set": PrefixFreeSet, "n": int}),
+    "covers": _Op("space.covers", {"cover": PrefixFreeSet, "covered": PrefixFreeSet},
+                  "covers"),
+    "tails": _Op("space.tails", {"point": PeriodicPoint}, "tails"),
+    "member": _Op("space.member", {"set": PrefixFreeSet, "point": PeriodicPoint}, "member"),
+    "fairness": _Op("martingales.check_fairness", {"table": MartingaleTable}, "fair"),
+    "winning-set": _Op(_winning_set, {"strategy": BettingStrategy, "q": Fraction,
+                                      "depth": int}),
     "vk-verify": _Op("martingales.verify_ville_kolmogorov",
-                     {"table": sz.parse_table, "sigma": _bits, "q": _FRAC}),
-    "translate": _Op("martingales.translate", {"strategy": _STRATEGY, "sigma": _bits},
+                     {"table": MartingaleTable, "sigma": str, "q": Fraction}),
+    "translate": _Op("martingales.translate", {"strategy": BettingStrategy, "sigma": str},
                      "strategy"),
-    "average": _Op(_average, {"strategy": _STRATEGY, "level": _INT, "shift?": _BOOL}),
-    "reset": _Op("martingales.reset", {"strategy": _STRATEGY, "q": _FRAC, "blocks": _SET},
-                 "strategy"),
-    "mixture": _Op("martingales.mixture", {"d": _STRATEGY, "d_e": _STRATEGY, "n_e": _INT},
-                   "strategy"),
+    "average": _Op(_average, {"strategy": BettingStrategy, "level": int, "shift?": bool}),
+    "reset": _Op("martingales.reset", {"strategy": BettingStrategy, "q": Fraction,
+                                       "blocks": PrefixFreeSet}, "strategy"),
+    "mixture": _Op("martingales.mixture", {"d": BettingStrategy, "d_e": BettingStrategy,
+                                           "n_e": int}, "strategy"),
     "success-capital": _Op("martingales.success_capital",
-                           {"strategy": _STRATEGY, "point": _POINT, "depth": _INT},
+                           {"strategy": BettingStrategy, "point": PeriodicPoint, "depth": int},
                            "capitals"),
     "p1": _ByCase(
-        mlr=_Op("closure.p1_mlr", {"set": _SET, "sigma": _bits}, "set"),
-        cr=_Op("closure.p1_cr", {"strategy": _STRATEGY, "q": _FRAC, "sigma": _bits,
-                                 "empty_marker?": _BOOL}, "strategy", "q"),
-        sr=_Op("closure.p1_sr", {"staged": _STAGED, "sigma": _bits}, "staged")),
+        mlr=_Op("closure.p1_mlr", {"set": PrefixFreeSet, "sigma": str}, "set"),
+        cr=_Op("closure.p1_cr", {"strategy": BettingStrategy, "q": Fraction, "sigma": str,
+                                 "empty_marker?": bool}, "strategy", "q"),
+        sr=_Op("closure.p1_sr", {"staged": StagedOpenSet, "sigma": str}, "staged")),
     "p2": _ByCase(
-        mlr=_Op("closure.p2_mlr", {"set": _SET, "q": _FRAC}, "set"),
-        cr=_Op("closure.p2_cr_check", {"strategy": _STRATEGY, "q": _FRAC,
-                                       "sigma": _bits, "depth": _INT}),
-        sr=_Op("closure.p2_sr", {"staged": _STAGED, "k": _NAT, "depth": _INT}, "set")),
+        mlr=_Op("closure.p2_mlr", {"set": PrefixFreeSet, "q": Fraction}, "set"),
+        cr=_Op("closure.p2_cr_check", {"strategy": BettingStrategy, "q": Fraction,
+                                       "sigma": str, "depth": int}),
+        sr=_Op("closure.p2_sr", {"staged": StagedOpenSet, "k": Natural, "depth": int},
+               "set")),
     "p3": _ByCase(
-        mlr=_Op("closure.p3_mlr", {"set": _SET, "sigma": _bits, "k": _NAT,
-                                   "test?": _TEST}, "n_e", "set"),
-        cr=_Op("closure.p3_cr", {"strategy": _STRATEGY, "q": _FRAC, "sigma": _bits,
-                                 "d_e": _STRATEGY, "depth": _INT, "cap?": _INT},
+        mlr=_Op("closure.p3_mlr", {"set": PrefixFreeSet, "sigma": str, "k": Natural,
+                                   "test?": TestFamily}, "n_e", "set"),
+        cr=_Op("closure.p3_cr", {"strategy": BettingStrategy, "q": Fraction, "sigma": str,
+                                 "d_e": BettingStrategy, "depth": int, "cap?": int},
                "n_e", "winning_set"),
-        sr=_Op("closure.p3_sr", {"staged": _STAGED, "other": _STAGED}, "staged")),
-    "main-lemma": _Op(_main_lemma, {"w": _SET, "tests?": _each(_TEST), "case": _case,
-                                    "q?": _FRAC, "k?": _NAT, "depth?": _INT, "cap?": _INT,
-                                    "stages": _INT}),
-    "verify-trace": _Op("diagonal.verify_trace",
-                        {"trace": sz.parse_trace, "w": _SET, "tests?": _each(_TEST)}),
+        sr=_Op("closure.p3_sr", {"staged": StagedOpenSet, "other": StagedOpenSet},
+               "staged")),
+    "main-lemma": _Op(_main_lemma, {"w": PrefixFreeSet, "tests?": [TestFamily],
+                                    "case": closure.PROVIDERS, "q?": Fraction,
+                                    "k?": Natural, "depth?": int, "cap?": int,
+                                    "stages": Natural}),
+    "verify-trace": _Op("diagonal.verify_trace", {"trace": DiagonalTrace, "w": PrefixFreeSet,
+                                                  "tests?": [TestFamily]}),
     "schnorr-merge": _Op("covers.schnorr_merge",
-                         {"test": _TEST, "K": _INT, "point?": _POINT}, "set"),
-    "power-test": _Op("covers.power_test", {"set": _SET, "N": _INT}, "test"),
-    "tails-to-power": _Op(_tails_to_power, {"set": _SET, "point": _POINT, "n": _INT}),
+                         {"test": TestFamily, "K": int, "point?": PeriodicPoint}, "set"),
+    "power-test": _Op("covers.power_test", {"set": PrefixFreeSet, "N": int}, "test"),
+    "tails-to-power": _Op(_tails_to_power, {"set": PrefixFreeSet, "point": PeriodicPoint,
+                                            "n": int}),
     "remark-bundle": _Op("covers.remark24_bundle",
-                         {"set": _SET, "points?": _each(_POINT), "n?": _INT}),
-    "kc-build": _Op(_kc_build, {"requests": _requests}),
-    "complexity": _Op(_complexity, {"machine": sz.parse_machine, "sigma": _bits}),
-    "machine-to-f": _Op("coding.machine_to_f", {"machine": sz.parse_machine}, "f"),
-    "g-to-machine": _Op("coding.g_to_machine", {"g": _DYADIC, "c": _INT}, "machine"),
-    "flatten": _Op(_flatten, {"aggregate?": _DYADIC,
-                              "stage_functions": _each(_DYADIC)}),
-    "normalize": _Op("coding.normalize_sum", {"f": _DYADIC, "N": _INT}, "f"),
-    "b-set": _Op(_b_set, {"n": _INT, "alpha": _FRAC}),
-    "series-to-open": _Op("series.series_to_open", {"f": _DYADIC},
+                         {"set": PrefixFreeSet, "points?": [PeriodicPoint], "n?": int}),
+    "kc-build": _Op(_kc_build, {"requests": KCRequestList}),
+    "complexity": _Op(_complexity, {"machine": Machine, "sigma": str}),
+    "machine-to-f": _Op("coding.machine_to_f", {"machine": Machine}, "f"),
+    "g-to-machine": _Op("coding.g_to_machine", {"g": DyadicFunction, "c": int}, "machine"),
+    "flatten": _Op(_flatten, {"aggregate?": DyadicFunction,
+                              "stage_functions": [DyadicFunction]}),
+    "normalize": _Op("coding.normalize_sum", {"f": DyadicFunction, "N": int}, "f"),
+    "b-set": _Op(_b_set, {"n": int, "alpha": Fraction}),
+    "series-to-open": _Op("series.series_to_open", {"f": DyadicFunction},
                           "set", "product_measure"),
-    "open-to-series": _Op(_open_to_series, {"n": _INT, "staged?": _STAGED, "c": _NAT,
-                                            "set": _SET}),
-    "vn-from-g": _Op("series.vn_from_g", {"g": _DYADIC, "n": _INT}, "set"),
-    "f-from-test": _Op("series.f_from_test", {"test": _TEST}, "f"),
-    "encode-series": _Op("series.encode_series", {"exponents": _each(_NAT), "q": _FRAC},
+    "open-to-series": _Op(_open_to_series, {"n": Natural, "staged?": StagedOpenSet,
+                                            "c": Natural, "set": PrefixFreeSet}),
+    "vn-from-g": _Op("series.vn_from_g", {"g": DyadicFunction, "n": int}, "set"),
+    "f-from-test": _Op("series.f_from_test", {"test": TestFamily}, "f"),
+    "encode-series": _Op("series.encode_series", {"exponents": [Natural], "q": Fraction},
                          "set", "strategy"),
-    "extract-series": _Op(_extract_series, {"set": _SET, "count": _INT, "lmax": _INT}),
+    "extract-series": _Op(_extract_series, {"set": PrefixFreeSet, "count": int,
+                                            "lmax": int}),
     "tree-embed": _Op("series.tree_embed",
-                      {"strategy": _STRATEGY, "depth": _INT, "budget?": _INT}, "map"),
+                      {"strategy": BettingStrategy, "depth": Natural, "budget?": int}, "map"),
 }
 
 

@@ -37,8 +37,16 @@ class TraceStage:
 
 @dataclass(frozen=True)
 class DiagonalTrace:
+    """The stages of one run, stage e at position e: verify_trace checks
+    stage e against test e, so a stage recorded as another is refused."""
+
     case: str
     stages: tuple[TraceStage, ...]
+
+    def __post_init__(self):
+        for e, rec in enumerate(self.stages):
+            if rec.index != e:
+                raise ValueError(f"stage {e} is recorded as stage {rec.index}")
 
     @property
     def final_sigma(self) -> str:
@@ -59,6 +67,8 @@ def run(w: PrefixFreeSet, provider, tests: Sequence[TestFamily],
     """
     if "" in w:
         raise ValueError("epsilon in W")
+    if stage_count < 0:
+        raise ValueError("negative stage count")
     state = provider.initial()
     sigma = ""
     records = []

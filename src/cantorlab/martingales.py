@@ -80,9 +80,11 @@ class BettingStrategy:
     """A martingale evaluable at any string, with exact rational values.
 
     A subclass names its wire `kind` and its `fields`: each constructor
-    argument, in order, with its wire type (a class; [T] for a list of T;
-    (A, B) for a pair).  Argument, attribute and document key share the
-    name, and defining the subclass registers it in `kinds` under its kind.
+    argument, in order, with its wire type as serialize.parse_field reads
+    it (a class; str for a bit string; space.Natural for an integer >= 0;
+    [T] for a list of T; (A, B) for a pair).  Argument, attribute and
+    document key share the name, and defining the subclass registers it in
+    `kinds` under its kind.
     """
 
     kind = "abstract"

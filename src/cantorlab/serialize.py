@@ -6,7 +6,8 @@ martingale tables as {"depth": D, "values": {...}}, strategies as tagged
 records naming their kind, written by to_doc and by dumps from one shape
 rule.  Each record type of _RECORDS is a dataclass whose fields are its
 document keys.  parse_* functions are the inverse direction used by the
-front door.
+front door, and parse_field reads a job's or a strategy's field by the wire
+type it declares.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .covers import TestFamily
 from .diagonal import DiagonalTrace, TraceStage
 from .errors import ParseError
 from .reports import Check, Report
-from .space import PeriodicPoint, PrefixFreeSet, StagedOpenSet, check_bits
+from .space import Natural, PeriodicPoint, PrefixFreeSet, StagedOpenSet, check_bits
 
 
 def parse_fraction(doc: Any) -> Fraction:
@@ -258,32 +259,13 @@ def parse_table(doc: Any) -> mg.MartingaleTable:
     return mg.MartingaleTable(parse_int(_need(doc, "depth")), values)
 
 
-def _parse_field(wire: Any, doc: Any) -> Any:
-    """A strategy field from its document, by the wire type its class declares."""
-    if isinstance(wire, list):
-        return [_parse_field(wire[0], x) for x in doc]
-    if isinstance(wire, tuple):
-        first, second = doc
-        return _parse_field(wire[0], first), _parse_field(wire[1], second)
-    if wire is str:
-        return doc
-    return _FIELD_PARSERS[wire](doc)
-
-
 @_refusing(ValueError, TypeError)
 def parse_strategy(doc: Any) -> mg.BettingStrategy:
     kind = _need(doc, "kind")
     cls = mg.BettingStrategy.kinds.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ParseError(f"unknown strategy kind {kind!r}")
-    return cls(*[_parse_field(wire, _need(doc, name)) for name, wire in cls.fields.items()])
-
-
-_FIELD_PARSERS = {
-    Fraction: parse_fraction, int: parse_int, mg.MartingaleTable: parse_table,
-    PeriodicPoint: parse_point, PrefixFreeSet: parse_set,
-    mg.BettingStrategy: parse_strategy,
-}
+    return cls(*[parse_field(wire, _need(doc, name)) for name, wire in cls.fields.items()])
 
 
 def _index(key: str) -> int:
@@ -341,3 +323,41 @@ def parse_trace(doc: Any) -> DiagonalTrace:
     if not stages:
         raise ParseError("a trace needs at least its final stage")
     return DiagonalTrace(_need(doc, "case"), stages)
+
+
+def _bits(doc: Any) -> str:
+    if not isinstance(doc, str):
+        raise TypeError("expected a bit string")
+    return doc
+
+
+def parse_field(wire: Any, doc: Any) -> Any:
+    """A job's or a strategy's field from its document, by the wire type it
+    declares: [T] a JSON list of T, list a JSON list of anything, (A, B) a
+    JSON list of an A and a B, a dict one of its keys, a type by its
+    _FIELD_PARSERS entry."""
+    if type(wire) is list or wire is list:
+        if not isinstance(doc, list):
+            raise TypeError("expected a list")
+        return doc if wire is list else [parse_field(wire[0], x) for x in doc]
+    if type(wire) is tuple:
+        if not isinstance(doc, list) or len(doc) != 2:
+            raise TypeError("expected a pair")
+        return parse_field(wire[0], doc[0]), parse_field(wire[1], doc[1])
+    if type(wire) is dict:
+        if doc not in wire:
+            raise ValueError(f"must be one of {', '.join(wire)}")
+        return doc
+    return _FIELD_PARSERS[wire](doc)
+
+
+# str is a bit string (its bits checked by what reads it), Natural a JSON
+# integer >= 0, and a job's requests the list a KCRequestList's document holds.
+_FIELD_PARSERS = {
+    int: parse_int, Natural: lambda doc: parse_int(doc, natural=True), bool: parse_bool,
+    str: _bits, Fraction: parse_fraction, PrefixFreeSet: parse_set,
+    PeriodicPoint: parse_point, StagedOpenSet: parse_staged, TestFamily: parse_test,
+    mg.MartingaleTable: parse_table, mg.BettingStrategy: parse_strategy,
+    Machine: parse_machine, DyadicFunction: parse_dyadic, DiagonalTrace: parse_trace,
+    KCRequestList: lambda doc: parse_requests({"requests": doc}),
+}

@@ -38,6 +38,7 @@ from . import space
 from .space import (
     ONE,
     ZERO,
+    Natural,
     PrefixFreeSet,
     StagedOpenSet,
     measure,
@@ -174,6 +175,8 @@ def open_to_series_approx(v: StagedOpenSet, n: int, c: int) -> Fraction:
     price being the 2^-(n+c) leak allowance.  The leak is exact: with
     B = B_(n, alpha) and W the stage, mu(B minus [W]) = mu(B cup [W]) - mu(W).
     """
+    if n < 0:
+        raise ValueError("negative n")
     if n >= len(v.stages):
         raise MissingStage(f"staged set has no stage {n}")
     w = v.stages[n]
@@ -231,7 +234,7 @@ class BlockDoubler(BettingStrategy):
     """
 
     kind = "block-doubler"
-    fields = {"exponents": [int], "q": Fraction}
+    fields = {"exponents": [Natural], "q": Fraction}
 
     def __init__(self, exponents: Sequence[int], q: Fraction):
         super().__init__()
@@ -356,6 +359,8 @@ def tree_embed(d: BettingStrategy, depth: int, budget: int = 10
     shortest then leftmost, so the map is deterministic.  budget caps the
     extension length searched per step.
     """
+    if depth < 0:
+        raise ValueError("negative depth")
     if d.value("") != 1:
         raise ValueError("tree embedding needs a normed strategy")
     mapping = {"": ""}

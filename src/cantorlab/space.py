@@ -42,6 +42,11 @@ def check_bits(s: str) -> str:
     return s
 
 
+class Natural:
+    """The wire type of a count: a field declares it, a JSON integer >= 0
+    fills it, and it is read as an int."""
+
+
 def _sorted_bits(strings: Iterable[str]) -> list[str]:
     """The strings in lexicographic order, checked to be bit strings.
 

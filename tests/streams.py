@@ -8,6 +8,10 @@ asserts the pins; run as a script, this prints both digests and counts,
 and exits 1 when either digest differs from its pin:
 
     PYTHONPATH=src python tests/streams.py
+
+With --lines, each stream's line is followed by one `index subcommand
+status sha256[:12]` line per run (the hash is of its stdout), so the runs a
+change moves are counted by diffing the output before and after it.
 """
 
 import hashlib
@@ -96,9 +100,22 @@ CR_ZEROS = {"kind": "ML", "martingale": DOUBLER,
 SCHNORR_ZEROS = {"kind": "Schnorr",
                  "levels": {str(n): {"elements": ["0" * n]} for n in range(6)}}
 
+# A point, and a well-formed strategy of each kind no other job reads.
+ZEROS = {"head": "", "period": "0"}
+KINDS = [
+    {"kind": "translated", "base": DOUBLER, "sigma": "0"},
+    {"kind": "scaled", "base": DOUBLER, "factor": "1/2"},
+    {"kind": "mixture", "d": {"kind": "constant", "c": "1"}, "d_e": DOUBLER, "n_e": 2},
+    {"kind": "averaged", "base": SHIFTED, "level": 1},
+    {"kind": "reset", "base": SHIFTED, "q": "3/2", "blocks": {"elements": ["0"]}},
+    {"kind": "tabulated", "table": {"depth": 1, "values": {"": "1", "0": "2", "1": "0"}}},
+    {"kind": "block-doubler", "exponents": [2, 3], "q": "2"},
+]
+
 # One well-formed job for each subcommand SMOKE leaves out, main-lemma in each
-# closure case and in its no-escape branch, and the optional boolean fields
-# given a value of their own: (subcommand, document, output key).
+# closure case and in its no-escape branch, the optional boolean fields given
+# a value of their own, and success-capital reading each strategy of KINDS,
+# so every strategy field is read: (subcommand, document, output key).
 MORE = [
     ("measure", {"set": {"elements": ["0", "10"]}}, "measure"),
     ("power", {"set": {"elements": ["0", "10"]}, "n": 2}, "set"),
@@ -122,6 +139,8 @@ MORE = [
     ("average", {"strategy": SHIFTED, "level": 1, "shift": False}, "strategy"),
     ("p1", {"case": "cr", "strategy": DOUBLER, "q": "4", "sigma": "0",
             "empty_marker": True}, "strategy"),
+    *(("success-capital", {"strategy": strategy, "point": ZEROS, "depth": 2}, "capitals")
+      for strategy in KINDS),
 ]
 
 
@@ -160,29 +179,40 @@ def more_runs() -> list:
 # read as rationals (26 runs became a ParseError), and again when SR's P3
 # took MLR's slack check and the front door came to refuse negative k, c and
 # exponents, list fields that are not JSON lists and mistyped trace stages
-# (23 runs moved; CHANGES.md counts them by subcommand), after which no run
-# quotes the interpreter's wording of a TypeError and the stream is the same
-# on Python 3.10 to 3.13.  Re-pinned once more when complexity came to check
-# its sigma: the jobs with sigma "2" and "1/0" moved from exit 0 to a
-# ValueError with exit 2.
-REPORT_BYTES_SHA256 = "8e79a00219ff65e8f37c9154c738afc2a259a20d1fdc39243f643da38a752aee"
+# (23 runs moved; CHANGES.md counts them by subcommand).  Re-pinned once
+# more when complexity came to check its sigma: the jobs with sigma "2" and
+# "1/0" moved from exit 0 to a ValueError with exit 2.  Re-pinned again when
+# every field came to be read by its declared wire type: 70 runs whose blend
+# strategy holds a terms list or pair of another shape (35 average, 35
+# reset) now say "expected a list" or "expected a pair" where they quoted
+# the interpreter or, in 4, read an empty blend; and the 2 open-to-series
+# runs with n = -1 are refused as naturals.  Runs whose record (a set, a
+# test, a series) is malformed still quote the interpreter's wording, such
+# as "'int' object is not iterable"; the stream is the same on Python 3.10
+# to 3.13.
+REPORT_BYTES_SHA256 = "154e07b6f9a2fdc3f7da4070365fdd1c83e75ca68a4572aed3192f85f3f7006e"
 # The same for more_runs, first computed before p1, p2 and p3 became case
 # tables and to_doc took its records from one field table (with a trace of
 # no stages already refused, the one job that then crashed), and re-pinned
 # with the same two changes: the boolean change moved 11 of its runs, the
-# second 160.  Re-pinned once more when a trace stage's index and set came
-# to name their field in a ParseError: 115 verify-trace runs moved, 27 on
-# index and 88 on set, each still a ParseError with exit 2.
-MORE_REPORT_BYTES_SHA256 = "9acdc618907bc66b52b0c0ee597ed1a5a3cb08c8553240ab992f90ee2cb3fa57"
+# second 160.  Re-pinned when a trace stage's index and set came to name
+# their field in a ParseError: 115 verify-trace runs moved, 27 on index and
+# 88 on set, each still a ParseError with exit 2.  Re-pinned with the wire
+# types, which moved 47 runs to a ParseError with exit 2: 35 average runs on
+# a blend's terms, 7 verify-trace runs whose stage is recorded under another
+# index, 4 main-lemma runs with stages = -1 and 1 tree-embed run with
+# depth = -1 (each of those 12 was exit 0); and extended by a success-capital
+# job per strategy kind no other job read, 1,511 runs more.
+MORE_REPORT_BYTES_SHA256 = "69ee2982c1fd6b8fb74885506895cb1b398a93988a787f713c8a407b3867c600"
 
 
-def report_digest(runs) -> tuple[str, int]:
+def report_digest(runs, lines: list | None = None) -> tuple[str, int]:
     """sha256 of the exit status and stdout bytes of each (subcommand, job,
-    flags) run through main, in order, and the number of runs."""
+    flags) run through main, in order, and the number of runs; given a
+    list, lines gets one `index subcommand status sha256[:12]` per run."""
     digest = hashlib.sha256()
     count = 0
     for sub, job, flags in runs:
-        count += 1
         out = io.StringIO()
         sys.stdin, stdin = io.StringIO(json.dumps(job)), sys.stdin
         try:
@@ -192,6 +222,9 @@ def report_digest(runs) -> tuple[str, int]:
             sys.stdin = stdin
         text = out.getvalue().encode()
         digest.update(b"%d %d\n" % (status, len(text)) + text)
+        if lines is not None:
+            lines.append(f"{count} {sub} {status} {hashlib.sha256(text).hexdigest()[:12]}")
+        count += 1
     return digest.hexdigest(), count
 
 
@@ -199,7 +232,10 @@ if __name__ == "__main__":
     differs = False
     for name, runs, pin in (("report", report_runs(), REPORT_BYTES_SHA256),
                             ("more", more_runs(), MORE_REPORT_BYTES_SHA256)):
-        digest, count = report_digest(runs)
+        lines = [] if "--lines" in sys.argv[1:] else None
+        digest, count = report_digest(runs, lines)
         differs |= digest != pin
         print(name, digest, count, "pinned" if digest == pin else "differs")
+        for line in lines or ():
+            print(line)
     sys.exit(1 if differs else 0)

@@ -279,6 +279,13 @@ class TestFrontDoorContract:
                                    "stages": 1}), "ParseError"),
         ("open-to-series", json.dumps({"staged": {"stages": [{"elements": [""]}]},
                                        "n": 0, "c": -1}), "ParseError"),
+        # So are open-to-series' n, main-lemma's stages and tree-embed's depth.
+        ("open-to-series", json.dumps({"staged": {"stages": [{"elements": [""]}]},
+                                       "n": -5, "c": 2}), "ParseError"),
+        ("main-lemma", json.dumps({"w": {"elements": ["1"]}, "case": "mlr", "k": 1,
+                                   "stages": -1}), "ParseError"),
+        ("tree-embed", json.dumps({"strategy": {"kind": "constant", "c": "1"},
+                                   "depth": -1}), "ParseError"),
     ])
     def test_malformed_job(self, capsys, monkeypatch, sub, text, error):
         import io
@@ -434,7 +441,7 @@ class TestFrontDoorContract:
     def test_more_reports_byte_for_byte(self):
         """The same for what that stream leaves out: every MORE job and its
         single mutations, then every SMOKE and MORE job with --decimal."""
-        assert report_digest(more_runs()) == (MORE_REPORT_BYTES_SHA256, 3603)
+        assert report_digest(more_runs()) == (MORE_REPORT_BYTES_SHA256, 5114)
 
     def test_reports_written_straight_from_the_values(self):
         """dispatch returns the values as the operations gave them; dumps

@@ -218,3 +218,32 @@ class TestVerifyTrace:
         tampered = DiagonalTrace(trace.case, tuple(bad))
         rep = verify_trace(tampered, w, [ml_toward_zeros(6)])
         assert not rep.passed
+
+    def test_stage_index_is_its_position(self):
+        """Stage e is recorded as stage e: another index is refused, and so
+        is a run of a negative number of stages."""
+        w, trace = self.fixture()
+        for e, rec in enumerate(trace.stages):
+            moved = TraceStage(e + 1, rec.sigma, rec.current, rec.n_e, rec.tau)
+            stages = (*trace.stages[:e], moved, *trace.stages[e + 1:])
+            with pytest.raises(ValueError, match=f"stage {e} is recorded as stage {e + 1}"):
+                DiagonalTrace(trace.case, stages)
+        with pytest.raises(ValueError, match="negative stage count"):
+            run(w, MLRProvider(q=Fraction(3, 4), k=1), [], -1)
+
+    def test_forged_indices_do_not_dodge_the_tests(self):
+        """Recorded as stages 7 and 8, a trace's first stage would be checked
+        against no test and pass; it is a ParseError.  Recorded as 0 and 1,
+        the same trace fails the capture of the test's level."""
+        stages = [{"index": 7, "sigma": "", "set": {"elements": []}, "n_e": 1, "tau": "0"},
+                  {"index": 8, "sigma": "0", "set": {"elements": []}, "n_e": None,
+                   "tau": None}]
+        job = {"trace": {"case": "mlr", "stages": stages}, "w": {"elements": ["0", "1"]},
+               "tests": [{"kind": "ML", "levels": {"1": {"elements": ["1"]}}}]}
+        rep, status = dispatch("verify-trace", job)
+        assert status == 2 and rep["error"] == {
+            "type": "ParseError", "message": "stage 0 is recorded as stage 7"}
+        stages[0]["index"], stages[1]["index"] = 0, 1
+        rep, status = dispatch("verify-trace", job)
+        failed = [c.name for c in rep["checks"] if not c.passed]
+        assert status == 1 and failed == ["stage 0: U_1 captures test level n_e=1"]

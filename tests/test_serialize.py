@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cantorlab.cli import _HANDLERS
 from cantorlab.closure import MLRProvider
 from cantorlab.coding import DyadicFunction, KCRequestList, Machine
 from cantorlab.covers import TestFamily
@@ -46,7 +47,7 @@ from cantorlab.serialize import (
     to_doc,
 )
 from cantorlab.series import BlockDoubler
-from cantorlab.space import PeriodicPoint, PrefixFreeSet, StagedOpenSet
+from cantorlab.space import Natural, PeriodicPoint, PrefixFreeSet, StagedOpenSet
 
 from util import all_strings, doubler
 
@@ -84,9 +85,10 @@ def test_table_round_trip():
     assert parse_table(to_doc(t)).values == t.values
 
 
-def test_strategy_round_trips_evaluate_identically():
+def strategy_examples() -> dict:
+    """One strategy of each registered kind, by kind."""
     base = positive_shift(doubler())
-    examples = {
+    return {
         "constant": ConstantStrategy(Fraction(3, 2)),
         "tabulated": TableStrategy(table_of(doubler(), 3)),
         "point-doubler": PointDoubler(PeriodicPoint("", "0")),
@@ -98,6 +100,10 @@ def test_strategy_round_trips_evaluate_identically():
         "reset": reset(base, Fraction(3, 2), PrefixFreeSet(["0"])),
         "block-doubler": BlockDoubler([2, 3], Fraction(2)),
     }
+
+
+def test_strategy_round_trips_evaluate_identically():
+    examples = strategy_examples()
     assert set(examples) == set(BettingStrategy.kinds)
     for kind, d in examples.items():
         assert d.kind == kind
@@ -107,6 +113,42 @@ def test_strategy_round_trips_evaluate_identically():
         assert type(back) is type(d)
         for s in all_strings(5):
             assert back.value(s) == d.value(s), kind
+
+
+def misshapen(wire, bad):
+    """(value, message): bad in place of each list or pair a field of this
+    wire type holds, and the error that names the shape expected there."""
+    if isinstance(wire, (list, tuple)):
+        yield bad, "expected a list" if isinstance(wire, list) else "expected a pair"
+    if isinstance(wire, list):
+        yield from (([value], message) for value, message in misshapen(wire[0], bad))
+
+
+@pytest.mark.parametrize("bad", ["", {}, 1])
+def test_list_and_pair_fields_refuse_other_shapes(bad):
+    """A list-typed or pair-typed strategy field holding a string, an object
+    or a number is refused by the shape it expected: not read as an empty
+    list, nor refused in the interpreter's words."""
+    refused = set()
+    for kind, d in strategy_examples().items():
+        doc = to_doc(d)
+        for name, wire in type(d).fields.items():
+            for value, message in misshapen(wire, bad):
+                with pytest.raises(ParseError) as err:
+                    parse_strategy({**doc, name: value})
+                assert str(err.value) == message, (kind, name, value)
+                refused.add((kind, message))
+    assert refused == {("blend", "expected a list"), ("blend", "expected a pair"),
+                       ("block-doubler", "expected a list")}
+
+
+def test_block_doubler_exponents_are_naturals():
+    """The strategy's exponents and the encode-series job's declare one
+    wire type, so a negative exponent is refused by name in both."""
+    assert BlockDoubler.fields["exponents"] == [Natural] \
+        == _HANDLERS["encode-series"].fields["exponents"]
+    with pytest.raises(ParseError, match="^expected a natural, got -1$"):
+        parse_strategy({"kind": "block-doubler", "exponents": [-1], "q": "1"})
 
 
 def test_test_family_round_trip():

@@ -293,6 +293,12 @@ class TestOpenToSeries:
         with pytest.raises(MissingStage):
             open_to_series_approx(st, 1, 2)
 
+    def test_negative_stage_refused(self):
+        """A negative n names no stage: a ValueError, not the stage counted
+        from the end or an IndexError."""
+        with pytest.raises(ValueError, match="negative n"):
+            open_to_series_approx(StagedOpenSet((PrefixFreeSet([""]),)), -5, 2)
+
 
 class TestVnFromG:
     def test_threshold_arithmetic(self):
@@ -460,6 +466,10 @@ class TestTreeEmbed:
         with time_limit(1.0, "tree_embed(ConstantStrategy(1), 12)"):
             mapping, rep = tree_embed(ConstantStrategy(1), 12)
         assert len(mapping) == 2 ** 13 - 1 and rep.passed
+
+    def test_negative_depth_refused(self):
+        with pytest.raises(ValueError, match="negative depth"):
+            tree_embed(ConstantStrategy(1), -1)
 
     def test_constant_gives_identity(self):
         mapping, rep = tree_embed(ConstantStrategy(1), 3)
