@@ -6,15 +6,19 @@ martingales carry values up to a fixed depth; betting strategies evaluate
 lazily at any string, so the transformed objects (translations, truncated
 tail averages, resets, mixtures) stay exact at every node.
 
-All strategy objects are immutable after construction, and value()
-memoizes per instance.  Every derived kind is a LinearStrategy: one
-evaluation rule and one flat_beyond serve them all.
+All strategy objects are immutable after construction.  value() checks its
+string once, at the public entry; evaluation inside the layer goes through
+the unchecked per-instance memo _at, on strings the layer builds itself.
+Every derived kind is a LinearStrategy: one evaluation rule and one
+flat_beyond serve them all.  A value stays an exact Fraction at the API but
+is computed over integer numerators and denominators and normalized once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping
 
 from .errors import (
@@ -100,10 +104,13 @@ class BettingStrategy:
         self._cache: dict[str, Fraction] = {}
 
     def value(self, sigma: str) -> Fraction:
+        return self._at(check_bits(sigma))
+
+    def _at(self, sigma: str) -> Fraction:
+        """value at a string known to be a bit string, memoized."""
         v = self._cache.get(sigma)
         if v is None:
-            v = self._compute(check_bits(sigma))
-            self._cache[sigma] = v
+            v = self._cache[sigma] = self._compute(sigma)
         return v
 
     def _compute(self, sigma: str) -> Fraction:
@@ -117,6 +124,7 @@ class BettingStrategy:
         True at every extension of sigma too.  False is always sound;
         winning_set skips a subtree whose root is flat and below the
         threshold, and reports truncation only at live, non-flat leaves.
+        sigma must be a bit string; unlike value, this does not check it.
         """
         return False
 
@@ -134,17 +142,23 @@ class LinearStrategy(BettingStrategy):
 
     def __init__(self, terms: tuple, const: Fraction = ZERO):
         super().__init__()
-        self._terms = terms
-        self._const = const
+        # Each weight as its (numerator, denominator) pair, read once.
+        self._terms = tuple((w.numerator, w.denominator, base, rho)
+                            for w, base, rho in terms)
+        self._const = const.numerator, const.denominator
 
     def _compute(self, tau: str) -> Fraction:
-        total = self._const
-        for w, base, rho in self._terms:
-            total += w * base.value(rho + tau)
-        return total
+        # Summed over the least common denominator, normalized once.
+        n, d = self._const
+        for wn, wd, base, rho in self._terms:
+            v = base._at(rho + tau)
+            vd = wd * v.denominator
+            g = gcd(d, vd)
+            n, d = n * (vd // g) + wn * v.numerator * (d // g), d // g * vd
+        return Fraction(n, d)
 
     def flat_beyond(self, sigma: str) -> bool:
-        return all(base.flat_beyond(rho + sigma) for _, base, rho in self._terms)
+        return all(base.flat_beyond(rho + sigma) for _, _, base, rho in self._terms)
 
 
 class ConstantStrategy(LinearStrategy):
@@ -195,7 +209,7 @@ class PointDoubler(BettingStrategy):
         return Fraction(0)
 
     def flat_beyond(self, sigma: str) -> bool:
-        return self.value(sigma) == 0
+        return self._at(sigma) == 0
 
 
 class TranslateStrategy(LinearStrategy):
@@ -277,7 +291,7 @@ class AverageStrategy(LinearStrategy):
             raise ValueError("negative truncation level")
         self.base = base
         self.level = level
-        roots = {s: base.value(s) for s in strings_to_depth(level)}
+        roots = {s: base._at(s) for s in strings_to_depth(level)}
         if any(v == 0 for v in roots.values()):
             raise ZeroPrefix("base has zero capital at some string of length <= L")
         super().__init__(
@@ -339,13 +353,16 @@ class ResetStrategy(BettingStrategy):
             i -= 1
         cap, start = states[sigma[:i]]
         tau = sigma[start:i]
+        at = self.base._at
         while i < len(sigma):
-            den = self.base.value(tau)
+            den = at(tau)
             if den == 0:
                 raise DeadCapital(f"base martingale dies at {tau!r} inside a block")
             i += 1
             tau = sigma[start:i]
-            cap = cap * self.base.value(tau) / den
+            v = at(tau)
+            cap = Fraction(cap.numerator * v.numerator * den.denominator,
+                           cap.denominator * v.denominator * den.numerator)
             if tau in self._block_set:
                 start, tau = i, ""
             states[sigma[:i]] = (cap, start)
@@ -410,15 +427,18 @@ def winning_set(d: BettingStrategy, q: Fraction, depth: int) -> WinningSet:
         raise ValueError("negative depth")
     gens: list[str] = []
     truncated = False
+    qn, qd = q.numerator, q.denominator
 
     stack = [""]
     while stack:
         s = stack.pop()
-        if d.value(s) >= q:
+        v = d._at(s)
+        n = v.numerator
+        if n * qd >= qn * v.denominator:
             gens.append(s)
             continue
         if len(s) == depth:
-            if d.value(s) > 0 and not d.flat_beyond(s):
+            if n > 0 and not d.flat_beyond(s):
                 truncated = True
             continue
         if d.flat_beyond(s):
@@ -447,11 +467,13 @@ def verify_ville_kolmogorov(d: MartingaleTable, sigma: str, q: Fraction) -> Repo
         raise ValueError("sigma longer than table depth")
     start = d[sigma]
     threshold = q * start
+    tn, td = threshold.numerator, threshold.denominator
     hits: list[str] = []
     stack = [sigma + b for b in "01"] if len(sigma) < d.depth else []
     while stack:
         s = stack.pop()
-        if d[s] >= threshold:
+        v = d[s]
+        if v.numerator * td >= tn * v.denominator:
             hits.append(s)
             continue
         if len(s) < d.depth:

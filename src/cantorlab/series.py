@@ -224,6 +224,14 @@ def f_from_test(test: TestFamily) -> tuple[DyadicFunction, Report]:
     return f, rep
 
 
+def _exponents(exponents: Sequence[int]) -> tuple[int, ...]:
+    """The exponents as ints, a negative one refused before any arithmetic."""
+    out = tuple(int(a) for a in exponents)
+    if any(a < 0 for a in out):
+        raise ValueError("negative exponent")
+    return out
+
+
 class BlockDoubler(BettingStrategy):
     """Reserves q 2^-a_i per index and doubles it on zeros across block i.
 
@@ -238,7 +246,7 @@ class BlockDoubler(BettingStrategy):
 
     def __init__(self, exponents: Sequence[int], q: Fraction):
         super().__init__()
-        self.exponents = tuple(int(a) for a in exponents)
+        self.exponents = _exponents(exponents)
         self.q = Fraction(q)
         reserved = sum((self.q * Fraction(1, 2 ** a) for a in self.exponents),
                        start=ZERO)
@@ -287,7 +295,7 @@ def encode_series(exponents: Sequence[int], q: Fraction
     q = Fraction(q)
     if q <= 1:
         raise InvalidThreshold("need q > 1")
-    exponents = [int(a) for a in exponents]
+    exponents = _exponents(exponents)
     weight = sum((Fraction(1, 2 ** a) for a in exponents), start=ZERO)
     if weight >= 1 / q:
         raise WeightTooLarge(f"sum 2^-a_i = {weight} >= 1/q = {1 / q}")

@@ -559,3 +559,26 @@ def test_one_trie_builder():
                 and scope not in ("NodeTable.node", "LEAF", "EMPTY"):
             found.append(f"{scope}:{call.lineno} makes a TrieNode")
     assert not found, found
+
+
+def test_martingale_fast_path_stays_on_public_api():
+    """No strategy's _compute or flat_beyond calls .value(): evaluation
+    inside the library goes through the unchecked memo _at, and value
+    checks its string at the public entry only.  No module reads a
+    Fraction's _numerator or _denominator or passes _normalize, whose
+    meaning differs between Python 3.10 and 3.13."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name in ("_compute", "flat_beyond"):
+                found += [f"{path.name}:{n.lineno} {fn.name} calls .value()"
+                          for n in ast.walk(fn) if isinstance(n, ast.Call)
+                          and getattr(n.func, "attr", None) == "value"]
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute) and node.attr in ("_numerator", "_denominator"):
+                found.append(f"{where} reads .{node.attr}")
+            elif isinstance(node, ast.keyword) and node.arg == "_normalize":
+                found.append(f"{where} passes _normalize")
+    assert not found, found

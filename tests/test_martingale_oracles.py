@@ -7,7 +7,11 @@ flat_beyond contract (sound and monotone), checked here kind by kind.  A
 reset strategy resumes from its longest known prefix, so its values and its
 DeadCapital messages must match the replay from the root whatever order the
 strings are evaluated in.  Each derived kind evaluates by the one linear
-rule, so its values must match its own closed formula.
+rule, so its values must match its own closed formula.  That rule sums its
+terms over integer numerators and denominators and thresholds are compared
+by cross-multiplication, so every kind nested two or three deep must give
+the values, generators, witnesses, DeadCapital messages and bit-string
+refusals of plain Fraction arithmetic recomputed from the leaves.
 """
 
 from fractions import Fraction
@@ -31,6 +35,7 @@ from cantorlab.martingales import (
     TranslateStrategy,
     average_truncated,
     reset,
+    verify_ville_kolmogorov,
     winning_set,
 )
 from cantorlab.series import BlockDoubler
@@ -42,11 +47,14 @@ from util import (
     doubler,
     exhaustive_winning_set,
     random_fair_table,
+    reference_value,
     replay_reset,
 )
 
 SEARCH_DEPTHS = (0, 1, 3, 6)
-THRESHOLDS = (Fraction(9, 8), Fraction(3, 2), Fraction(2), Fraction(5))
+# Dyadic and non-dyadic thresholds, so cross-multiplication meets both.
+THRESHOLDS = (Fraction(9, 8), Fraction(4, 3), Fraction(7, 5), Fraction(3, 2), Fraction(2),
+              Fraction(5))
 
 bits = st.text(alphabet="01", max_size=3)
 points = st.builds(PeriodicPoint, bits, st.text(alphabet="01", min_size=1, max_size=3))
@@ -242,9 +250,9 @@ class TestIncrementalReset:
         calls = []
 
         class Counted(BlendStrategy):
-            def value(self, sigma):
+            def _at(self, sigma):
                 calls.append(sigma)
-                return super().value(sigma)
+                return super()._at(sigma)
 
         base = Counted([(Fraction(1, 2), doubler()), (Fraction(1, 2), ConstantStrategy(1))])
         r = reset(base, Fraction(3, 2), PrefixFreeSet(["0"]))
@@ -255,3 +263,79 @@ class TestIncrementalReset:
         assert r.value(sigma + "1") == Fraction(3, 2) ** 1000 / 2
         assert calls == ["", "0", "", "1"]
         assert replay_reset(r, "0" * 40 + "1") == r.value("0" * 40 + "1")
+
+
+# Every kind over sub-strategies one or two levels deep, so two or three
+# levels in all; a blend's weight 0 and a mixture at n_e = 1 give zero-weight
+# terms.
+leaf = st.one_of(*LEAVES.values())
+two_deep = st.one_of(*(extend(leaf) for extend in EXTEND.values()))
+
+
+def nested(kind):
+    return LEAVES[kind] if kind in LEAVES else EXTEND[kind](st.one_of(leaf, two_deep))
+
+
+def scan_witnesses(t, sigma, q):
+    """Minimal proper extensions s of sigma in the table with t[s] >= q t[sigma]."""
+    threshold = q * t[sigma]
+    hits = [s for s in all_strings(t.depth) if len(s) > len(sigma) and s.startswith(sigma)
+            and t[s] >= threshold
+            and not any(t[s[:i]] >= threshold for i in range(len(sigma) + 1, len(s)))]
+    return sorted(hits, key=lambda s: (len(s), s))
+
+
+class TestIntegerPath:
+    @pytest.mark.parametrize("kind", sorted(BettingStrategy.kinds))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_values_match_fraction_reference(self, kind, data):
+        d = data.draw(nested(kind))
+        # Deepest strings first, so shallower ones are answered from memos.
+        for tau in reversed(all_strings(4)):
+            got = outcome_at(d.value, tau)
+            assert got == outcome_at(lambda t: reference_value(d, t), tau), tau
+            assert isinstance(got, str) or type(got) is Fraction, tau
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 16), st.integers(0, 6), st.booleans(),
+           st.sampled_from([Fraction(1), Fraction(5, 3)]), st.sampled_from(THRESHOLDS),
+           st.text(alphabet="01", max_size=6))
+    def test_ville_kolmogorov_matches_fraction_scan(self, seed, depth, positive, start, q,
+                                                    sigma):
+        t = random_fair_table(Random(seed), depth, positive=positive, start=start)
+        sigma = sigma[:depth]
+        rep = verify_ville_kolmogorov(t, sigma, q)
+        hits = scan_witnesses(t, sigma, q)
+        assert rep.data["threshold"] == q * t[sigma]
+        assert rep.data["witnesses"] == hits
+        assert rep.checks[0].lhs == sum(
+            (Fraction(1, 2 ** (len(s) - len(sigma))) for s in hits), start=Fraction(0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.builds(PointDoubler, points),
+                     st.builds(TranslateStrategy, st.builds(PointDoubler, points), bits),
+                     st.builds(MixtureStrategy, compositions, st.builds(PointDoubler, points),
+                               st.just(1))),
+           st.sampled_from([Fraction(3, 2), 2]), blocks, st.randoms())
+    def test_reset_over_a_dying_base(self, base, q, block_set, rng):
+        r = ResetStrategy(base, q, block_set)
+        strings = all_strings(5)
+        rng.shuffle(strings)
+        for s in strings:
+            got = outcome_at(r.value, s)
+            assert got == outcome_at(lambda t: reference_value(r, t), s), s
+            assert not isinstance(got, str) or got.startswith("base martingale dies at "), got
+
+    @pytest.mark.parametrize("kind", sorted(BettingStrategy.kinds))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_value_refuses_a_non_bit_string(self, kind, data):
+        d = data.draw(nested(kind))
+        for s in ("", "0", "01", "010"):
+            outcome_at(d.value, s)
+        outcome(winning_set, d, Fraction(2), 3)
+        for bad in ("2", "012", "01 ", " 0", "0\n", "ab", 0, 1, None, b"01"):
+            with pytest.raises(ValueError) as err:
+                d.value(bad)
+            assert str(err.value) == f"not a bit string: {bad!r}"

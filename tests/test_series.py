@@ -365,6 +365,13 @@ class TestEncodeSeries:
         with pytest.raises(WeightTooLarge):
             encode_series([1], Fraction(2))
 
+    def test_negative_exponent_is_refused(self):
+        for call in (lambda: BlockDoubler([-1], Fraction(1)),
+                     lambda: encode_series([-1], Fraction(2)),
+                     lambda: encode_series([2, -3], Fraction(2))):
+            with pytest.raises(ValueError, match="^negative exponent$"):
+                call()
+
     def test_block_doubler_is_fair(self):
         d = BlockDoubler([2, 1], Fraction(5, 4))
         assert check_fairness(table_of(d, 6))

@@ -391,42 +391,61 @@ def exhaustive_winning_set(d, q, depth):
     return gens, truncated
 
 
-def replay_reset(r, sigma):
-    """ResetStrategy r at sigma, replaying its base bit by bit from the root."""
+def replay_reset(r, sigma, at=lambda base, s: base.value(s)):
+    """ResetStrategy r at sigma, replaying its base bit by bit from the root.
+
+    The base is evaluated by at(base, string), its own value by default."""
     blocks = set(r.blocks.elements)
     cap = ONE
     tau = ""
     for bit in sigma:
-        den = r.base.value(tau)
+        den = at(r.base, tau)
         if den == 0:
             raise DeadCapital(f"base martingale dies at {tau!r} inside a block")
         tau += bit
-        cap = cap * r.base.value(tau) / den
+        cap = cap * at(r.base, tau) / den
         if tau in blocks:
             tau = ""
     return cap
 
 
-def closed_form(d, tau):
+def closed_form(d, tau, at=lambda base, s: base.value(s)):
     """A derived strategy's value at tau by its kind's own formula, read off
-    the attributes its wire document carries."""
+    the attributes its wire document carries, term by term in Fraction
+    arithmetic.  Each sub-strategy is evaluated by at(base, string), its own
+    value by default."""
     if d.kind == "constant":
         return d.c
     if d.kind == "translated":
-        return d.base.value(d.sigma + tau)
+        return at(d.base, d.sigma + tau)
     if d.kind == "scaled":
-        return d.factor * d.base.value(tau)
+        return d.factor * at(d.base, tau)
     if d.kind == "blend":
-        return sum((w * s.value(tau) for w, s in d.terms if w != 0), start=ZERO)
+        return sum((w * at(s, tau) for w, s in d.terms if w != 0), start=ZERO)
     if d.kind == "mixture":
         weight = Fraction(1, 2 ** (d.n_e - 1))
-        return (1 - weight) * d.d.value(tau) + weight * d.d_e.value(tau)
+        return (1 - weight) * at(d.d, tau) + weight * at(d.d_e, tau)
     if d.kind == "averaged":
         total = Fraction(1, 2 ** (d.level + 1))
         for s in all_strings(d.level):
-            total += Fraction(1, 2 ** (2 * len(s) + 1)) * d.base.value(s + tau) / d.base.value(s)
+            total += Fraction(1, 2 ** (2 * len(s) + 1)) * at(d.base, s + tau) / at(d.base, s)
         return total
     raise ValueError(f"no closed form for {d.kind!r}")
+
+
+def reference_value(d, tau):
+    """d at tau recomputed from the leaves with no memo: a derived kind by
+    its closed form, a reset by replaying its base from the root, a point
+    doubler or a table by its definition, a block doubler by its value."""
+    if d.kind == "reset":
+        return replay_reset(d, tau, reference_value)
+    if d.kind == "point-doubler":
+        return Fraction(2 ** len(tau)) if d.point.prefix(len(tau)) == tau else ZERO
+    if d.kind == "tabulated":
+        return d.table[tau[:d.table.depth]]
+    if d.kind == "block-doubler":
+        return d.value(tau)
+    return closed_form(d, tau, reference_value)
 
 
 # ---------------------------------------------------------------------------
