@@ -96,15 +96,16 @@ class _Op:
     """One subcommand: what it calls, the fields it reads, what it outputs.
 
     fields maps each document field the subcommand reads to its wire type,
-    which serialize.parse_field reads: a class by its parser, str a bit
-    string, [T] a JSON list of T, list any JSON list, (A, B) a pair,
-    Natural an integer >= 0, closure.PROVIDERS one of its keys.  A name
-    ending in "?" is optional.  call is either "module.function", looked up
-    at call time and called with the required fields in order and the
-    optional ones present in the document by keyword, its return values
-    named by outputs and a trailing Report taken as the report; or a handler
-    taking the _Job and returning (output document, Report or None).  The
-    flags that may override the document are the fields named like one.
+    which serialize.parse_field reads: a record class by the fields it
+    declares, str a bit string, [T] a JSON list of T, list any JSON list,
+    (A, B) a pair, Natural an integer >= 0, closure.PROVIDERS one of its
+    keys.  A name ending in "?" is optional, as in a record's fields.  call
+    is either "module.function", looked up at call time and called with the
+    required fields in order and the optional ones present in the document
+    by keyword, its return values named by outputs and a trailing Report
+    taken as the report; or a handler taking the _Job and returning (output
+    document, Report or None).  The flags that may override the document
+    are the fields named like one.
     """
 
     __slots__ = ("call", "fields", "required", "optional", "outputs", "flags")
@@ -194,7 +195,7 @@ def _tails_to_power(job):
 
 
 def _kc_build(job):
-    reqs = job("requests")
+    reqs = KCRequestList(job("requests"))
     m = coding.kc_build(reqs)
     rep = Report("kc-build")
     rep.check("domain measure == Kraft weight", m.domain_measure, "==", reqs.weight)
@@ -292,7 +293,7 @@ _HANDLERS = {
                                             "n": int}),
     "remark-bundle": _Op("covers.remark24_bundle",
                          {"set": PrefixFreeSet, "points?": [PeriodicPoint], "n?": int}),
-    "kc-build": _Op(_kc_build, {"requests": KCRequestList}),
+    "kc-build": _Op(_kc_build, KCRequestList.fields),
     "complexity": _Op(_complexity, {"machine": Machine, "sigma": str}),
     "machine-to-f": _Op("coding.machine_to_f", {"machine": Machine}, "f"),
     "g-to-machine": _Op("coding.g_to_machine", {"g": DyadicFunction, "c": int}, "machine"),

@@ -125,7 +125,7 @@ def _absorb(u: PrefixFreeSet, sigma: str, k: int | None, test: TestFamily | None
     n_e = len(sigma) + k
     if test is not None and test.kind == "generalized":
         bound = Fraction(1, 2 ** n_e)
-        n_e = next((n for n in test.levels if test.bound_schedule[n] <= bound), None)
+        n_e = next((n for n in test.levels if test.bounds[n] <= bound), None)
         if n_e is None:
             raise MissingLevel(f"test has no level with bound <= {bound}")
     return n_e, EMPTY_SET if test is None else test.level(n_e)

@@ -24,11 +24,13 @@ class KCRequestList:
     """List of (code length, target) requests with Kraft weight <= 1."""
 
     requests: Iterable[tuple[int, str]]
+    fields = {"requests": [(int, str)]}
 
     def __post_init__(self):
         reqs = []
         for k, sigma in self.requests:
-            k = int(k)
+            if type(k) is not int:
+                raise ValueError(f"code length {k!r} is not an integer")
             if k < 0:
                 raise ValueError("negative code length")
             reqs.append((k, check_bits(sigma)))
@@ -52,6 +54,7 @@ class Machine:
     """Finite prefix-free code table p -> output, with exact domain measure."""
 
     table: Mapping[str, str]
+    fields = {"table": {str: str}}
 
     def __post_init__(self):
         entries = sorted(self.table.items(), key=lambda kv: lenlex_key(kv[0]))
@@ -112,15 +115,17 @@ class DyadicFunction:
     """Finite nonnegative dyadic-valued function.
 
     Keys are all naturals or all bit strings; zero values are dropped, so
-    the stored entries are exactly the support.  declared_sum is the exact
-    sum of the values, the "sum" of the wire form.
+    the stored entries, its `values`, are exactly the support.  sum is the
+    exact sum of the values; a sum given to the constructor must equal it.
     """
 
-    __slots__ = ("entries", "declared_sum")
+    __slots__ = ("entries", "sum")
+    fields = {"values": [(object, Fraction)], "sum?": Fraction}
 
-    def __init__(self, values: Mapping | Iterable[tuple]):
+    def __init__(self, values: Mapping | Iterable[tuple], sum: Fraction | None = None):
         items = values.items() if isinstance(values, Mapping) else list(values)
         cleaned = []
+        total = ZERO
         for key, v in items:
             v = Fraction(v)
             if v < 0:
@@ -134,13 +139,18 @@ class DyadicFunction:
                 check_bits(key)
             if v != 0:
                 cleaned.append((key, v))
+                total += v
         kinds = {type(k) for k, _ in cleaned}
         if len(kinds) > 1:
             raise ValueError("keys must be all naturals or all strings")
+        if sum is not None and sum != total:
+            raise ValueError(f"declared sum {sum} != sum of the values {total}")
         keyfn = (lambda kv: lenlex_key(kv[0])) if kinds == {str} else (lambda kv: kv[0])
         cleaned.sort(key=keyfn)
         self.entries = tuple(cleaned)
-        self.declared_sum = sum((v for _, v in cleaned), start=ZERO)
+        self.sum = total
+
+    values = property(lambda self: self.entries)
 
     def __call__(self, key) -> Fraction:
         for k, v in self.entries:
@@ -176,8 +186,8 @@ def machine_to_f(m: Machine) -> tuple[DyadicFunction, Report]:
     f = DyadicFunction(values)
     rep = Report("machine-to-series")
     rep.put("domain_measure", m.domain_measure)
-    rep.put("sum", f.declared_sum)
-    rep.check("sum f <= domain measure", f.declared_sum, "<=", m.domain_measure)
+    rep.put("sum", f.sum)
+    rep.check("sum f <= domain measure", f.sum, "<=", m.domain_measure)
     return f, rep
 
 
@@ -251,9 +261,9 @@ def flatten_staged(stages: Sequence[DyadicFunction]) -> DyadicFunction:
                 out[cantor_pair(i, t)] = cur - prev
             prev = cur
     flat = DyadicFunction(out)
-    if flat.declared_sum != stages[-1].declared_sum:
-        raise SumMismatch(f"flattened sum {flat.declared_sum} != last stage sum "
-                          f"{stages[-1].declared_sum}")
+    if flat.sum != stages[-1].sum:
+        raise SumMismatch(f"flattened sum {flat.sum} != last stage sum "
+                          f"{stages[-1].sum}")
     return flat
 
 
@@ -273,7 +283,7 @@ def normalize_sum(f: DyadicFunction, n: int) -> DyadicFunction:
 
     Any g >= the result also dominates f, since only one value grew.
     """
-    total = f.declared_sum
+    total = f.sum
     if n < total:
         raise NTooSmall(f"target {n} below current sum {total}")
     anchor = "" if any(isinstance(k, str) for k in f.support()) else 0

@@ -14,7 +14,8 @@ from typing import Iterable, Sequence
 from .errors import MissingLevel, PowerOfEpsilon, TailEscapes, Unbounded
 from .reports import Report
 from . import space
-from .space import PeriodicPoint, PrefixFreeSet, measure, member, tails
+from .martingales import BettingStrategy
+from .space import Natural, PeriodicPoint, PrefixFreeSet, measure, member, tails
 
 
 class TestFamily:
@@ -27,18 +28,19 @@ class TestFamily:
 
     KINDS = ("ML", "Schnorr", "generalized")
 
-    __slots__ = ("kind", "levels", "bound_schedule", "martingale")
+    __slots__ = ("kind", "levels", "bounds", "martingale")
+    fields = {"kind": dict.fromkeys(KINDS), "levels": {Natural: PrefixFreeSet},
+              "bounds?": {Natural: Fraction}, "martingale?": BettingStrategy}
 
     def __init__(self, kind: str, levels: dict[int, PrefixFreeSet],
-                 bound_schedule: dict[int, Fraction] | None = None,
-                 martingale=None):
+                 bounds: dict[int, Fraction] | None = None,
+                 martingale: BettingStrategy | None = None):
         if kind not in self.KINDS:
             raise ValueError(f"unknown test kind {kind!r}")
         lv = {int(n): s for n, s in levels.items()}
         if any(n < 0 for n in lv):
             raise ValueError("negative level index")
-        sched = None if bound_schedule is None else {
-            int(n): Fraction(v) for n, v in bound_schedule.items()}
+        sched = None if bounds is None else {int(n): Fraction(v) for n, v in bounds.items()}
         if kind == "ML":
             for n, s in lv.items():
                 if measure(s) > Fraction(1, 2 ** n):
@@ -60,7 +62,7 @@ class TestFamily:
                 raise ValueError("schedule must be nonincreasing")
         self.kind = kind
         self.levels = dict(sorted(lv.items()))
-        self.bound_schedule = sched
+        self.bounds = sched
         self.martingale = martingale
 
     def indices(self) -> list[int]:
@@ -99,7 +101,7 @@ def power_test(u: PrefixFreeSet, n_max: int) -> TestFamily:
         raise PowerOfEpsilon("epsilon generator not allowed")
     levels = dict(enumerate(space.powers(u, n_max), start=1))
     sched = {n: measure(u) ** n for n in levels}
-    return TestFamily("generalized", levels, bound_schedule=sched)
+    return TestFamily("generalized", levels, bounds=sched)
 
 
 class FactorizationCertificate:

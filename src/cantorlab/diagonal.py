@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .closure import PROVIDERS
 from .covers import TestFamily
 from .errors import NoEscape
 from .reports import Report
@@ -30,9 +31,16 @@ class TraceStage:
 
     index: int
     sigma: str
-    current: PrefixFreeSet
-    n_e: int | None
-    tau: str | None
+    set: PrefixFreeSet
+    n_e: int | None = None
+    tau: str | None = None
+    fields = {"index": int, "sigma": str, "set": PrefixFreeSet, "n_e?": int | None,
+              "tau?": str | None}
+
+    def __post_init__(self):
+        for name, bits in (("sigma", self.sigma), ("tau", self.tau or "")):
+            if bits.strip("01"):
+                raise ValueError(f"field {name!r}: not a bit string: {bits!r}")
 
 
 @dataclass(frozen=True)
@@ -42,11 +50,16 @@ class DiagonalTrace:
 
     case: str
     stages: tuple[TraceStage, ...]
+    fields = {"case": PROVIDERS, "stages": [TraceStage]}
 
     def __post_init__(self):
-        for e, rec in enumerate(self.stages):
+        stages = tuple(self.stages)
+        if not stages:
+            raise ValueError("a trace needs at least its final stage")
+        for e, rec in enumerate(stages):
             if rec.index != e:
                 raise ValueError(f"stage {e} is recorded as stage {rec.index}")
+        object.__setattr__(self, "stages", stages)
 
     @property
     def final_sigma(self) -> str:
@@ -123,15 +136,15 @@ def verify_trace(trace: DiagonalTrace, w: PrefixFreeSet,
         rep.record(f"stage {e}: sigma chains by tau",
                    nxt.sigma == rec.sigma + (rec.tau or ""))
         rep.record(f"stage {e}: U_{e+1} covers U_{e}",
-                   covers(nxt.current, rec.current))
+                   covers(nxt.set, rec.set))
         rep.check(f"stage {e}: mu(U_{e+1} | sigma_{e}) < 1",
-                  measure(condition(nxt.current, rec.sigma)), "<", Fraction(1))
+                  measure(condition(nxt.set, rec.sigma)), "<", Fraction(1))
         rep.check(f"stage {e}: mu(U_{e+1} | sigma_{e+1}) < 1",
-                  measure(condition(nxt.current, nxt.sigma)), "<", Fraction(1))
+                  measure(condition(nxt.set, nxt.sigma)), "<", Fraction(1))
         if e < len(tests) and rec.n_e is not None:
             level = tests[e].level(rec.n_e)
             rep.record(f"stage {e}: U_{e+1} captures test level n_e={rec.n_e}",
-                       covers(nxt.current, level))
+                       covers(nxt.set, level))
     final = trace.final_sigma
     for e, rec in enumerate(stages[:-1]):
         if e < len(tests) and rec.n_e is not None:

@@ -49,6 +49,7 @@ class MartingaleTable:
 
     depth: int
     values: Mapping[str, Fraction]
+    fields = {"depth": int, "values": {str: Fraction}}
 
     def __post_init__(self):
         if (depth := self.depth) < 0:
@@ -83,12 +84,12 @@ def check_fairness(d: MartingaleTable) -> bool:
 class BettingStrategy:
     """A martingale evaluable at any string, with exact rational values.
 
-    A subclass names its wire `kind` and its `fields`: each constructor
-    argument, in order, with its wire type as serialize.parse_field reads
-    it (a class; str for a bit string; space.Natural for an integer >= 0;
-    [T] for a list of T; (A, B) for a pair).  Argument, attribute and
-    document key share the name, and defining the subclass registers it in
-    `kinds` under its kind.
+    A subclass names its wire `kind` and its `fields`, declared as every
+    wire record declares them: each constructor argument, in order, with
+    its wire type as serialize.parse_field reads it (a class; str for a bit
+    string; space.Natural for an integer >= 0; [T] for a list of T; (A, B)
+    for a pair).  Argument, attribute and document key share the name, and
+    defining the subclass registers it in `kinds` under its kind.
     """
 
     kind = "abstract"
@@ -409,6 +410,8 @@ class WinningSet:
     generators: PrefixFreeSet
     source_depth: int
     truncated: bool
+    fields = {"threshold": Fraction, "generators": PrefixFreeSet, "source_depth": int,
+              "truncated": bool}
 
     def __post_init__(self):
         self.threshold = Fraction(self.threshold)

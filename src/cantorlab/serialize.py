@@ -3,29 +3,28 @@
 Rationals travel as exact "num/den" strings (plain integers when whole),
 sets as {"elements": [...]}, points as {"head": ..., "period": ...},
 martingale tables as {"depth": D, "values": {...}}, strategies as tagged
-records naming their kind, written by to_doc and by dumps from one shape
-rule.  Each record type of _RECORDS is a dataclass whose fields are its
-document keys.  parse_* functions are the inverse direction used by the
-front door, and parse_field reads a job's or a strategy's field by the wire
-type it declares.
+records naming their kind.  Each record class declares its document once,
+in its `fields`: every key with the wire type parse_field reads it by, a
+trailing "?" marking a key that may be left out.  to_doc and dumps write a
+record from that declaration, and parse_field reads one back through it,
+key by key, as it reads a job's fields.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import fields
 from fractions import Fraction
+from functools import cache
 from json import JSONEncoder
 from json.encoder import encode_basestring_ascii as _str
+from types import UnionType
 from typing import Any, Callable
 
 from . import martingales as mg
-from .coding import DyadicFunction, KCRequestList, Machine
 from .covers import TestFamily
-from .diagonal import DiagonalTrace, TraceStage
 from .errors import ParseError
 from .reports import Check, Report
-from .space import Natural, PeriodicPoint, PrefixFreeSet, StagedOpenSet, check_bits
+from .space import Natural, PrefixFreeSet
 
 
 def parse_fraction(doc: Any) -> Fraction:
@@ -54,17 +53,24 @@ def parse_bool(doc: Any) -> bool:
     return doc
 
 
-# The wire's record types: a record's document is its dataclass fields, by name.
-_RECORDS = {cls: tuple(f.name for f in fields(cls)) for cls in (
-    PeriodicPoint, StagedOpenSet, mg.MartingaleTable, mg.WinningSet, Machine,
-    KCRequestList, DiagonalTrace)}
+@cache
+def _declared(cls: type) -> tuple | None:
+    """A record class's document keys, as (name, wire type, optional) from
+    its fields; None for a class that declares none, or for a strategy
+    class whose kind is not registered."""
+    decl = getattr(cls, "fields", None)
+    if not isinstance(decl, dict) or (issubclass(cls, mg.BettingStrategy)
+                                      and cls.kind not in mg.BettingStrategy.kinds):
+        return None
+    return tuple((key.rstrip("?"), wire, key.endswith("?")) for key, wire in decl.items())
 
 
 def _shape(obj: Any, frac: Callable[[Fraction], Any] = str) -> Any:
     """A value's document one level deep, its parts left as they are: a
     Fraction as frac renders it, a dict with str keys, a list; a record's
-    attributes _RECORDS names; a registered strategy's kind and fields;
-    None for a JSON scalar or a value with no wire form."""
+    declared keys, a strategy's kind first, an optional key left out where
+    it is None unless its type admits null; None for a JSON scalar or a
+    value with no wire form."""
     # Fraction's isinstance goes through ABCMeta, so commoner types come first.
     if isinstance(obj, dict):
         return {str(k): v for k, v in obj.items()}
@@ -73,28 +79,18 @@ def _shape(obj: Any, frac: Callable[[Fraction], Any] = str) -> Any:
     if isinstance(obj, Check):
         return {"check": obj.name, "lhs": obj.lhs, "relation": obj.relation,
                 "rhs": obj.rhs, "result": "PASS" if obj.passed else "FAIL"}
-    if isinstance(obj, PrefixFreeSet):
-        return {"elements": obj.elements}
+    if (keys := _declared(type(obj))) is not None:
+        doc = {"kind": obj.kind} if isinstance(obj, mg.BettingStrategy) else {}
+        for name, wire, optional in keys:
+            if (part := getattr(obj, name)) is not None or not optional \
+                    or type(wire) is UnionType:
+                doc[name] = part
+        return doc
     if isinstance(obj, Fraction):
         return frac(obj)
-    names = _RECORDS.get(type(obj))
-    if names is None and isinstance(obj, mg.BettingStrategy) \
-            and obj.kind in mg.BettingStrategy.kinds:
-        names = ("kind", *obj.fields)
-    if names is not None:
-        return {name: getattr(obj, name) for name in names}
     if isinstance(obj, Report):
         return {"title": obj.title, "checks": obj.checks, "data": obj.data,
                 "result": "PASS" if obj.passed else "FAIL"}
-    if isinstance(obj, TestFamily):
-        doc = {"kind": obj.kind, "levels": obj.levels,
-               "bounds": obj.bound_schedule, "martingale": obj.martingale}
-        return {key: part for key, part in doc.items() if part is not None}
-    if isinstance(obj, DyadicFunction):
-        return {"values": obj.entries, "sum": obj.declared_sum}
-    if isinstance(obj, TraceStage):
-        return {"index": obj.index, "sigma": obj.sigma,
-                "set": obj.current, "n_e": obj.n_e, "tau": obj.tau}
     return None
 
 
@@ -218,111 +214,12 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
         put(_json(value).replace("\n", newline))
 
 
-def _need(doc: Any, key: str) -> Any:
-    if not isinstance(doc, dict) or key not in doc:
-        raise ParseError(f"missing field {key!r}")
-    return doc[key]
-
-
-def _refusing(*errors: type) -> Callable:
-    """A parser whose errors of these types become a ParseError, same message."""
-    def wrap(parse: Callable) -> Callable:
-        def parsed(doc: Any) -> Any:
-            try:
-                return parse(doc)
-            except errors as err:
-                raise ParseError(str(err)) from None
-        return parsed
-    return wrap
-
-
-@_refusing(ValueError)
 def parse_set(doc: Any) -> PrefixFreeSet:
-    return PrefixFreeSet(_need(doc, "elements"))
+    return parse_field(PrefixFreeSet, doc)
 
 
-@_refusing(ValueError)
-def parse_point(doc: Any) -> PeriodicPoint:
-    return PeriodicPoint(_need(doc, "head"), _need(doc, "period"))
-
-
-@_refusing(ValueError)
-def parse_staged(doc: Any) -> StagedOpenSet:
-    stages = tuple(parse_set(s) for s in _need(doc, "stages"))
-    declared = doc.get("final_measure")
-    return StagedOpenSet(stages, None if declared is None else parse_fraction(declared))
-
-
-@_refusing(ValueError, TypeError, AttributeError)
-def parse_table(doc: Any) -> mg.MartingaleTable:
-    values = {s: parse_fraction(v) for s, v in _need(doc, "values").items()}
-    return mg.MartingaleTable(parse_int(_need(doc, "depth")), values)
-
-
-@_refusing(ValueError, TypeError)
-def parse_strategy(doc: Any) -> mg.BettingStrategy:
-    kind = _need(doc, "kind")
-    cls = mg.BettingStrategy.kinds.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ParseError(f"unknown strategy kind {kind!r}")
-    return cls(*[parse_field(wire, _need(doc, name)) for name, wire in cls.fields.items()])
-
-
-def _index(key: str) -> int:
-    """A test family's level or bound index, a natural's canonical text."""
-    if str(n := int(key)) != key:
-        raise ParseError(f"index {key!r} is not written as a canonical natural")
-    return n
-
-
-@_refusing(ValueError, AttributeError)
 def parse_test(doc: Any) -> TestFamily:
-    levels = {_index(n): parse_set(s) for n, s in _need(doc, "levels").items()}
-    bounds = doc.get("bounds")
-    sched = None if bounds is None else {
-        _index(n): parse_fraction(v) for n, v in bounds.items()}
-    mart = doc.get("martingale")
-    return TestFamily(_need(doc, "kind"), levels, bound_schedule=sched,
-                      martingale=None if mart is None else parse_strategy(mart))
-
-
-@_refusing(ValueError, AttributeError)
-def parse_machine(doc: Any) -> Machine:
-    return Machine(_need(doc, "table"))
-
-
-@_refusing(ValueError, TypeError)
-def parse_requests(doc: Any) -> KCRequestList:
-    return KCRequestList([(parse_int(k), s) for k, s in _need(doc, "requests")])
-
-
-@_refusing(ValueError, TypeError)
-def parse_dyadic(doc: Any) -> DyadicFunction:
-    return DyadicFunction([(k, parse_fraction(v)) for k, v in _need(doc, "values")])
-
-
-def _stage_field(s: dict, key: str, parse: Callable, null: bool = True) -> Any:
-    """A trace stage's field by its parser, or None where it may be null and is."""
-    if null and s.get(key) is None:
-        return None
-    value = _need(s, key)
-    try:
-        return parse(value)
-    except (ValueError, TypeError, ParseError) as err:
-        raise ParseError(f"trace stage field {key!r}: {err}") from None
-
-
-@_refusing(ValueError, TypeError)
-def parse_trace(doc: Any) -> DiagonalTrace:
-    stages = tuple(TraceStage(index=_stage_field(s, "index", parse_int, null=False),
-                              sigma=_stage_field(s, "sigma", check_bits, null=False),
-                              current=_stage_field(s, "set", parse_set, null=False),
-                              n_e=_stage_field(s, "n_e", parse_int),
-                              tau=_stage_field(s, "tau", check_bits))
-                   for s in _need(doc, "stages"))
-    if not stages:
-        raise ParseError("a trace needs at least its final stage")
-    return DiagonalTrace(_need(doc, "case"), stages)
+    return parse_field(TestFamily, doc)
 
 
 def _bits(doc: Any) -> str:
@@ -332,32 +229,78 @@ def _bits(doc: Any) -> str:
 
 
 def parse_field(wire: Any, doc: Any) -> Any:
-    """A job's or a strategy's field from its document, by the wire type it
-    declares: [T] a JSON list of T, list a JSON list of anything, (A, B) a
-    JSON list of an A and a B, a dict one of its keys, a type by its
-    _FIELD_PARSERS entry."""
-    if type(wire) is list or wire is list:
+    """A job's or a record's field from its document, by the wire type it
+    declares: [T] a JSON list of T, list one of anything, (A, B) a JSON list
+    of an A and a B, {K: V} an object of K keys (str as they are, Natural a
+    natural's canonical text) and V values, a dict of names one of its
+    names, T | None a T or null, a class by its _FIELD_PARSERS entry or else
+    as a record of the fields it declares.  The wrong shape raises TypeError
+    or ValueError, which a record prefixes with its field; ParseError is for
+    text or a record of the right shape refused: a bad rational, an index
+    not written canonically, an unknown strategy kind, and a record its
+    class refuses, in the class's words."""
+    kind = type(wire)
+    if kind is list or wire is list:
         if not isinstance(doc, list):
             raise TypeError("expected a list")
         return doc if wire is list else [parse_field(wire[0], x) for x in doc]
-    if type(wire) is tuple:
+    if kind is tuple:
         if not isinstance(doc, list) or len(doc) != 2:
             raise TypeError("expected a pair")
         return parse_field(wire[0], doc[0]), parse_field(wire[1], doc[1])
-    if type(wire) is dict:
-        if doc not in wire:
-            raise ValueError(f"must be one of {', '.join(wire)}")
-        return doc
-    return _FIELD_PARSERS[wire](doc)
+    if kind is dict:
+        key, value = next(iter(wire.items()))
+        if isinstance(key, str):
+            if not isinstance(doc, str) or doc not in wire:
+                raise ValueError(f"must be one of {', '.join(wire)}")
+            return doc
+        if not isinstance(doc, dict):
+            raise TypeError("expected an object")
+        out = {}
+        for text, part in doc.items():
+            if key is Natural and not (text.isdecimal() and str(int(text)) == text):
+                raise ParseError(f"index {text!r} is not written as a canonical natural")
+            out[int(text) if key is Natural else text] = parse_field(value, part)
+        return out
+    if kind is UnionType:
+        return None if doc is None else parse_field(wire.__args__[0], doc)
+    parse = _FIELD_PARSERS.get(wire)
+    return parse(doc) if parse is not None else _record(wire, doc)
+
+
+def _record(cls: type, doc: Any) -> Any:
+    """A record made by keyword from its declared keys, each read by its
+    wire type; an optional key absent or null leaves the constructor's
+    default.  A strategy is read as the class its kind names."""
+    if not isinstance(doc, dict):
+        raise TypeError("expected an object")
+    if cls is mg.BettingStrategy:
+        if "kind" not in doc:
+            raise ValueError("missing field 'kind'")
+        kind = doc["kind"]
+        cls = mg.BettingStrategy.kinds.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ParseError(f"unknown strategy kind {kind!r}")
+    args = {}
+    for name, wire, optional in _declared(cls):
+        if (part := doc.get(name)) is None:
+            if optional:
+                continue
+            if name not in doc:
+                raise ValueError(f"missing field {name!r}")
+        try:
+            args[name] = parse_field(wire, part)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"field {name!r}: {err}") from None
+    try:
+        return cls(**args)
+    except ValueError as err:
+        raise ParseError(str(err)) from None
 
 
 # str is a bit string (its bits checked by what reads it), Natural a JSON
-# integer >= 0, and a job's requests the list a KCRequestList's document holds.
+# integer >= 0, and object any JSON value, checked by the record holding it.
 _FIELD_PARSERS = {
     int: parse_int, Natural: lambda doc: parse_int(doc, natural=True), bool: parse_bool,
-    str: _bits, Fraction: parse_fraction, PrefixFreeSet: parse_set,
-    PeriodicPoint: parse_point, StagedOpenSet: parse_staged, TestFamily: parse_test,
-    mg.MartingaleTable: parse_table, mg.BettingStrategy: parse_strategy,
-    Machine: parse_machine, DyadicFunction: parse_dyadic, DiagonalTrace: parse_trace,
-    KCRequestList: lambda doc: parse_requests({"requests": doc}),
+    str: _bits, Fraction: parse_fraction, object: lambda doc: doc,
 }

@@ -198,7 +198,7 @@ def vn_from_g(g: DyadicFunction, n: int) -> tuple[PrefixFreeSet, Report]:
     chosen = [s for s, val in g.entries
               if val > Fraction(n, 2) * space.cylinder_measure(s)]
     v = space.reduce(chosen)
-    total = g.declared_sum
+    total = g.sum
     rep = Report("vn-from-g")
     rep.put("n", n)
     rep.put("sum", total)
@@ -220,7 +220,7 @@ def f_from_test(test: TestFamily) -> tuple[DyadicFunction, Report]:
         (n * measure(test.levels[n]) for n in test.indices()), start=ZERO
     )
     rep = Report("f-from-test")
-    rep.check("sum f <= sum n * mu(level n)", f.declared_sum, "<=", bound)
+    rep.check("sum f <= sum n * mu(level n)", f.sum, "<=", bound)
     return f, rep
 
 

@@ -12,9 +12,10 @@ Set kernel.  A PrefixFreeSet is backed by the binary trie of its
 generators: a generator is a path from the root to a leaf.  Every trie,
 a string-built set's included, is made by NodeTable.build.  Structurally
 identical subtries built by one construction or operation are stored once
-(hash-consed), so a bit position no generator is pinned at costs one node,
-not a doubling of the generator list.  The trie encodes the generator set,
-not the open set: {"0", "1"} stays two generators, as the reports list it.
+(hash-consed, union's run above two tails aside), so a bit position no
+generator is pinned at costs one node, not a doubling of the generator
+list.  The trie encodes the generator set, not the open set: {"0", "1"}
+stays two generators, as the reports list it.
 Each node caches its generator count, its height (the longest generator)
 and its measure as an integer numerator over 2^height; the kernel
 operations are walks over nodes, memoized on the nodes they visit.  A set
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, islice
 from operator import attrgetter, contains, itemgetter
+from os.path import commonprefix
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PowerOfEpsilon
@@ -155,8 +157,11 @@ class NodeTable:
     def __init__(self):
         self.nodes: dict[tuple[Trie, Trie], TrieNode] = {}
 
-    def node(self, zero: Trie, one: Trie) -> Trie:
-        """The subtrie with these children; one generator comes back as a str."""
+    def node(self, zero: Trie, one: Trie, run: str = "") -> Trie:
+        """The subtrie with these children; one generator comes back as a str.
+        A run, the bits of a prefix above two children that are not EMPTY,
+        puts the node under one one-child node per bit, made at once and not
+        entered in the table: build meets the run's key once."""
         if zero is EMPTY or one is EMPTY:
             if zero is one:
                 return EMPTY
@@ -173,15 +178,22 @@ class NodeTable:
             h = max(zh, oh)
             got = self.nodes[key] = TrieNode(zero, one, zc + oc, h + 1,
                                              (zn << (h - zh)) + (on << (h - oh)))
+        if run:
+            gens, height, num = got.count, got.height, got.num
+            for height, bit in enumerate(reversed(run), height + 1):
+                got = (TrieNode(got, EMPTY, gens, height, num) if bit == "0"
+                       else TrieNode(EMPTY, got, gens, height, num))
         return got
 
     def build(self, top, expand, done: dict) -> Trie:
         """The subtrie of subproblem `top`, built bottom-up without recursion.
 
-        expand(key) returns either a finished subtrie or the pair of keys of
-        the 0- and 1-subproblems.  `done` maps solved keys to their subtries
-        and may be seeded with base cases; each key is expanded once, so a
-        subproblem met again is shared, and deep tries need no deep stack.
+        expand(key) returns either a finished subtrie, the pair of keys of
+        the 0- and 1-subproblems, or two finished subtries and the run of
+        bits above them, made at once by node.  `done` maps solved keys to
+        their subtries and may be seeded with base cases; each key is
+        expanded once, so a subproblem met again is shared, and deep tries
+        need no deep stack.
         """
         split = {}
         stack = [top]
@@ -197,9 +209,11 @@ class NodeTable:
             step = expand(key)
             if type(step) is not tuple:
                 done[key] = step
-                continue
-            split[key] = step
-            stack += (key, step[1], step[0])
+            elif len(step) == 3:
+                done[key] = self.node(*step)
+            else:
+                split[key] = step
+                stack += (key, step[1], step[0])
         return done[top]
 
 
@@ -337,6 +351,8 @@ class PrefixFreeSet:
     """
 
     __slots__ = ("_elements", "_root", "_measure")
+    # Any list: the set checks its bit strings in one scan as it is made.
+    fields = {"elements": list}
 
     def __init__(self, elements: Iterable[str] = ()):
         elems = _sorted_bits(elements)
@@ -508,7 +524,9 @@ def power(u: PrefixFreeSet, n: int) -> PrefixFreeSet:
 
 
 def _or(pair: tuple[Trie, Trie]):
-    """One step of the OR of two tries, where a leaf absorbs what is below it."""
+    """One step of the OR of two tries, where a leaf absorbs what is below
+    it.  Two tails meet in one step: the shorter where it starts the other,
+    else their common prefix as a run above the two parts past it."""
     a, b = pair
     if a is LEAF or b is LEAF:
         return LEAF
@@ -516,6 +534,12 @@ def _or(pair: tuple[Trie, Trie]):
         return b
     if b is EMPTY:
         return a
+    if type(a) is str and type(b) is str:
+        k = len(commonprefix(pair))
+        if k == min(len(a), len(b)):
+            return min(a, b, key=len)
+        zero, one = (a, b) if a[k] == "0" else (b, a)
+        return zero[k + 1:] or LEAF, one[k + 1:] or LEAF, a[:k]
     az, ao = kids(a)
     bz, bo = kids(b)
     return (az, bz), (ao, bo)
@@ -534,8 +558,8 @@ def _covers(a: Trie, b: Trie) -> bool:
     path through b keeps all of b's generators below it.
     """
     # Kept over measure(union(v, u)) == measure(v), same answers: union
-    # slices tails bit by bit, so a 10,000-bit tail peaked at 103 MB, and
-    # closure_diag ran 3,285 jobs/s against 3,455 (Python 3.11, 2 cores).
+    # then sliced tails bit by bit, so a 10,000-bit tail peaked at 103 MB,
+    # and closure_diag ran 3,285 jobs/s against 3,455 (Python 3.11, 2 cores).
     seen = set()
     stack = [(a, b)]
     while stack:
@@ -688,6 +712,7 @@ class PeriodicPoint:
 
     head: str
     period: str
+    fields = {"head": str, "period": str}
 
     def __post_init__(self):
         check_bits(self.head)
@@ -761,6 +786,7 @@ class StagedOpenSet:
 
     stages: Iterable[PrefixFreeSet]
     final_measure: Fraction | None = None
+    fields = {"stages": [PrefixFreeSet], "final_measure?": Fraction}
 
     def __post_init__(self):
         st = tuple(self.stages)

@@ -181,7 +181,7 @@ class TestP3MLR:
         2^-(|sigma| + k), not level |sigma| + k, whose bound 3/4 here would
         fail both certified bounds."""
         t = TestFamily("generalized", {1: PrefixFreeSet(["0", "11"]), 2: PrefixFreeSet(["00"])},
-                       bound_schedule={1: Fraction(3, 4), 2: Fraction(1, 4)})
+                       bounds={1: Fraction(3, 4), 2: Fraction(1, 4)})
         n_e, v, rep = p3_mlr(PrefixFreeSet(["10"]), "", 1, t)
         assert n_e == 2 and v == PrefixFreeSet(["00", "10"])
         assert rep.passed

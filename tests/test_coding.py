@@ -44,6 +44,13 @@ class TestKCBuild:
         with pytest.raises(WeightOverflow):
             KCRequestList([(1, "0"), (1, "1"), (1, "00")])
 
+    @pytest.mark.parametrize("k", [1.5, "2", True, None])
+    def test_code_lengths_are_integers(self, k):
+        """A length that is not an int is refused, not coerced: 1.5 once
+        built Machine({'0': '0'}) and "2" was read as 2."""
+        with pytest.raises(ValueError, match="is not an integer"):
+            kc_build([(k, "0")])
+
     def test_failed_fit_is_a_named_error(self):
         # A request list whose weight check was bypassed: the allocator
         # itself must still refuse, with or without python -O.
@@ -92,13 +99,13 @@ class TestComplexity:
 class TestMachineToF:
     def test_single_program(self):
         f, rep = machine_to_f(Machine({"0": "1"}))
-        assert f("1") == Fraction(1, 2) and f.declared_sum == Fraction(1, 2)
+        assert f("1") == Fraction(1, 2) and f.sum == Fraction(1, 2)
         assert rep.passed
 
     def test_duplicate_target_counts_once(self):
         f, rep = machine_to_f(Machine({"0": "1", "10": "1"}))
         assert f("1") == Fraction(1, 2)
-        assert f.declared_sum == Fraction(1, 2)
+        assert f.sum == Fraction(1, 2)
         assert rep.data["domain_measure"] == Fraction(3, 4)
         assert rep.passed
 
@@ -163,7 +170,7 @@ class TestGToMachine:
                 t = rng.randint(0, 6)
                 entries[format(i, "03b")] = Fraction(rng.randint(1, 2 ** t), 2 ** t)
             g = DyadicFunction(entries)
-            c = max(0, ceil_log2(g.declared_sum))
+            c = max(0, ceil_log2(g.sum))
             m, rep = g_to_machine(g, c)
             assert rep.passed
             for sigma, v in g.entries:
@@ -183,6 +190,21 @@ class TestDyadicFunction:
         f = DyadicFunction({0: Fraction(0), 1: Fraction(1, 2)})
         assert f.support() == [1]
 
+    def test_declared_sum_is_checked(self):
+        """A sum given with the values must be theirs; its wire key is
+        checked the same way, and the error names both sums."""
+        values = {"0": Fraction(1, 2), "10": Fraction(1, 4)}
+        assert DyadicFunction(values, sum=Fraction(3, 4)).sum == Fraction(3, 4)
+        with pytest.raises(ValueError, match="declared sum 3 != sum of the values 3/4"):
+            DyadicFunction(values, sum=Fraction(3))
+        rep, status = dispatch("g-to-machine", {"g": {"values": [["0", "1/2"]], "sum": "3"},
+                                                "c": 0})
+        assert status == 2 and rep["error"] == {
+            "type": "ParseError", "message": "declared sum 3 != sum of the values 1/2"}
+        rep, status = dispatch("g-to-machine", {"g": {"values": [["0", "1/2"]],
+                                                      "sum": "1/2"}, "c": 0})
+        assert status == 0
+
 
 class TestFlatten:
     def test_increase_sequence(self):
@@ -190,7 +212,7 @@ class TestFlatten:
                   DyadicFunction({5: Fraction(1, 2)})]
         flat = flatten_staged(stages)
         assert sorted(v for _, v in flat.entries) == [Fraction(1, 4), Fraction(1, 4)]
-        assert flat.declared_sum == Fraction(1, 2)
+        assert flat.sum == Fraction(1, 2)
 
     def test_constant_stages_single_entry(self):
         stages = [DyadicFunction({0: Fraction(1, 8), 3: Fraction(1, 2)})] * 3
@@ -208,7 +230,7 @@ class TestFlatten:
     def test_sum_mismatch_is_a_named_error(self):
         # A last stage whose declared sum was altered after validation.
         last = DyadicFunction({0: Fraction(1, 2)})
-        last.declared_sum = Fraction(3, 4)
+        last.sum = Fraction(3, 4)
         with pytest.raises(SumMismatch):
             flatten_staged([DyadicFunction({0: Fraction(1, 4)}), last])
 
@@ -216,7 +238,7 @@ class TestFlatten:
         # As st(0) does: 1/4, not 1/2, so the stages do not decrease.
         stages = [DyadicFunction([(0, Fraction(1, 4)), (0, Fraction(1, 2))]),
                   DyadicFunction({0: Fraction(1, 4)})]
-        assert flatten_staged(stages).declared_sum == Fraction(1, 4)
+        assert flatten_staged(stages).sum == Fraction(1, 4)
 
     def test_stages_are_read_once(self):
         """8,000 keys over 5 stages: one lookup per key and stage, not a
@@ -225,7 +247,7 @@ class TestFlatten:
                   for t in range(5)]
         with time_limit(2.0, "flatten of 8,000 keys over 5 stages"):
             flat = flatten_staged(stages)
-        assert len(flat) == 40000 and flat.declared_sum == stages[-1].declared_sum
+        assert len(flat) == 40000 and flat.sum == stages[-1].sum
 
     def test_aggregate_inverts(self):
         rng = Random(9)
@@ -240,7 +262,7 @@ class TestFlatten:
             flat = flatten_staged(stages)
             back = aggregate_pairs(flat)
             assert back == stages[-1]
-            assert flat.declared_sum == stages[-1].declared_sum
+            assert flat.sum == stages[-1].sum
 
     def test_aggregate_of_a_huge_key(self):
         # Walking up the antidiagonals to this key would take about 10^20 steps.
@@ -256,7 +278,7 @@ class TestNormalize:
         f = DyadicFunction({0: Fraction(1, 4), 1: Fraction(1, 8)})
         out = normalize_sum(f, 1)
         assert out(0) == Fraction(7, 8) and out(1) == Fraction(1, 8)
-        assert out.declared_sum == 1
+        assert out.sum == 1
 
     def test_already_exact(self):
         f = DyadicFunction({0: Fraction(1, 2), 1: Fraction(1, 2)})

@@ -60,8 +60,8 @@ class TestTestFamily:
         with pytest.raises(ValueError):
             TestFamily("generalized", {0: PrefixFreeSet(["0"])})
         t = TestFamily("generalized", {0: PrefixFreeSet(["0"])},
-                       bound_schedule={0: Fraction(1, 2)})
-        assert t.bound_schedule[0] == Fraction(1, 2)
+                       bounds={0: Fraction(1, 2)})
+        assert t.bounds[0] == Fraction(1, 2)
 
     def test_missing_level(self):
         t = toward(PeriodicPoint("", "0"), 3)

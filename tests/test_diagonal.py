@@ -151,7 +151,7 @@ class TestAgainstPowerTests:
         except MissingLevel as err:
             bound = Fraction(re.fullmatch(r"test has no level with bound <= (\S+)",
                                           str(err))[1])
-            assert any(min(t.bound_schedule.values()) > bound for t in tests)
+            assert any(min(t.bounds.values()) > bound for t in tests)
             return "missing-level"
         assert rep.passed and verify_trace(trace, w, tests).passed
         return "trace"
@@ -204,7 +204,7 @@ class TestVerifyTrace:
         w, trace = self.fixture()
         bad = list(trace.stages)
         s0 = bad[0]
-        bad[0] = TraceStage(s0.index, s0.sigma, s0.current, s0.n_e, "0")
+        bad[0] = TraceStage(s0.index, s0.sigma, s0.set, s0.n_e, "0")
         tampered = DiagonalTrace(trace.case, tuple(bad))
         rep = verify_trace(tampered, w, [ml_toward_zeros(6)])
         assert not rep.passed
@@ -224,7 +224,7 @@ class TestVerifyTrace:
         is a run of a negative number of stages."""
         w, trace = self.fixture()
         for e, rec in enumerate(trace.stages):
-            moved = TraceStage(e + 1, rec.sigma, rec.current, rec.n_e, rec.tau)
+            moved = TraceStage(e + 1, rec.sigma, rec.set, rec.n_e, rec.tau)
             stages = (*trace.stages[:e], moved, *trace.stages[e + 1:])
             with pytest.raises(ValueError, match=f"stage {e} is recorded as stage {e + 1}"):
                 DiagonalTrace(trace.case, stages)

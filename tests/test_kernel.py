@@ -408,6 +408,21 @@ class TestSparseSets:
         w = pinned_union([pins])
         assert measure(w) == Fraction(1, 2) and covers_pinned(w, pins)
 
+    def test_union_meets_two_tails_in_one_step(self):
+        """Two one-generator sets sharing an 8,000-bit prefix are joined by
+        one common-prefix scan and one run of nodes; sliced bit by bit, the
+        union took over 60 ms.  Collecting first keeps an earlier test's
+        garbage out of the timed union."""
+        p = "0" * 8000
+        u, v = PrefixFreeSet([p + "0"]), PrefixFreeSet([p + "1"])
+        u.trie(), v.trie()
+        gc.collect()
+        with time_limit(0.005, "union of two tails sharing 8,000 bits"):
+            w = union(u, v)
+        assert w.elements == (p + "0", p + "1") and measure(w) == Fraction(1, 2 ** 8000)
+        assert union(u, PrefixFreeSet([p])).elements == (p,)
+        assert union(PrefixFreeSet([p + "01"]), u).elements == (p + "0",)
+
     def test_construction_leaves_no_cyclic_garbage(self):
         gc.collect()
         gc.disable()

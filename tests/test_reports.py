@@ -34,7 +34,7 @@ from cantorlab.martingales import (
     winning_set,
 )
 from cantorlab.reports import Report
-from cantorlab.serialize import _RECORDS, dumps, to_doc
+from cantorlab.serialize import dumps, to_doc
 from cantorlab.series import BlockDoubler, b_set
 from cantorlab.space import (
     EMPTY_SET,
@@ -46,7 +46,7 @@ from cantorlab.space import (
     union,
 )
 
-from util import doubler
+from util import doubler, wire_records
 
 
 def oracle(doc):
@@ -229,7 +229,7 @@ def wire_values():
                                for pins in ([(3000, "0")], [(3000, "1"), (3001, "1")])]),
         "family": TestFamily("ML", {2: PrefixFreeSet(["00"]),
                                     10: PrefixFreeSet(["0" * 10])},
-                             bound_schedule={2: Fraction(1, 4), 10: Fraction(1, 1024)},
+                             bounds={2: Fraction(1, 4), 10: Fraction(1, 1024)},
                              martingale=doubler()),
         "int-keyed": DyadicFunction({0: Fraction(1, 4), 3: Fraction(2)}),
         "str-keyed": DyadicFunction({"0": Fraction(1, 2), "10": Fraction(1, 8)}),
@@ -253,7 +253,7 @@ def test_writer_matches_the_document_oracle(name):
 def test_every_wire_type_is_in_the_oracle():
     values = wire_values()
     kinds = {type(v) for v in values.values()}
-    assert set(_RECORDS) <= kinds
+    assert wire_records() <= kinds
     assert {v.kind for v in values.values() if isinstance(v, BettingStrategy)} \
         == set(BettingStrategy.kinds)
 

@@ -3,16 +3,17 @@
 import ast
 import copy
 import dataclasses
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cantorlab.cli import _HANDLERS
+from cantorlab.cli import _HANDLERS, dispatch
 from cantorlab.closure import MLRProvider
 from cantorlab.coding import DyadicFunction, KCRequestList, Machine
 from cantorlab.covers import TestFamily
-from cantorlab.diagonal import DiagonalTrace, run
+from cantorlab.diagonal import DiagonalTrace, TraceStage, run
 from cantorlab.errors import ParseError
 from cantorlab.reports import Report
 from cantorlab.martingales import (
@@ -31,25 +32,11 @@ from cantorlab.martingales import (
     table_of,
     winning_set,
 )
-from cantorlab.serialize import (
-    _RECORDS,
-    parse_dyadic,
-    parse_fraction,
-    parse_machine,
-    parse_point,
-    parse_requests,
-    parse_set,
-    parse_staged,
-    parse_strategy,
-    parse_table,
-    parse_test,
-    parse_trace,
-    to_doc,
-)
+from cantorlab.serialize import parse_field, parse_fraction, parse_set, parse_test, to_doc
 from cantorlab.series import BlockDoubler
 from cantorlab.space import Natural, PeriodicPoint, PrefixFreeSet, StagedOpenSet
 
-from util import all_strings, doubler
+from util import all_strings, doubler, wire_records
 
 
 def test_fraction_forms():
@@ -70,19 +57,19 @@ def test_set_and_point_round_trip():
     u = PrefixFreeSet(["0", "10"])
     assert parse_set(to_doc(u)) == u
     x = PeriodicPoint("01", "1")
-    assert parse_point(to_doc(x)) == x
+    assert parse_field(PeriodicPoint, to_doc(x)) == x
 
 
 def test_staged_round_trip():
     s = StagedOpenSet((PrefixFreeSet(["00"]), PrefixFreeSet(["0"])))
     doc = to_doc(s)
     assert doc["final_measure"] == "1/2"
-    assert parse_staged(doc) == s
+    assert parse_field(StagedOpenSet, doc) == s
 
 
 def test_table_round_trip():
     t = table_of(doubler(), 3)
-    assert parse_table(to_doc(t)).values == t.values
+    assert parse_field(MartingaleTable, to_doc(t)).values == t.values
 
 
 def strategy_examples() -> dict:
@@ -109,7 +96,7 @@ def test_strategy_round_trips_evaluate_identically():
         assert d.kind == kind
         doc = to_doc(d)
         assert set(doc) == {"kind", *type(d).fields}
-        back = parse_strategy(doc)
+        back = parse_field(BettingStrategy, doc)
         assert type(back) is type(d)
         for s in all_strings(5):
             assert back.value(s) == d.value(s), kind
@@ -127,16 +114,22 @@ def misshapen(wire, bad):
 @pytest.mark.parametrize("bad", ["", {}, 1])
 def test_list_and_pair_fields_refuse_other_shapes(bad):
     """A list-typed or pair-typed strategy field holding a string, an object
-    or a number is refused by the shape it expected: not read as an empty
-    list, nor refused in the interpreter's words."""
+    or a number is refused by the shape it expected, naming the field: not
+    read as an empty list, nor refused in the interpreter's words.  A job
+    names its parameter too."""
     refused = set()
     for kind, d in strategy_examples().items():
         doc = to_doc(d)
         for name, wire in type(d).fields.items():
             for value, message in misshapen(wire, bad):
-                with pytest.raises(ParseError) as err:
-                    parse_strategy({**doc, name: value})
-                assert str(err.value) == message, (kind, name, value)
+                with pytest.raises(ValueError) as err:
+                    parse_field(BettingStrategy, {**doc, name: value})
+                assert str(err.value) == f"field {name!r}: {message}", (kind, name, value)
+                rep, status = dispatch("translate", {"strategy": {**doc, name: value},
+                                                     "sigma": ""})
+                assert status == 2 and rep["error"] == {
+                    "type": "ParseError",
+                    "message": f"bad parameter 'strategy': field {name!r}: {message}"}
                 refused.add((kind, message))
     assert refused == {("blend", "expected a list"), ("blend", "expected a pair"),
                        ("block-doubler", "expected a list")}
@@ -147,8 +140,8 @@ def test_block_doubler_exponents_are_naturals():
     wire type, so a negative exponent is refused by name in both."""
     assert BlockDoubler.fields["exponents"] == [Natural] \
         == _HANDLERS["encode-series"].fields["exponents"]
-    with pytest.raises(ParseError, match="^expected a natural, got -1$"):
-        parse_strategy({"kind": "block-doubler", "exponents": [-1], "q": "1"})
+    with pytest.raises(ValueError, match="^field 'exponents': expected a natural, got -1$"):
+        parse_field(BettingStrategy, {"kind": "block-doubler", "exponents": [-1], "q": "1"})
 
 
 def test_test_family_round_trip():
@@ -169,43 +162,58 @@ def test_test_family_keeps_its_martingale():
 
 def test_machine_and_requests_round_trip():
     m = Machine({"0": "1", "10": "11"})
-    assert parse_machine(to_doc(m)).table == m.table
+    assert parse_field(Machine, to_doc(m)).table == m.table
     reqs = KCRequestList([(1, "0"), (3, "010")])
-    assert parse_requests(to_doc(reqs)).requests == reqs.requests
+    assert parse_field(KCRequestList, to_doc(reqs)).requests == reqs.requests
 
 
 def test_dyadic_round_trip():
     for f in (DyadicFunction({0: Fraction(1, 4), 3: Fraction(2)}),
               DyadicFunction({"0": Fraction(1, 2)})):
-        assert parse_dyadic(to_doc(f)) == f
+        assert parse_field(DyadicFunction, to_doc(f)) == f
 
 
 def test_records_write_their_declared_fields():
-    """Each record type of the field table writes exactly the keys it
-    declares; where a parser exists, the document parses back to a value
-    of the same type with the same document."""
+    """Each record class writes the keys its fields declare, in order, an
+    optional one left out only where it is None and its type admits no
+    null; a dataclass declares exactly its own fields.  Each document parses
+    back to a value of the same class with the same document."""
     trace, _ = run(PrefixFreeSet(["1"]), MLRProvider(k=1), [], 2)
     examples = {
-        PeriodicPoint: (PeriodicPoint("01", "1"), parse_point),
-        StagedOpenSet: (StagedOpenSet((PrefixFreeSet(["00"]), PrefixFreeSet(["0"]))),
-                        parse_staged),
-        MartingaleTable: (table_of(doubler(), 2), parse_table),
-        WinningSet: (winning_set(doubler(), Fraction(2), 3), None),
-        Machine: (Machine({"0": "1", "10": "11"}), parse_machine),
-        KCRequestList: (KCRequestList([(1, "0"), (3, "010")]), parse_requests),
-        DiagonalTrace: (trace, parse_trace),
+        PrefixFreeSet: [PrefixFreeSet(["0", "10"]), PrefixFreeSet()],
+        PeriodicPoint: [PeriodicPoint("01", "1")],
+        StagedOpenSet: [StagedOpenSet((PrefixFreeSet(["00"]), PrefixFreeSet(["0"])))],
+        MartingaleTable: [table_of(doubler(), 2)],
+        WinningSet: [winning_set(doubler(), Fraction(2), 3)],
+        Machine: [Machine({"0": "1", "10": "11"})],
+        KCRequestList: [KCRequestList([(1, "0"), (3, "010")])],
+        DiagonalTrace: [trace],
+        TraceStage: list(trace.stages),
+        TestFamily: [TestFamily("Schnorr", {n: PrefixFreeSet(["0" * n]) for n in range(3)}),
+                     TestFamily("generalized", {1: PrefixFreeSet(["0", "10"]),
+                                                3: PrefixFreeSet(["000"])},
+                                bounds={1: Fraction(3, 4), 3: Fraction(1, 8)},
+                                martingale=doubler())],
+        DyadicFunction: [DyadicFunction({0: Fraction(1, 4), 3: Fraction(2)}),
+                         DyadicFunction({"0": Fraction(1, 2)}), DyadicFunction({})],
     }
-    assert set(examples) == set(_RECORDS)
+    assert set(examples) == wire_records()
+    assert trace.stages[-1].n_e is None and to_doc(trace.stages[-1])["n_e"] is None
     found = []
-    for cls, (obj, parse) in examples.items():
-        if not dataclasses.is_dataclass(cls) or \
-                _RECORDS[cls] != tuple(f.name for f in dataclasses.fields(cls)):
-            found.append(f"{cls.__name__}'s entry is not its dataclass fields")
-        doc = to_doc(obj)
-        if list(doc) != list(_RECORDS[cls]):
-            found.append(f"{cls.__name__} writes {list(doc)}")
-        if parse is not None:
-            back = parse(doc)
+    for cls, objs in examples.items():
+        keys = [key.rstrip("?") for key in cls.fields]
+        if dataclasses.is_dataclass(cls) and \
+                keys != [f.name for f in dataclasses.fields(cls)]:
+            found.append(f"{cls.__name__} does not declare its dataclass fields")
+        for obj in objs:
+            doc = to_doc(obj)
+            left_out = [key for key, wire in cls.fields.items()
+                        if key.rstrip("?") not in doc]
+            if list(doc) != [key for key in keys if key in doc] or any(
+                    not key.endswith("?") or getattr(obj, key[:-1]) is not None
+                    or isinstance(cls.fields[key], types.UnionType) for key in left_out):
+                found.append(f"{cls.__name__} writes {list(doc)}")
+            back = parse_field(cls, doc)
             if type(back) is not cls or to_doc(back) != doc:
                 found.append(f"{cls.__name__} does not parse back")
     assert not found, found
@@ -242,6 +250,23 @@ def test_one_record_mechanism():
     assert DATACLASS_RECORDS <= decorated, DATACLASS_RECORDS - decorated
 
 
+def test_records_have_no_parsers_of_their_own():
+    """serialize.py reads every record through parse_field and the fields its
+    class declares: its only parse_* functions are the scalar parsers,
+    parse_field, and parse_set and parse_test, one line each onto
+    parse_field, which the bench calls."""
+    tree = ast.parse((SRC / "serialize.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {name for name in defs if name.startswith("parse_")} == {
+        "parse_fraction", "parse_int", "parse_bool", "parse_field", "parse_set", "parse_test"}
+    for name in ("parse_set", "parse_test"):
+        (body,) = defs[name].body
+        assert isinstance(body, ast.Return) and body.value.func.id == "parse_field", name
+    assert not {"_need", "_refusing", "_stage_field", "_index", "_RECORDS"} & (
+        set(defs) | {t.id for node in tree.body if isinstance(node, ast.Assign)
+                     for t in node.targets if isinstance(t, ast.Name)})
+
+
 @pytest.mark.parametrize("field,keys", [
     ("levels", ["1_0"]), ("levels", [" 2 "]), ("levels", ["01"]),
     ("levels", ["1", "01"]), ("bounds", ["01"]),
@@ -262,9 +287,9 @@ def test_parse_errors_are_typed():
     with pytest.raises(ParseError):
         parse_set({"elements": ["0", "01"]})
     with pytest.raises(ParseError):
-        parse_strategy({"kind": "teleport"})
+        parse_field(BettingStrategy, {"kind": "teleport"})
     with pytest.raises(ParseError):
-        parse_machine({"table": {"0": "1", "01": "1"}})
+        parse_field(Machine, {"table": {"0": "1", "01": "1"}})
 
 
 class Bits(str):

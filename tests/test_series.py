@@ -305,7 +305,7 @@ class TestVnFromG:
         g = DyadicFunction({"0": Fraction(1, 2)})
         v, rep = vn_from_g(g, 1)
         assert v == PrefixFreeSet(["0"])
-        assert measure(v) <= 2 * g.declared_sum
+        assert measure(v) <= 2 * g.sum
         assert rep.passed
 
     def test_zero_and_large_n(self):

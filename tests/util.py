@@ -1,13 +1,15 @@
 """Shared fixture builders and brute-force oracles for the test suite."""
 
 import signal
+import sys
 from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 
+import cantorlab.cli  # noqa: F401  (every module, for wire_records)
 from cantorlab.errors import DeadCapital, SearchExhausted
-from cantorlab.martingales import MartingaleTable, PointDoubler, TableStrategy
+from cantorlab.martingales import BettingStrategy, MartingaleTable, PointDoubler, TableStrategy
 from cantorlab.pairing import cantor_pair
 from cantorlab.series import b_terms
 from cantorlab.reports import Report
@@ -24,6 +26,15 @@ from cantorlab.space import (
     reduce,
     union,
 )
+
+
+def wire_records() -> set:
+    """The classes of cantorlab, strategies aside, that declare the fields
+    of their wire document."""
+    return {cls for name, module in list(sys.modules.items()) if name.startswith("cantorlab.")
+            for cls in vars(module).values()
+            if isinstance(cls, type) and isinstance(vars(cls).get("fields"), dict)
+            and not issubclass(cls, BettingStrategy)}
 
 
 def all_strings(depth):
