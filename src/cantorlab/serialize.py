@@ -103,11 +103,16 @@ def to_doc(obj: Any, frac: Callable[[Fraction], Any] = str) -> Any:
     if doc is None:
         raise ParseError(f"cannot serialize {type(obj).__name__}")
     # The shape's dict or list is fresh, so its parts are converted in place;
-    # a str part, such as a generator, is already its document.
+    # a str part, such as a generator, is already its document, and a list
+    # of them alone, which one C-level join accepts, is returned as it is.
     if type(doc) is dict:
         parts = doc.items()
     elif type(doc) is list:
-        parts = enumerate(doc)
+        try:
+            "".join(doc)
+            return doc
+        except TypeError:
+            parts = enumerate(doc)
     else:
         return doc
     for key, part in parts:

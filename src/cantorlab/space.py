@@ -19,7 +19,9 @@ stays two generators, as the reports list it.
 Each node caches its generator count, its height (the longest generator)
 and its measure as an integer numerator over 2^height; the kernel
 operations are walks over nodes, memoized on the nodes they visit.  A set
-is listed as one text, a generator per line, by a walk down from the root.
+built from strings keeps the lexicographic tuple it validated; a kernel
+result is listed as one text, a generator per line, by a walk down from
+the root.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, islice
-from operator import attrgetter, contains, itemgetter
+from itertools import compress, count, islice, repeat
+from operator import attrgetter, contains, itemgetter, rshift
 from os.path import commonprefix
 from typing import Iterable, Iterator, Sequence
 
@@ -344,36 +346,39 @@ class PrefixFreeSet:
     """Finite antichain of bit strings; stands in for a c.e. open set.
 
     Elements are deduplicated, validated pairwise prefix-free and listed in
-    length-lex order.  A set built from strings keeps the tuple it validated
-    and builds its trie on the first kernel operation; a set a kernel
-    operation returns holds only its trie, and lines() lists it as one text
-    that `elements` splits once.  Instances are immutable and hashable.
+    length-lex order.  A set built from strings keeps the lexicographic
+    tuple it validated, derives the length-lex tuple when `elements` or
+    lines() first reads it, and builds its trie on the first kernel
+    operation that walks one; a set a kernel operation returns holds only
+    its trie, and lines() lists it as one text that `elements` splits once.
+    Instances are immutable and hashable.
     """
 
-    __slots__ = ("_elements", "_root", "_measure")
+    __slots__ = ("_lex", "_elements", "_root", "_measure", "_maxlen")
     # Any list: the set checks its bit strings in one scan as it is made.
     fields = {"elements": list}
 
     def __init__(self, elements: Iterable[str] = ()):
-        elems = _sorted_bits(elements)
-        if any(_neighbours(elems)):
-            elems = list(dict.fromkeys(elems))
-            for i in compress(count(), _neighbours(elems)):
-                if elems[i + 1].startswith(elems[i]):
+        lex = _sorted_bits(elements)
+        if any(_neighbours(lex)):
+            lex = list(dict.fromkeys(lex))
+            for i in compress(count(), _neighbours(lex)):
+                if lex[i + 1].startswith(lex[i]):
                     raise ValueError(
-                        f"not prefix-free: {elems[i]!r} is a prefix of {elems[i + 1]!r}")
-        elems.sort(key=len)  # stable, so length-lex
-        self._set(tuple(elems), None)
+                        f"not prefix-free: {lex[i]!r} is a prefix of {lex[i + 1]!r}")
+        self._set(tuple(lex), None)
 
-    def _set(self, elements, root) -> None:
-        object.__setattr__(self, "_elements", elements)
-        object.__setattr__(self, "_root", root)
-        object.__setattr__(self, "_measure", None)
+    def _set(self, lex, root) -> None:
+        set_ = object.__setattr__
+        set_(self, "_lex", lex)
+        set_(self, "_root", root)
+        set_(self, "_elements", None)
+        set_(self, "_measure", None)
+        set_(self, "_maxlen", None)
 
     @classmethod
     def _listed(cls, lex: list[str]) -> "PrefixFreeSet":
         """Set of checked, lexicographically sorted, prefix-free strings."""
-        lex.sort(key=len)
         out = object.__new__(cls)
         out._set(tuple(lex), None)
         return out
@@ -386,10 +391,10 @@ class PrefixFreeSet:
         return out
 
     def trie(self) -> Trie:
-        """The generator trie, built from the listed strings on first use."""
+        """The generator trie, built from the lexicographic tuple on first use."""
         root = self._root
         if root is None:
-            root = _trie_of(sorted(self._elements))
+            root = _trie_of(self._lex)
             object.__setattr__(self, "_root", root)
         return root
 
@@ -397,14 +402,18 @@ class PrefixFreeSet:
     def elements(self) -> tuple[str, ...]:
         elems = self._elements
         if elems is None:
-            elems = tuple(_lines(self._root).split("\n")) if self.count else ()
+            if self._lex is not None:
+                elems = tuple(sorted(self._lex, key=len))  # stable, so length-lex
+            else:
+                elems = tuple(_lines(self._root).split("\n")) if self.count else ()
             object.__setattr__(self, "_elements", elems)
         return elems
 
     def lines(self) -> str:
         """The generators in length-lex order, one per line (see _lines)."""
-        elems = self._elements
-        return _lines(self._root) if elems is None else "\n".join(elems)
+        if self._elements is None and self._lex is None:
+            return _lines(self._root)
+        return "\n".join(self.elements)
 
     def __setattr__(self, name, value):
         raise AttributeError("PrefixFreeSet is immutable")
@@ -416,7 +425,7 @@ class PrefixFreeSet:
     def count(self) -> int:
         """The exact number of generators, read without listing them; unlike
         len(), which Python caps at 2^63 - 1, it holds for any size."""
-        elems = self._elements
+        elems = self._elements if self._lex is None else self._lex
         return len(elems) if elems is not None else _stats(self._root)[0]
 
     def __len__(self) -> int:
@@ -428,6 +437,13 @@ class PrefixFreeSet:
             return False
         return _down(self.trie(), s) == (len(s), LEAF)
 
+    def _lexed(self) -> tuple[str, ...] | None:
+        """The lexicographic tuple, sorted once from the length-lex one
+        where only that exists; None for a set that is a trie alone."""
+        if self._lex is None and self._elements is not None:
+            object.__setattr__(self, "_lex", tuple(sorted(self._elements)))
+        return self._lex
+
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -435,6 +451,9 @@ class PrefixFreeSet:
             return False
         if self._elements is not None and other._elements is not None:
             return self._elements == other._elements
+        mine, theirs = self._lexed(), other._lexed()
+        if mine is not None and theirs is not None:
+            return mine == theirs
         return _same(self.trie(), other.trie())
 
     def __hash__(self) -> int:
@@ -445,10 +464,11 @@ class PrefixFreeSet:
 
     @property
     def maxlen(self) -> int:
-        elems = self._elements
-        if elems is not None:
-            return len(elems[-1]) if elems else 0
-        return _stats(self._root)[1]
+        if self._root is not None:
+            return _stats(self._root)[1]
+        if self._maxlen is None:
+            object.__setattr__(self, "_maxlen", max(map(len, self._lex), default=0))
+        return self._maxlen
 
 
 EMPTY_SET = PrefixFreeSet.from_trie(EMPTY)
@@ -481,7 +501,12 @@ def measure(u: PrefixFreeSet) -> Fraction:
     """mu([U]) = sum over generators of 2^-|sigma|, exactly."""
     mu = u._measure
     if mu is None:
-        _, height, num = _stats(u.trie())
+        if u._root is None:  # 2^-|sigma| is 2^h >> |sigma| over 2^h
+            lengths = list(map(len, u._lex))
+            height = max(lengths, default=0)
+            num = sum(map(rshift, repeat(1 << height), lengths))
+        else:
+            _, height, num = _stats(u._root)
         mu = Fraction(num, 1 << height)
         object.__setattr__(u, "_measure", mu)
     return mu

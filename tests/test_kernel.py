@@ -11,6 +11,7 @@ import gc
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -316,6 +317,72 @@ class TestOneBuilder:
         assert (u.count, u.maxlen, measure(u)) == (2, 20001, Fraction(1, 2 ** 20000))
 
 
+def random_words(count, seed=1):
+    """count random bit strings of 30 to 45 bits, a few of them maybe
+    extending others, in no order."""
+    rng = Random(seed)
+    return [format(rng.getrandbits(n), f"0{n}b") for n in
+            (rng.randint(30, 45) for _ in range(count))]
+
+
+@pytest.fixture(scope="module")
+def big_words():
+    return random_words(100_000)
+
+
+class TestOneOrder:
+    """A set built from strings keeps the lexicographic tuple it validated;
+    its length-lex tuple is derived when read, and its measure, count and
+    longest generator are read from the strings without a trie."""
+
+    @settings(max_examples=300)
+    @given(raw_strings())
+    def test_listed_reads_agree_with_the_trie(self, strings):
+        for build, flagged in ((PrefixFreeSet, flagged_construction), (reduce, flagged_reduce)):
+            want = outcome(flagged, strings)
+            if want and type(want[0]) is type:  # the error, which the set raises too
+                continue
+            u = build(strings)
+            got = (u.count, u.maxlen, measure(u), hash(u))
+            assert u._root is None and u._elements is None
+            t = PrefixFreeSet.from_trie(u.trie())
+            assert got == (t.count, t.maxlen, measure(t), hash(t))
+            assert u.lines() == "\n".join(want) and u.elements == want == t.elements
+
+    def test_length_lex_tuple_made_when_read(self):
+        u, v = PrefixFreeSet(["010", "1", "00"]), PrefixFreeSet(["1", "00", "010"])
+        assert u == v and hash(u) == hash(v) and measure(u) == Fraction(7, 8)
+        assert u in {v} and covers(u, v) and "00" in u and u.maxlen == 3
+        assert u._elements is v._elements is None
+        assert u.lines() == "1\n00\n010" and u._elements == ("1", "00", "010")
+        assert v.elements == ("1", "00", "010") and reduce(["1", "10"])._elements is None
+
+    def test_first_measure_of_a_large_listed_set(self, big_words):
+        u = reduce(big_words)
+        gc.collect()
+        with time_limit(0.02, "first measure of a 100k-generator listed set"):
+            mu = measure(u)
+        assert u._root is None
+        assert mu == measure(PrefixFreeSet.from_trie(u.trie()))
+
+    def test_hash_maxlen_count_of_a_large_listed_set(self, big_words):
+        u = reduce(big_words)
+        got = (hash(u), u.maxlen, u.count)
+        assert u._root is None
+        t = PrefixFreeSet.from_trie(u.trie())
+        assert got == (hash(t), t.maxlen, t.count)
+
+    def test_equality_with_a_listed_kernel_result(self):
+        words = random_words(2000, seed=2)
+        half = len(words) // 2
+        kernel = union(reduce(words[:half]), reduce(words[half:]))
+        listed = kernel.elements
+        strings = reduce(words[::-1])
+        other = PrefixFreeSet(listed[1:] + ("1" * 50,))
+        assert strings == kernel and kernel == strings and kernel != other
+        assert strings._root is other._root is strings._elements is None
+
+
 class TestSparseSets:
     def test_large_b_sets_without_listing(self):
         for n in range(4):
@@ -573,6 +640,27 @@ def test_one_trie_builder():
         if isinstance(f, ast.Name) and f.id == "TrieNode" \
                 and scope not in ("NodeTable.node", "LEAF", "EMPTY"):
             found.append(f"{scope}:{call.lineno} makes a TrieNode")
+    assert not found, found
+
+
+def test_one_order_kept():
+    """PrefixFreeSet.__init__, _listed, reduce and trie make no sort by
+    length, and trie no sort at all: only PrefixFreeSet.elements derives
+    the length-lex order, from the lexicographic tuple a set validated."""
+    tree = ast.parse((SRC / "space.py").read_text())
+    found, derived = [], False
+    for scope, call in _calls_by_scope(tree):
+        if getattr(call.func, "attr", getattr(call.func, "id", None)) not in ("sort", "sorted"):
+            continue
+        by_length = any(k.arg == "key" and getattr(k.value, "id", None) in ("len", "lenlex_key")
+                        for k in call.keywords)
+        if scope == "PrefixFreeSet.trie":
+            found.append(f"{scope}:{call.lineno} sorts")
+        elif by_length and scope != "PrefixFreeSet.elements":
+            found.append(f"{scope}:{call.lineno} sorts by length")
+        derived |= by_length and scope == "PrefixFreeSet.elements"
+    if not derived:
+        found.append("PrefixFreeSet.elements does not sort by length")
     assert not found, found
 
 

@@ -60,6 +60,15 @@ def test_set_and_point_round_trip():
     assert parse_field(PeriodicPoint, to_doc(x)) == x
 
 
+def test_string_lists_stay_as_they_are():
+    """A list of strings alone, such as a set's generators, is its own
+    document; a list with any other item is still converted item by item."""
+    gens = tuple(format(i, "b") for i in range(10 ** 5))
+    assert to_doc(gens) == list(gens)
+    assert to_doc(["0", Fraction(1, 2), ["1", Fraction(3, 4)]]) == ["0", "1/2", ["1", "3/4"]]
+    assert to_doc([]) == [] and to_doc({"a": ("0", "1")}) == {"a": ["0", "1"]}
+
+
 def test_staged_round_trip():
     s = StagedOpenSet((PrefixFreeSet(["00"]), PrefixFreeSet(["0"])))
     doc = to_doc(s)
