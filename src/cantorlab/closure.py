@@ -42,6 +42,7 @@ from .martingales import (
     TranslateStrategy,
     WinningSet,
     mixture,
+    peak,
     winning_set,
 )
 from .reports import Report
@@ -206,7 +207,7 @@ def _mix_cr(d: BettingStrategy, q: Fraction, sigma: str, d_e: BettingStrategy,
         weight = Fraction(1, 2 ** (n_e - 1))
         threshold = min((1 - weight) * q, Fraction(2))
         big = mixture(d, d_e, n_e)
-        worst = max(big.value(sigma[:i]) for i in range(len(sigma) + 1))
+        worst = peak(big, sigma)
         last = (n_e, worst, threshold)
         if threshold <= 1 or worst >= threshold:
             continue

@@ -10,8 +10,9 @@ All strategy objects are immutable after construction.  value() checks its
 string once, at the public entry; evaluation inside the layer goes through
 the unchecked per-instance memo _at, on strings the layer builds itself.
 Every derived kind is a LinearStrategy: one evaluation rule and one
-flat_beyond serve them all.  A value stays an exact Fraction at the API but
-is computed over integer numerators and denominators and normalized once.
+flat_beyond serve them all.  Inside the layer a value is an integer pair
+(numerator, denominator) in lowest terms, denominator > 0; it becomes an
+exact Fraction only where it leaves the layer: value, peak, success_capital.
 """
 
 from __future__ import annotations
@@ -102,19 +103,20 @@ class BettingStrategy:
             BettingStrategy.kinds[cls.kind] = cls
 
     def __init__(self):
-        self._cache: dict[str, Fraction] = {}
+        self._cache: dict[str, tuple[int, int]] = {}
 
     def value(self, sigma: str) -> Fraction:
-        return self._at(check_bits(sigma))
+        return Fraction(*self._at(check_bits(sigma)))
 
-    def _at(self, sigma: str) -> Fraction:
-        """value at a string known to be a bit string, memoized."""
+    def _at(self, sigma: str) -> tuple[int, int]:
+        """value at a string known to be a bit string, memoized, as its
+        (numerator, denominator) pair in lowest terms; zero is (0, 1)."""
         v = self._cache.get(sigma)
         if v is None:
             v = self._cache[sigma] = self._compute(sigma)
         return v
 
-    def _compute(self, sigma: str) -> Fraction:
+    def _compute(self, sigma: str) -> tuple[int, int]:
         raise NotImplementedError
 
     def flat_beyond(self, sigma: str) -> bool:
@@ -148,15 +150,16 @@ class LinearStrategy(BettingStrategy):
                             for w, base, rho in terms)
         self._const = const.numerator, const.denominator
 
-    def _compute(self, tau: str) -> Fraction:
+    def _compute(self, tau: str) -> tuple[int, int]:
         # Summed over the least common denominator, normalized once.
         n, d = self._const
         for wn, wd, base, rho in self._terms:
-            v = base._at(rho + tau)
-            vd = wd * v.denominator
+            vn, vd = base._at(rho + tau)
+            vd *= wd
             g = gcd(d, vd)
-            n, d = n * (vd // g) + wn * v.numerator * (d // g), d // g * vd
-        return Fraction(n, d)
+            n, d = n * (vd // g) + wn * vn * (d // g), d // g * vd
+        g = gcd(n, d)
+        return n // g, d // g
 
     def flat_beyond(self, sigma: str) -> bool:
         return all(base.flat_beyond(rho + sigma) for _, _, base, rho in self._terms)
@@ -183,8 +186,8 @@ class TableStrategy(BettingStrategy):
         super().__init__()
         self.table = table
 
-    def _compute(self, sigma: str) -> Fraction:
-        return self.table[sigma[: self.table.depth]]
+    def _compute(self, sigma: str) -> tuple[int, int]:
+        return self.table[sigma[: self.table.depth]].as_integer_ratio()
 
     def flat_beyond(self, sigma: str) -> bool:
         return len(sigma) >= self.table.depth
@@ -204,13 +207,13 @@ class PointDoubler(BettingStrategy):
         super().__init__()
         self.point = point
 
-    def _compute(self, sigma: str) -> Fraction:
+    def _compute(self, sigma: str) -> tuple[int, int]:
         if self.point.prefix(len(sigma)) == sigma:
-            return Fraction(2 ** len(sigma))
-        return Fraction(0)
+            return 1 << len(sigma), 1
+        return 0, 1
 
     def flat_beyond(self, sigma: str) -> bool:
-        return self._at(sigma) == 0
+        return self._at(sigma)[0] == 0
 
 
 class TranslateStrategy(LinearStrategy):
@@ -293,11 +296,11 @@ class AverageStrategy(LinearStrategy):
         self.base = base
         self.level = level
         roots = {s: base._at(s) for s in strings_to_depth(level)}
-        if any(v == 0 for v in roots.values()):
+        if any(vn == 0 for vn, _ in roots.values()):
             raise ZeroPrefix("base has zero capital at some string of length <= L")
         super().__init__(
-            tuple((Fraction(1, 2 ** (2 * len(s) + 1)) / v, base, s)
-                  for s, v in roots.items()),
+            tuple((Fraction(vd, vn << (2 * len(s) + 1)), base, s)
+                  for s, (vn, vd) in roots.items()),
             Fraction(1, 2 ** (level + 1)))
 
 
@@ -331,9 +334,9 @@ class ResetStrategy(BettingStrategy):
     D(sigma iota) = D(sigma) * d(tau iota) / d(tau).  A word made of k blocks
     multiplies the capital by at least q per block, so D >= q^k there.
 
-    Every prefix walked keeps its state (capital, start of the open block
-    tau), so a string resumes from its longest known prefix: one step per
-    newly evaluated string when its parent is known.
+    Every prefix walked keeps its state (capital pair, start of the open
+    block tau), so a string resumes from its longest known prefix: one step
+    and one gcd per newly evaluated string when its parent is known.
     """
 
     kind = "reset"
@@ -345,29 +348,30 @@ class ResetStrategy(BettingStrategy):
         self.q = Fraction(q)
         self.blocks = blocks
         self._block_set = set(blocks.elements)
-        self._states: dict[str, tuple[Fraction, int]] = {"": (ONE, 0)}
+        self._states: dict[str, tuple[int, int, int]] = {"": (1, 1, 0)}
 
-    def _compute(self, sigma: str) -> Fraction:
+    def _compute(self, sigma: str) -> tuple[int, int]:
         states = self._states
         i = len(sigma)
         while sigma[:i] not in states:
             i -= 1
-        cap, start = states[sigma[:i]]
+        n, d, start = states[sigma[:i]]
         tau = sigma[start:i]
         at = self.base._at
         while i < len(sigma):
-            den = at(tau)
-            if den == 0:
+            dn, dd = at(tau)
+            if dn == 0:
                 raise DeadCapital(f"base martingale dies at {tau!r} inside a block")
             i += 1
             tau = sigma[start:i]
-            v = at(tau)
-            cap = Fraction(cap.numerator * v.numerator * den.denominator,
-                           cap.denominator * v.denominator * den.numerator)
+            vn, vd = at(tau)
+            n, d = n * vn * dd, d * vd * dn
+            g = gcd(n, d)
+            n, d = n // g, d // g
             if tau in self._block_set:
                 start, tau = i, ""
-            states[sigma[:i]] = (cap, start)
-        return cap
+            states[sigma[:i]] = (n, d, start)
+        return n, d
 
 
 def reset(d: BettingStrategy, q: Fraction, blocks: PrefixFreeSet) -> BettingStrategy:
@@ -435,9 +439,8 @@ def winning_set(d: BettingStrategy, q: Fraction, depth: int) -> WinningSet:
     stack = [""]
     while stack:
         s = stack.pop()
-        v = d._at(s)
-        n = v.numerator
-        if n * qd >= qn * v.denominator:
+        n, vd = d._at(s)
+        if n * qd >= qn * vd:
             gens.append(s)
             continue
         if len(s) == depth:
@@ -475,8 +478,8 @@ def verify_ville_kolmogorov(d: MartingaleTable, sigma: str, q: Fraction) -> Repo
     stack = [sigma + b for b in "01"] if len(sigma) < d.depth else []
     while stack:
         s = stack.pop()
-        v = d[s]
-        if v.numerator * td >= tn * v.denominator:
+        vn, vd = d.values[s].as_integer_ratio()
+        if vn * td >= tn * vd:
             hits.append(s)
             continue
         if len(s) < d.depth:
@@ -496,11 +499,26 @@ def verify_ville_kolmogorov(d: MartingaleTable, sigma: str, q: Fraction) -> Repo
     return rep
 
 
+def peak(d: BettingStrategy, sigma: str) -> Fraction:
+    """The largest capital of d at a prefix of sigma, the empty one and
+    sigma included; the prefixes are evaluated from the shortest."""
+    check_bits(sigma)
+    at = d._at
+    bn, bd = at("")
+    for i in range(1, len(sigma) + 1):
+        n, den = at(sigma[:i])
+        if n * bd > bn * den:
+            bn, bd = n, den
+    return Fraction(bn, bd)
+
+
 def success_capital(d: BettingStrategy, x: PeriodicPoint, depth: int) -> list[Fraction]:
     """Exact capital trace d(X restricted to 0..depth)."""
     if depth < 0:
         raise ValueError("negative depth")
-    return [d.value(x.prefix(n)) for n in range(depth + 1)]
+    path = x.prefix(depth)  # X's bits were checked when X was made
+    at = d._at
+    return [Fraction(*at(path[:n])) for n in range(depth + 1)]
 
 
 def table_of(d: BettingStrategy, depth: int) -> MartingaleTable:

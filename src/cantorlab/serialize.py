@@ -210,7 +210,7 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
             return
         inner = newline + "    "
         out.extend(("{" + newline + '  "elements": [' + inner + '"',
-                    value.lines().replace("\n", '",' + inner + '"'),
+                    value.lines('",' + inner + '"'),
                     '"' + newline + "  ]" + newline + "}"))
     elif (doc := _shape(value)) is not None:
         _write(doc, newline, out)

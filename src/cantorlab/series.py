@@ -31,7 +31,7 @@ from .errors import (
     ValueOverOne,
     WeightTooLarge,
 )
-from .martingales import BettingStrategy
+from .martingales import BettingStrategy, peak
 from .pairing import cantor_pair
 from .reports import Report
 from . import space
@@ -259,7 +259,7 @@ class BlockDoubler(BettingStrategy):
                 self._bets[p] = (i, self.q * Fraction(1, 2 ** a))
         self._last_bet = max(self._bets, default=-1)
 
-    def _compute(self, sigma: str) -> Fraction:
+    def _compute(self, sigma: str) -> tuple[int, int]:
         capital = ONE
         stakes: dict[int, Fraction] = {}
         for pos, bit in enumerate(sigma):
@@ -276,7 +276,7 @@ class BlockDoubler(BettingStrategy):
             else:
                 capital -= stake
                 stakes[i] = ZERO
-        return capital
+        return capital.as_integer_ratio()
 
     def flat_beyond(self, sigma: str) -> bool:
         return len(sigma) > self._last_bet
@@ -407,7 +407,7 @@ def tree_embed(d: BettingStrategy, depth: int, budget: int = 10
     worst_overall = ZERO
     for s in names:
         tau = mapping[s]
-        worst = max(d.value(tau[:i]) for i in range(len(tau) + 1))
+        worst = peak(d, tau)
         worst_overall = max(worst_overall, worst)
         rep.check(f"capital along image of {s!r} <= 2 - 2^-|{s}|",
                   worst, "<=", 2 - Fraction(1, 2 ** len(s)))

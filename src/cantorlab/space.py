@@ -284,14 +284,14 @@ def _texts(top: TrieNode) -> dict[int, str]:
     return done[top]
 
 
-def _lines(root: Trie) -> str:
-    """The generators of a trie in length-lex order, one per line.
+def _lines(root: Trie, sep: str) -> str:
+    """The generators of a trie in length-lex order, joined by sep.
 
     The walk goes down from the root carrying the prefix, and follows a run
     of one-child nodes once.  A subtrie of at most _WHOLE generators gets
-    its texts from _texts, once per node, and the prefix with one replace.
-    The texts are joined by ascending length; the empty set and {""} both
-    give "", told apart by their count.
+    its texts from _texts, once per node, and sep and the prefix with one
+    replace.  The texts are joined by ascending length; the empty set and
+    {""} both give "", told apart by their count.
     """
     if type(root) is str:
         return root
@@ -307,12 +307,12 @@ def _lines(root: Trie) -> str:
         texts = memo.get(node)
         if texts is None:
             texts = memo[node] = _texts(node)
-        lead = "\n" + prefix
+        lead = sep + prefix
         for size, text in texts.items():
             out.setdefault(size + len(prefix), []).append(text.replace("\n", lead))
     pieces = [piece for size in sorted(out) for piece in out[size]]
     if pieces:
-        pieces[0] = pieces[0][1:]
+        pieces[0] = pieces[0][len(sep):]
     return "".join(pieces)
 
 
@@ -405,15 +405,15 @@ class PrefixFreeSet:
             if self._lex is not None:
                 elems = tuple(sorted(self._lex, key=len))  # stable, so length-lex
             else:
-                elems = tuple(_lines(self._root).split("\n")) if self.count else ()
+                elems = tuple(_lines(self._root, "\n").split("\n")) if self.count else ()
             object.__setattr__(self, "_elements", elems)
         return elems
 
-    def lines(self) -> str:
-        """The generators in length-lex order, one per line (see _lines)."""
+    def lines(self, sep: str = "\n") -> str:
+        """The generators in length-lex order, joined by sep (see _lines)."""
         if self._elements is None and self._lex is None:
-            return _lines(self._root)
-        return "\n".join(self.elements)
+            return _lines(self._root, sep)
+        return sep.join(self.elements)
 
     def __setattr__(self, name, value):
         raise AttributeError("PrefixFreeSet is immutable")

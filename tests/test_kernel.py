@@ -288,6 +288,15 @@ class TestStringSide:
     def test_listing(self, u):
         assert PrefixFreeSet.from_trie(u.trie()).elements == tail_lists(u.trie())
 
+    @pytest.mark.parametrize("u", kernel_sets())
+    def test_listing_joined_by_any_separator(self, u):
+        """lines(sep) is sep.join(elements), from the strings a set was
+        read from and from the trie walk alike."""
+        t = PrefixFreeSet.from_trie(u.trie())
+        for sep in ("\n", '",\n      "', "", "|"):
+            assert t.lines(sep) == sep.join(u.elements) == u.lines(sep)
+        assert t._elements is None
+
     @given(prefix_free, prefix_free, bits, st.integers(0, 3))
     def test_listing_of_walks(self, u, v, sigma, n):
         for w in (union(u, v), condition(union(u, v), sigma), power(u, n) if "" not in u else u):
@@ -664,24 +673,48 @@ def test_one_order_kept():
     assert not found, found
 
 
+# The functions that take the largest capital along a string by peak.
+PEAK_USERS = {("closure.py", "_mix_cr"), ("series.py", "tree_embed")}
+
+
+def _called(fn):
+    """The calls under fn, each with the name or attribute it calls."""
+    return [(n, getattr(n.func, "id", None) or getattr(n.func, "attr", None))
+            for n in ast.walk(fn) if isinstance(n, ast.Call)]
+
+
 def test_martingale_fast_path_stays_on_public_api():
-    """No strategy's _compute or flat_beyond calls .value(): evaluation
-    inside the library goes through the unchecked memo _at, and value
-    checks its string at the public entry only.  No module reads a
-    Fraction's _numerator or _denominator or passes _normalize, whose
-    meaning differs between Python 3.10 and 3.13."""
+    """No strategy's _compute or flat_beyond calls .value() or makes a
+    Fraction: evaluation inside the library goes through the unchecked
+    memo _at of integer pairs, and value checks its string and makes the
+    Fraction at the public entry only.  closure._mix_cr and
+    series.tree_embed take the largest capital along a string by peak, not
+    by a max over .value().  No module reads a Fraction's _numerator or
+    _denominator or passes _normalize, whose meaning differs between
+    Python 3.10 and 3.13."""
     found = []
+    seen = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef) and fn.name in ("_compute", "flat_beyond"):
-                found += [f"{path.name}:{n.lineno} {fn.name} calls .value()"
-                          for n in ast.walk(fn) if isinstance(n, ast.Call)
-                          and getattr(n.func, "attr", None) == "value"]
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if fn.name in ("_compute", "flat_beyond"):
+                found += [f"{path.name}:{n.lineno} {fn.name} calls {name}()"
+                          for n, name in _called(fn) if name in ("value", "Fraction")]
+            if (path.name, fn.name) in PEAK_USERS:
+                seen.add((path.name, fn.name))
+                calls = _called(fn)
+                if all(name != "peak" for _, name in calls):
+                    found.append(f"{path.name} {fn.name} does not call peak")
+                found += [f"{path.name}:{n.lineno} {fn.name} takes a max over .value()"
+                          for n, name in calls if name == "max"
+                          and any(inner == "value" for _, inner in _called(n))]
         for node in ast.walk(tree):
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
             if isinstance(node, ast.Attribute) and node.attr in ("_numerator", "_denominator"):
                 found.append(f"{where} reads .{node.attr}")
             elif isinstance(node, ast.keyword) and node.arg == "_normalize":
                 found.append(f"{where} passes _normalize")
+    assert seen == PEAK_USERS, seen
     assert not found, found

@@ -11,10 +11,13 @@ rule, so its values must match its own closed formula.  That rule sums its
 terms over integer numerators and denominators and thresholds are compared
 by cross-multiplication, so every kind nested two or three deep must give
 the values, generators, witnesses, DeadCapital messages and bit-string
-refusals of plain Fraction arithmetic recomputed from the leaves.
+refusals of plain Fraction arithmetic recomputed from the leaves.  The memo
+holds each value as an integer pair in lowest terms, and value and peak
+make the Fractions the oracles give.
 """
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -34,6 +37,7 @@ from cantorlab.martingales import (
     TableStrategy,
     TranslateStrategy,
     average_truncated,
+    peak,
     reset,
     verify_ville_kolmogorov,
     winning_set,
@@ -296,6 +300,26 @@ class TestIntegerPath:
             got = outcome_at(d.value, tau)
             assert got == outcome_at(lambda t: reference_value(d, t), tau), tau
             assert isinstance(got, str) or type(got) is Fraction, tau
+
+    @pytest.mark.parametrize("kind", sorted(BettingStrategy.kinds))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_memo_holds_lowest_terms_pairs(self, kind, data):
+        d = data.draw(nested(kind))
+        for tau in all_strings(4):
+            pair = outcome_at(d._at, tau)
+            if isinstance(pair, str):  # a DeadCapital message
+                assert pair == outcome_at(lambda t: reference_value(d, t), tau), tau
+                continue
+            n, den = pair
+            assert type(pair) is tuple and type(n) is int and type(den) is int, (tau, pair)
+            assert den > 0 and gcd(n, den) == 1, (tau, pair)
+            assert d.value(tau) == Fraction(n, den) == reference_value(d, tau), tau
+        for sigma in all_strings(4)[-16:]:
+            got = outcome_at(lambda s: peak(d, s), sigma)
+            assert got == outcome_at(lambda s: max(
+                reference_value(d, s[:i]) for i in range(len(s) + 1)), sigma), sigma
+            assert isinstance(got, str) or type(got) is Fraction, sigma
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 16), st.integers(0, 6), st.booleans(),

@@ -27,7 +27,14 @@ from cantorlab.martingales import (
 from cantorlab.serialize import to_doc
 from cantorlab.space import PeriodicPoint, PrefixFreeSet, measure
 
-from util import all_strings, doubler, random_fair_strategy, random_fair_table
+from util import (
+    all_strings,
+    doubler,
+    random_fair_strategy,
+    random_fair_table,
+    reference_value,
+    time_limit,
+)
 
 
 def small_table(depth, values):
@@ -287,3 +294,16 @@ class TestSuccessCapital:
         assert success_capital(doubler(), PeriodicPoint("", "0"), 3) == [1, 2, 4, 8]
         assert success_capital(doubler(), PeriodicPoint("", "1"), 2) == [1, 0, 0]
         assert success_capital(ConstantStrategy(1), PeriodicPoint("01", "1"), 4) == [1] * 5
+
+    @pytest.mark.parametrize("make", [doubler, lambda: positive_shift(doubler())],
+                             ids=["doubler", "shifted"])
+    def test_deep_trace_reads_one_path(self, make):
+        """The trace slices one prefix of X and evaluates through the memo;
+        building and checking each prefix anew took 0.25-0.3 s (2-core VM,
+        Python 3.11.7)."""
+        x, depth = PeriodicPoint("", "0"), 8000
+        with time_limit(0.2, "a depth-8,000 capital trace"):
+            trace = success_capital(make(), x, depth)
+        path, d = x.prefix(depth), make()
+        assert trace == [reference_value(d, path[:n]) for n in range(depth + 1)]
+        assert all(type(v) is Fraction for v in trace)
