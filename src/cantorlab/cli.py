@@ -4,18 +4,17 @@ Reads a JSON job document (stdin or --input), runs exactly one operation,
 and writes a deterministic report echoing every parameter, every asserted
 inequality with both sides exact, and a PASS/FAIL verdict per certificate.
 Exit status: 0 when every certificate passes, 1 when some check fails,
-2 on an operation or parse error.
+2 on an operation or parse error, a malformed command line included.
 
 Operation parameters live in the input document; the flags --depth,
 --stages, --q, --k, --c, --cap and --case override the corresponding
 document fields.  --decimal adds a float shadow of the output's exact
-rationals alongside (never instead of) them.
+rationals alongside (never instead of) them.  Flags are --name value or
+--name=value, a name in full or a unique prefix; --help (-h) lists them.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 from dataclasses import fields as dataclass_fields
@@ -36,6 +35,8 @@ from .space import Natural, PeriodicPoint, PrefixFreeSet, StagedOpenSet
 # Flags that override the document field of the same name, with their types.
 _FLAGS = {"depth": int, "stages": int, "q": str, "k": int, "c": int, "cap": int,
           "case": str}
+# The options main reads, each with its value's type, None for a switch.
+_OPTIONS = {"input": str, "output": str, **_FLAGS, "decimal": None, "help": None}
 
 # The deepest nesting of objects and lists a job document may have.
 _MAX_DEPTH = 100
@@ -342,24 +343,35 @@ def dispatch(subcommand: str, doc: dict, decimal: bool = False) -> tuple[dict, i
     return out, 0 if out["result"] == "PASS" else 1
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call to main rather than at
-    import, and reused: parse_args keeps no state between calls."""
-    parser = argparse.ArgumentParser(
-        prog="cantorlab",
-        description="Exact-rational constructions on Cantor space, one per job.",
-    )
-    parser.add_argument("subcommand", help="operation name, e.g. measure, main-lemma")
-    parser.add_argument("--input", help="job document (JSON); default stdin")
-    parser.add_argument("--output", help="report path; default stdout")
-    for name, kind in _FLAGS.items():
-        parser.add_argument(f"--{name}", type=kind,
-                            choices=list(closure.PROVIDERS) if name == "case" else None)
-    parser.add_argument("--decimal", action="store_true",
-                        help="echo float approximations of the exact rationals "
-                             "alongside them")
-    return parser
+def _read_argv(argv: list[str]) -> dict:
+    """The options of argv, --name value or --name=value by _OPTIONS, a name
+    exact or else a unique prefix, -h for --help, and its one positional,
+    the subcommand; ParseError names the argument out of place."""
+    opts, args = {}, iter(argv)
+    for arg in args:
+        if arg[:1] != "-" and "subcommand" not in opts:
+            opts["subcommand"] = arg
+            continue
+        flag, eq, value = ("--help", "", "") if arg == "-h" else arg.partition("=")
+        names = [key for key in _OPTIONS if len(flag) > 2 and ("--" + key).startswith(flag)]
+        if len(names := [flag[2:]] if flag[2:] in names else names) != 1:
+            raise ParseError(f"{'ambiguous' if names else 'unexpected'} argument {arg!r}")
+        kind = _OPTIONS[name := names[0]]
+        value = next(args, "") if kind and not eq else value
+        try:  # a value, not empty and not the next flag, for each option but a switch
+            if eq if kind is None else not value or value[:2] == "--":
+                raise ValueError
+            opts[name] = kind(value) if kind else True
+        except ValueError:
+            want = "no value" if kind is None else "an integer" if kind is int else "a value"
+            raise ParseError(f"bad flag '--{name}': expected {want}, got {value!r}") from None
+    if "subcommand" not in opts and "help" not in opts:
+        raise ParseError("missing subcommand")
+    return opts
+
+
+_USAGE = ("usage: cantorlab SUBCOMMAND " + " ".join(f"[--{key}{' ' + key.upper() if kind else ''}]"
+          for key, kind in _OPTIONS.items()) + f"\n\nsubcommands: {', '.join(_HANDLERS)}\n")
 
 
 def _error(subcommand: str, kind: str, err: Exception) -> tuple[dict, int]:
@@ -369,11 +381,14 @@ def _error(subcommand: str, kind: str, err: Exception) -> tuple[dict, int]:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-
+    opts: dict[str, Any] = {}
     try:
-        if args.input:
-            with open(args.input, "r", encoding="utf-8") as fh:
+        opts = _read_argv(sys.argv[1:] if argv is None else argv)
+        if "help" in opts:
+            sys.stdout.write(_USAGE)
+            return 0
+        if opts.get("input"):
+            with open(opts["input"], "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         else:
             text = sys.stdin.read().strip()
@@ -381,27 +396,27 @@ def main(argv=None) -> int:
         if not isinstance(doc, dict):
             raise ParseError("job document must be a JSON object")
     except (ValueError, OSError, ParseError, RecursionError) as err:
-        # A missing file, bytes that are not UTF-8, text that is not JSON or
-        # nested past what the decoder recurses into.
-        report, status = _error(args.subcommand, "ParseError", err)
+        # A bad argv, which keeps no option; a missing file, bytes not UTF-8,
+        # text not JSON or nested past what the decoder recurses into.
+        report, status = _error(opts.get("subcommand"), "ParseError", err)
     else:
-        op = _HANDLERS.get(args.subcommand)
+        op = _HANDLERS.get(opts["subcommand"])
         for name in op.flags if op else ():
-            if getattr(args, name) is not None:
-                doc[name] = getattr(args, name)
+            if name in opts:
+                doc[name] = opts[name]
         try:
-            report, status = dispatch(args.subcommand, doc, decimal=args.decimal)
+            report, status = dispatch(opts["subcommand"], doc, decimal="decimal" in opts)
         except UnknownSubcommand as err:
-            report, status = _error(args.subcommand, "UnknownSubcommand", err)
+            report, status = _error(opts["subcommand"], "UnknownSubcommand", err)
 
     text = dumps(report)
-    if args.output:
+    if opts.get("output"):
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
+            with open(opts["output"], "w", encoding="utf-8") as fh:
                 fh.write(text)
             return status
         except OSError as err:
-            report, status = _error(args.subcommand, type(err).__name__, err)
+            report, status = _error(opts["subcommand"], type(err).__name__, err)
             text = dumps(report)
     sys.stdout.write(text)
     return status

@@ -384,13 +384,15 @@ def reset(d: BettingStrategy, q: Fraction, blocks: PrefixFreeSet) -> BettingStra
     q = Fraction(q)
     if q <= 1:
         raise InvalidThreshold("need q > 1")
-    if d.value("") != 1:
+    # On the memo's pairs, by cross-multiplication; a set's bits are checked.
+    at, qn, qd = d._at, q.numerator, q.denominator
+    if at("") != (1, 1):
         raise NotWinningSet("reset base must be normed")
     for s in blocks:
-        if d.value(s) < q:
-            raise NotWinningSet(f"block {s!r} has capital {d.value(s)} < {q}")
+        if (v := at(s))[0] * qd < qn * v[1]:
+            raise NotWinningSet(f"block {s!r} has capital {Fraction(*v)} < {q}")
         for i in range(len(s)):
-            if d.value(s[:i]) >= q:
+            if (v := at(s[:i]))[0] * qd >= qn * v[1]:
                 raise NotWinningSet(f"proper prefix {s[:i]!r} of block {s!r} already wins")
     return ResetStrategy(d, q, blocks)
 

@@ -126,11 +126,11 @@ def dumps(value: Any) -> str:
 
     Byte for byte json.dumps(to_doc(value), sort_keys=True, indent=2,
     allow_nan=False) + "\n", which with an indent never reaches the stdlib's
-    C encoder.  Written from the values themselves: exact types first, the C
-    string encoder per key and string, a set's lines quoted by one replace,
-    one C-level join for a list of strings, _shape for the rest; NaN and inf
-    raise ValueError, a value with no wire form TypeError.  The
-    interpreter's cap on an int's digits is lifted meanwhile.
+    C encoder.  Written from the values themselves by exact type, a dict's or
+    a list's leaves in its own loop, the C string encoder per key and string,
+    a set's lines quoted as they stand, one C-level join for a list of plain
+    strings, _shape for the rest; NaN and inf raise ValueError, a value with
+    no wire form TypeError.  The cap on an int's digits is lifted meanwhile.
     """
     out: list[str] = []
     limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no cap
@@ -158,45 +158,46 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
     kind = type(value)
     if kind is str:
         put(_str(value))
-    elif kind is dict:
+    elif kind is dict or kind is list or kind is tuple:
         if not value:
-            put("{}")
+            put("{}" if kind is dict else "[]")
             return
-        try:
-            "".join(keys := sorted(value))  # TypeError for a key not a str
-        except TypeError:  # which is written as its str(), sorted as one
-            keys = sorted(value := _shape(value))
         inner = newline + "  "
-        sep = "{" + inner
-        for key in keys:
-            if type(item := value[key]) is str:
-                put(sep + _str(key) + ": " + _str(item))
+        if keyed := kind is dict:
+            try:
+                "".join(keys := sorted(value))  # TypeError for a key not a str
+            except TypeError:  # which is written as its str(), sorted as one
+                keys = sorted(value := _shape(value))
+        else:
+            try:  # strings alone, none to escape: each quoted as it stands, in one piece
+                plain = (text := "".join(keys := value)).isascii() \
+                    and len(text.encode().translate(None, _ESCAPED)) == len(text)
+            except TypeError:
+                plain = False
+            if plain:
+                out.extend(("[" + inner + '"', ('",' + inner + '"').join(value),
+                            '"' + newline + "]"))
+                return
+        # Each member or item; the leaves, exact types only, written here.
+        sep = ("{" if keyed else "[") + inner
+        for item in keys:
+            head = sep
+            if keyed:
+                head, item = sep + _str(item) + ": ", value[item]
+            kind = type(item)
+            if kind is str:
+                put(head + _str(item))
+            elif kind is int:
+                put(head + int.__repr__(item))
+            elif kind is Fraction:
+                put(head + '"' + str(item) + '"')
+            elif kind is bool or item is None:
+                put(head + ("null" if item is None else "true" if item else "false"))
             else:
-                put(sep + _str(key) + ": ")
+                put(head)
                 _write(item, inner, out)
             sep = "," + inner
-        put(newline + "}")
-    elif kind is list or kind is tuple:
-        if not value:
-            put("[]")
-            return
-        inner = newline + "  "
-        put("[" + inner)
-        try:
-            text = "".join(value)
-        except TypeError:
-            sep = ""
-            for item in value:
-                put(sep)
-                _write(item, inner, out)
-                sep = "," + inner
-        else:
-            # Nothing to escape: each string quoted as is; the body is its own piece.
-            if text.isascii() and len(text.encode().translate(None, _ESCAPED)) == len(text):
-                out.extend(('"', ('",' + inner + '"').join(value), '"'))
-            else:
-                put(("," + inner).join(map(_str, value)))
-        put(newline + "]")
+        put(newline + ("}" if keyed else "]"))
     elif kind is int:
         put(int.__repr__(value))
     elif kind is bool or value is None:

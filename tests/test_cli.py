@@ -1,6 +1,5 @@
 """Batch front door: dispatch, determinism, exactness, error mapping."""
 
-import argparse
 import decimal
 import io
 import json
@@ -292,6 +291,9 @@ class TestFrontDoorContract:
                                    "stages": -1}), "ParseError"),
         ("tree-embed", json.dumps({"strategy": {"kind": "constant", "c": "1"},
                                    "depth": -1}), "ParseError"),
+        # A lone surrogate, which json.loads accepts, is no bit string, and the
+        # report echoing it is still written.
+        ("measure", r'{"set": {"elements": ["\ud800"]}}', "ParseError"),
         # A record's field of the wrong shape is refused, not read as empty.
         ("measure", '{"set": {"elements": ""}}', "ParseError"),
         ("measure", '{"set": {"elements": {}}}', "ParseError"),
@@ -529,22 +531,44 @@ class TestFrontDoorContract:
             assert status == 2 and rep["error"]["type"] == "ParseError"
             assert repr(keys[-1]) in rep["error"]["message"]
 
-    def test_parser_built_once(self, capsys, monkeypatch):
-        built = []
-        init = argparse.ArgumentParser.__init__
+    @pytest.mark.parametrize("argv,named", [
+        ([], "subcommand"),
+        (["measure", "x"], "'x'"),
+        (["measure", "--nope", "1"], "'--nope'"),
+        (["winning-set", "--depth"], "'--depth'"),
+        (["winning-set", "--depth", "x"], "'--depth'"),
+        (["p2", "--case", "zz"], "'case'"),
+        (["measure", "--decimal=1"], "'--decimal'"),
+        (["measure", "--d", "1"], "'--d'"),
+        (["measure", "--"], "unexpected argument '--'"),
+        (["-", "measure"], "unexpected argument '-'"),
+    ], ids=lambda v: " ".join(v) or "no-argument" if isinstance(v, list) else None)
+    def test_malformed_argv(self, capsys, monkeypatch, argv, named):
+        """A command line that does not parse is a ParseError report on
+        stdout naming what is wrong, exit 2, with nothing on stderr."""
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"set": {"elements": []}})))
+        status = main(argv)
+        out, err = capsys.readouterr()
+        rep = json.loads(out)
+        assert status == 2 and err == ""
+        assert rep["result"] == "ERROR" and rep["error"]["type"] == "ParseError"
+        assert named in rep["error"]["message"]
 
-        def counting(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
+    def test_flag_forms_give_one_report(self, capsys):
+        job = {"strategy": DOUBLER, "q": "2", "depth": 1}
+        reports = [run_cli(capsys, "winning-set", job, *flags)
+                   for flags in (["--depth", "3"], ["--depth=3"], ["--dep", "3"])]
+        assert reports[0][1]["parameters"]["depth"] == 3
+        assert reports[1:] == reports[:1] * 2
 
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        cli._parser.cache_clear()
-        try:
-            run_cli(capsys, "measure", {"set": {"elements": ["0"]}})
-            run_cli(capsys, "measure", {"set": {"elements": ["1"]}}, "--decimal")
-        finally:
-            cli._parser.cache_clear()
-        assert len(built) == 1
+    def test_help_names_every_subcommand_and_flag(self, capsys):
+        assert main(["--help"]) == 0
+        text = capsys.readouterr().out
+        assert main(["measure", "-h"]) == 0 and capsys.readouterr().out == text
+        words = set(text.translate(str.maketrans(",[]", "   ")).split())
+        assert set(_HANDLERS) <= words
+        assert {f"--{name}" for name in ("input", "output", *cli._FLAGS, "decimal",
+                                         "help")} <= words
 
     def test_flags_override_only_fields_the_subcommand_reads(self):
         flagged = {sub: sorted(op.flags) for sub, op in _HANDLERS.items() if op.flags}
@@ -595,14 +619,15 @@ class TestProcess:
 
     def test_measure_on_stdin(self, capsys):
         job = json.dumps({"set": {"elements": ["0", "10"]}})
-        proc = run_process("measure", stdin=job)
-        assert proc.returncode == 0, proc.stderr
-        sys.stdin, stdin = io.StringIO(job), sys.stdin
-        try:
-            assert main(["measure"]) == 0
-        finally:
-            sys.stdin = stdin
-        assert proc.stdout == capsys.readouterr().out.encode()
+        for flags in ((), ("--dec",)):  # sys.argv read, a flag by its prefix
+            proc = run_process("measure", *flags, stdin=job)
+            assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+            sys.stdin, stdin = io.StringIO(job), sys.stdin
+            try:
+                assert main(["measure", *flags]) == 0
+            finally:
+                sys.stdin = stdin
+            assert proc.stdout == capsys.readouterr().out.encode()
 
     def test_b_set_with_files(self, tmp_path):
         job = tmp_path / "job.json"
@@ -615,6 +640,14 @@ class TestProcess:
         got = (tmp_path / "process.json").read_bytes()
         assert got == (tmp_path / "inprocess.json").read_bytes()
         assert json.loads(got)["result"] == "PASS"
+
+    def test_no_argparse_imported(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import cantorlab.cli, sys; "
+             "print('argparse' in sys.modules, 'gettext' in sys.modules)"],
+            capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0 and proc.stdout == b"False False\n", proc.stderr
 
     def test_help(self):
         proc = run_process("--help")

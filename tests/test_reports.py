@@ -33,7 +33,7 @@ from cantorlab.martingales import (
     table_of,
     winning_set,
 )
-from cantorlab.reports import Report
+from cantorlab.reports import Check, Report
 from cantorlab.serialize import dumps, to_doc
 from cantorlab.series import BlockDoubler, b_set
 from cantorlab.space import (
@@ -194,14 +194,18 @@ def wire_values():
     """One value of each type with a wire form: the records, the ten
     strategy kinds, sets built from strings and by the kernel (the empty
     set, {""} and one behind a 3,000-bit prefix among them), test families,
-    dyadic functions, a trace stage, a check, a report and a Fraction
-    subclass."""
+    dyadic functions, a trace stage, a check, a report, a Fraction
+    subclass, and every leaf the writer writes inline."""
     trace, lemma = run(PrefixFreeSet(["1"]), MLRProvider(k=1), [], 2)
     base = positive_shift(doubler())
     report = Report("oracle")
     report.check("measure", Fraction(1, 3), "<=", Half(1, 2))
     report.record("flag", False)
     report.put("levels", {10: "ten", 2: ["two", Fraction(2)]})
+    # Each leaf the writer writes inline, a lone surrogate, which json.loads
+    # accepts, among them; a Check of an int and a bool.
+    leaves = [Fraction(4), Fraction(-3, 8), True, False, 0, 10 ** 39 + 7, None,
+              'quote " slash \\ tab \t bell \x07 é \U0001F600', "\ud800"]
     return {
         "point": PeriodicPoint("01", "1"),
         "staged": StagedOpenSet((PrefixFreeSet(["00"]), PrefixFreeSet(["0"]))),
@@ -238,6 +242,8 @@ def wire_values():
         "report": report,
         "lemma": lemma,
         "half": Half(1, 2),
+        "leaves": {"dict": dict(zip("abcdefghi", leaves)), "list": leaves,
+                   "strings": ["01", "\ud800"], "check": Check("sides", 3, "<=", True)},
     }
 
 
