@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import fields as dataclass_fields
 from fractions import Fraction
 from typing import Any
 
@@ -180,7 +179,7 @@ def _average(job):
 
 def _main_lemma(job):
     cls = closure.PROVIDERS[job("case")]
-    provider = cls(**job.given(*(f.name for f in dataclass_fields(cls))))
+    provider = cls(**job.given(*cls.__match_args__))
     tests = job("tests") if "tests" in job else []
     try:
         trace, rep = diagonal.run(job("w"), provider, tests, job("stages"))

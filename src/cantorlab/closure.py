@@ -165,8 +165,10 @@ def p1_cr(d: BettingStrategy, q: Fraction, sigma: str,
         if empty_marker:
             return ConstantStrategy(1), Fraction(2)
         raise DeadCapital(f"d({sigma!r}) = 0")
+    # On the memo's pairs, by cross-multiplication; value checked sigma's bits.
+    at, qn, qd = d._at, q.numerator, q.denominator
     for i in range(len(sigma) + 1):
-        if d.value(sigma[:i]) >= q:
+        if (v := at(sigma[:i]))[0] * qd >= qn * v[1]:
             raise AlreadyWon(f"capital reaches {q} at prefix {sigma[:i]!r}")
     if sigma == "":
         return d, q

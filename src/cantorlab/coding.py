@@ -9,21 +9,19 @@ request, the total free measure is below the requested size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AllocationFailed, NonMonotone, NTooSmall, SumMismatch, WeightOverflow
 from .pairing import cantor_pair, cantor_unpair
 from .reports import Report
-from .space import ZERO, check_bits, cylinder_measure, lenlex_key
+from .space import ZERO, check_bits, cylinder_measure, lenlex_key, record
 
 
-@dataclass(slots=True, eq=False)
+@record(slots=True, eq=False)
 class KCRequestList:
     """List of (code length, target) requests with Kraft weight <= 1."""
 
-    requests: Iterable[tuple[int, str]]
     fields = {"requests": [(int, str)]}
 
     def __post_init__(self):
@@ -49,11 +47,10 @@ class KCRequestList:
         return len(self.requests)
 
 
-@dataclass(slots=True, eq=False)
+@record(slots=True, eq=False)
 class Machine:
     """Finite prefix-free code table p -> output, with exact domain measure."""
 
-    table: Mapping[str, str]
     fields = {"table": {str: str}}
 
     def __post_init__(self):

@@ -15,9 +15,10 @@ from .errors import MissingLevel, PowerOfEpsilon, TailEscapes, Unbounded
 from .reports import Report
 from . import space
 from .martingales import BettingStrategy
-from .space import Natural, PeriodicPoint, PrefixFreeSet, measure, member, tails
+from .space import Natural, PeriodicPoint, PrefixFreeSet, measure, member, record, tails
 
 
+@record(slots=True, eq=False)
 class TestFamily:
     """Finite family n -> level set, with per-kind measure validation.
 
@@ -28,19 +29,16 @@ class TestFamily:
 
     KINDS = ("ML", "Schnorr", "generalized")
 
-    __slots__ = ("kind", "levels", "bounds", "martingale")
     fields = {"kind": dict.fromkeys(KINDS), "levels": {Natural: PrefixFreeSet},
               "bounds?": {Natural: Fraction}, "martingale?": BettingStrategy}
 
-    def __init__(self, kind: str, levels: dict[int, PrefixFreeSet],
-                 bounds: dict[int, Fraction] | None = None,
-                 martingale: BettingStrategy | None = None):
-        if kind not in self.KINDS:
+    def __post_init__(self):
+        if (kind := self.kind) not in self.KINDS:
             raise ValueError(f"unknown test kind {kind!r}")
-        lv = {int(n): s for n, s in levels.items()}
+        lv = {int(n): s for n, s in self.levels.items()}
         if any(n < 0 for n in lv):
             raise ValueError("negative level index")
-        sched = None if bounds is None else {int(n): Fraction(v) for n, v in bounds.items()}
+        sched = None if (b := self.bounds) is None else {int(n): Fraction(v) for n, v in b.items()}
         if kind == "ML":
             for n, s in lv.items():
                 if measure(s) > Fraction(1, 2 ** n):
@@ -60,10 +58,8 @@ class TestFamily:
             ordered = [sched[n] for n in sorted(sched)]
             if any(a < b for a, b in zip(ordered, ordered[1:])):
                 raise ValueError("schedule must be nonincreasing")
-        self.kind = kind
         self.levels = dict(sorted(lv.items()))
         self.bounds = sched
-        self.martingale = martingale
 
     def indices(self) -> list[int]:
         return list(self.levels)

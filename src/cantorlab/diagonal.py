@@ -11,7 +11,6 @@ class (built through P1 and P2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,21 +18,16 @@ from .closure import PROVIDERS
 from .covers import TestFamily
 from .errors import NoEscape
 from .reports import Report
-from .space import PrefixFreeSet, condition, covers, measure
+from .space import PrefixFreeSet, condition, covers, measure, record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TraceStage:
     """State at the start of stage `index` plus the choices made during it.
 
     The final record carries the finished prefix and set with no choices.
     """
 
-    index: int
-    sigma: str
-    set: PrefixFreeSet
-    n_e: int | None = None
-    tau: str | None = None
     fields = {"index": int, "sigma": str, "set": PrefixFreeSet, "n_e?": int | None,
               "tau?": str | None}
 
@@ -43,13 +37,11 @@ class TraceStage:
                 raise ValueError(f"field {name!r}: not a bit string: {bits!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiagonalTrace:
     """The stages of one run, stage e at position e: verify_trace checks
     stage e against test e, so a stage recorded as another is refused."""
 
-    case: str
-    stages: tuple[TraceStage, ...]
     fields = {"case": PROVIDERS, "stages": [TraceStage]}
 
     def __post_init__(self):

@@ -17,10 +17,8 @@ exact Fraction only where it leaves the layer: value, peak, success_capital.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Mapping
 
 from .errors import (
     DeadCapital,
@@ -36,11 +34,12 @@ from .space import (
     PrefixFreeSet,
     check_bits,
     cylinder_measure,
+    record,
     strings_to_depth,
 )
 
 
-@dataclass(slots=True, eq=False)
+@record(slots=True, eq=False)
 class MartingaleTable:
     """Capital values on the full binary tree of strings up to a depth.
 
@@ -48,8 +47,6 @@ class MartingaleTable:
     decision procedure, and unfair tables are legitimate inputs to it.
     """
 
-    depth: int
-    values: Mapping[str, Fraction]
     fields = {"depth": int, "values": {str: Fraction}}
 
     def __post_init__(self):
@@ -85,12 +82,13 @@ def check_fairness(d: MartingaleTable) -> bool:
 class BettingStrategy:
     """A martingale evaluable at any string, with exact rational values.
 
-    A subclass names its wire `kind` and its `fields`, declared as every
-    wire record declares them: each constructor argument, in order, with
-    its wire type as serialize.parse_field reads it (a class; str for a bit
-    string; space.Natural for an integer >= 0; [T] for a list of T; (A, B)
-    for a pair).  Argument, attribute and document key share the name, and
-    defining the subclass registers it in `kinds` under its kind.
+    A subclass names its wire `kind` and its `fields`, in the form every
+    wire record's takes: each constructor argument, in order, with its wire
+    type as serialize.parse_field reads it (a class; str for a bit string;
+    space.Natural for an integer >= 0; [T] for a list of T; (A, B) for a
+    pair); its __init__ is its own, not space.record's.  Argument, attribute
+    and document key share the name, and defining the subclass registers it
+    in `kinds` under its kind.
     """
 
     kind = "abstract"
@@ -404,7 +402,7 @@ def mixture(d: BettingStrategy, d_e: BettingStrategy, n_e: int) -> BettingStrate
     return MixtureStrategy(d, d_e, n_e)
 
 
-@dataclass(slots=True, eq=False)
+@record(slots=True, eq=False)
 class WinningSet:
     """Minimal strings at which a strategy's capital first reaches q.
 
@@ -412,10 +410,6 @@ class WinningSet:
     capital below the horizon means deeper wins may exist.
     """
 
-    threshold: Fraction
-    generators: PrefixFreeSet
-    source_depth: int
-    truncated: bool
     fields = {"threshold": Fraction, "generators": PrefixFreeSet, "source_depth": int,
               "truncated": bool}
 

@@ -5,9 +5,10 @@ sets as {"elements": [...]}, points as {"head": ..., "period": ...},
 martingale tables as {"depth": D, "values": {...}}, strategies as tagged
 records naming their kind.  Each record class declares its document once,
 in its `fields`: every key with the wire type parse_field reads it by, a
-trailing "?" marking a key that may be left out.  to_doc and dumps write a
-record from that declaration, and parse_field reads one back through it,
-key by key, as it reads a job's fields.
+trailing "?" marking a key that may be left out; space.record makes the
+dataclass fields of all but PrefixFreeSet and DyadicFunction from it.
+to_doc and dumps write a record from that declaration, and parse_field
+reads one back through it, key by key, as it reads a job's fields.
 """
 
 from __future__ import annotations

@@ -51,6 +51,20 @@ class Natural:
     fills it, and it is read as an int."""
 
 
+def record(**options):
+    """Class decorator for a wire record, whose keys its `fields` declares
+    once: each key, in order and with a trailing "?" stripped, becomes a
+    dataclass field annotated with its wire type, an optional one defaulting
+    to None.  options go to dataclass as they are."""
+    def build(cls: type) -> type:
+        cls.__annotations__ = {key.rstrip("?"): wire for key, wire in cls.fields.items()}
+        for key in cls.fields:
+            if key.endswith("?"):
+                setattr(cls, key[:-1], None)
+        return dataclass(cls, **options)
+    return build
+
+
 def _sorted_bits(strings: Iterable[str]) -> list[str]:
     """The strings in lexicographic order, checked to be bit strings.
 
@@ -726,7 +740,7 @@ def covers_pinned(v: PrefixFreeSet, pins: Pins) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class PeriodicPoint:
     """Eventually periodic point head . period^omega of Cantor space.
 
@@ -735,8 +749,6 @@ class PeriodicPoint:
     are decidable.
     """
 
-    head: str
-    period: str
     fields = {"head": str, "period": str}
 
     def __post_init__(self):
@@ -800,7 +812,7 @@ def member(u: PrefixFreeSet, x: PeriodicPoint) -> bool:
     return factor(u, x) is not None
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class StagedOpenSet:
     """Monotone finite enumeration of a prefix-free set with exact measures.
 
@@ -809,8 +821,6 @@ class StagedOpenSet:
     measure of the last stage exactly.
     """
 
-    stages: Iterable[PrefixFreeSet]
-    final_measure: Fraction | None = None
     fields = {"stages": [PrefixFreeSet], "final_measure?": Fraction}
 
     def __post_init__(self):

@@ -63,6 +63,7 @@ from util import (
     enum_p2_sr,
     random_fair_strategy,
     random_prefix_free,
+    reference_value,
     time_limit,
 )
 
@@ -226,6 +227,29 @@ class TestP1CR:
     def test_already_won(self):
         with pytest.raises(AlreadyWon):
             p1_cr(doubler(), Fraction(2), "00")
+
+    def test_prefixes_compared_without_value(self):
+        """value is read once, at sigma; the prefixes are compared with q
+        on the memo's pairs, and the error names the shortest winning one."""
+        rng = Random(29)
+        outcomes = set()
+        for _ in range(60):
+            d = random_fair_strategy(rng, 6, positive=True)
+            q = Fraction(rng.randint(5, 12), 4)
+            sigma = "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
+            read = []
+            d.value = lambda s, value=d.value: read.append(s) or value(s)
+            won = next((sigma[:i] for i in range(len(sigma) + 1)
+                        if reference_value(d, sigma[:i]) >= q), None)
+            if won is None:
+                p1_cr(d, q, sigma)
+            else:
+                with pytest.raises(AlreadyWon) as err:
+                    p1_cr(d, q, sigma)
+                assert str(err.value) == f"capital reaches {q} at prefix {won!r}"
+            assert read == [sigma]
+            outcomes.add(won is None)
+        assert outcomes == {True, False}
 
     def test_conditioned_winning_set_identity(self):
         rng = Random(13)

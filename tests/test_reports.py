@@ -289,3 +289,23 @@ def test_one_writer_and_no_global_state():
                     and _name(node.func) == "to_doc" and "_decimal" not in map(_name, node.args):
                 found.append(f"{where} calls to_doc")
     assert not found, found
+
+
+def test_no_unused_import():
+    """No module imports a name it never reads; a name __init__.py lists
+    in __all__ counts as read."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        imported, read = {}, set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                imported.update({(alias.asname or alias.name).split(".")[0]: node.lineno
+                                 for alias in node.names})
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and "__all__" in map(_name, node.targets):
+                read.update(item.value for item in node.value.elts)
+        found += [f"{path.name}:{line} imports {name}, never read"
+                  for name, line in imported.items() if name not in read]
+    assert not found, found

@@ -228,35 +228,51 @@ def test_records_write_their_declared_fields():
     assert not found, found
 
 
-# The value records whose fields, checks and immutability a dataclass
-# declares once.
-DATACLASS_RECORDS = {"TrieNode", "PeriodicPoint", "StagedOpenSet", "MartingaleTable",
-                     "WinningSet", "Machine", "KCRequestList", "ProviderState",
-                     "ExtractionResult"}
+# The classes with no wire form whose fields a dataclass declares once.
+DATACLASS_CLASSES = {"TrieNode", "ProviderState", "ExtractionResult"}
+# The records that store what they write differently, by hand.
+HAND_WRITTEN_RECORDS = {"PrefixFreeSet", "DyadicFunction"}
 SRC = Path(__file__).resolve().parent.parent / "src" / "cantorlab"
 
 
 def test_one_record_mechanism():
     """No class but PrefixFreeSet, whose caches fill lazily, defines
-    __setattr__, and each value record is a dataclass that does not restate
-    the __init__, __eq__ or __hash__ its decorator writes."""
+    __setattr__.  Every wire record but the hand-written two is made by a
+    call to record, which reads its keys from its fields: its body
+    annotates nothing, so it writes each key once.  Those records and the
+    dataclasses with no wire form do not restate the __init__, __eq__ or
+    __hash__ their decorator writes, and only the modules that define
+    those dataclasses import dataclasses."""
+    records = {cls.__name__ for cls in wire_records()} - HAND_WRITTEN_RECORDS
     found = []
-    decorated = set()
+    decorated = {"record": set(), "dataclass": set()}
+    importers = set()
     for path in sorted(SRC.glob("*.py")):
-        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(cls, ast.ClassDef):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses" or \
+                    isinstance(node, ast.Import) and "dataclasses" in [a.name for a in node.names]:
+                importers.add(path.name)
+            if not isinstance(node, ast.ClassDef):
                 continue
-            if any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
-                   for d in cls.decorator_list):
-                decorated.add(cls.name)
-            defined = {f.name for f in cls.body if isinstance(f, ast.FunctionDef)}
-            banned = {"__init__", "__eq__", "__hash__"} if cls.name in DATACLASS_RECORDS else set()
-            if cls.name != "PrefixFreeSet":
+            for d in node.decorator_list:
+                if isinstance(d, ast.Call) and getattr(d.func, "id", None) in decorated:
+                    decorated[d.func.id].add(node.name)
+            defined = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            banned = {"__init__", "__eq__", "__hash__"} \
+                if node.name in records | DATACLASS_CLASSES else set()
+            if node.name != "PrefixFreeSet":
                 banned.add("__setattr__")
-            found += [f"{path.name}: {cls.name} defines {name}"
+            found += [f"{path.name}: {node.name} defines {name}"
                       for name in sorted(defined & banned)]
+            if node.name in records:
+                found += [f"{path.name}:{item.lineno} {node.name} annotates a field"
+                          for item in node.body if isinstance(item, ast.AnnAssign)]
     assert not found, found
-    assert DATACLASS_RECORDS <= decorated, DATACLASS_RECORDS - decorated
+    assert decorated["record"] == records, decorated["record"] ^ records
+    assert DATACLASS_CLASSES <= decorated["dataclass"], DATACLASS_CLASSES - decorated["dataclass"]
+    assert all(dataclasses.is_dataclass(cls) for cls in wire_records()
+               if cls.__name__ in records)
+    assert importers == {"space.py", "closure.py", "series.py"}, importers
 
 
 def test_records_have_no_parsers_of_their_own():
