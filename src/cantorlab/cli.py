@@ -115,9 +115,9 @@ class _Op:
             module, name = call.split(".")
             call = (globals()[module], name)
         self.call = call
-        self.fields = {key.rstrip("?"): wire for key, wire in fields.items()}
-        self.required = [key for key in fields if not key.endswith("?")]
-        self.optional = [key[:-1] for key in fields if key.endswith("?")]
+        self.fields = {name: wire for name, wire, _ in space.field_keys(fields)}
+        self.required = [name for name, _, opt in space.field_keys(fields) if not opt]
+        self.optional = [name for name, _, opt in space.field_keys(fields) if opt]
         self.outputs = outputs
         self.flags = [key for key in self.fields if key in _FLAGS]
 

@@ -108,19 +108,20 @@ def complexity(m: Machine, sigma: str) -> int | None:
     return min(lengths) if lengths else None
 
 
+@record(slots=True)
 class DyadicFunction:
     """Finite nonnegative dyadic-valued function.
 
     Keys are all naturals or all bit strings; zero values are dropped, so
-    the stored entries, its `values`, are exactly the support.  sum is the
-    exact sum of the values; a sum given to the constructor must equal it.
+    its `values`, kept as (key, value) pairs in key order and read also as
+    `entries`, are exactly the support.  sum is the exact sum of the values;
+    a sum given to the constructor must equal it.
     """
 
-    __slots__ = ("entries", "sum")
     fields = {"values": [(object, Fraction)], "sum?": Fraction}
 
-    def __init__(self, values: Mapping | Iterable[tuple], sum: Fraction | None = None):
-        items = values.items() if isinstance(values, Mapping) else list(values)
+    def __post_init__(self):
+        items = self.values.items() if isinstance(self.values, Mapping) else list(self.values)
         cleaned = []
         total = ZERO
         for key, v in items:
@@ -140,32 +141,29 @@ class DyadicFunction:
         kinds = {type(k) for k, _ in cleaned}
         if len(kinds) > 1:
             raise ValueError("keys must be all naturals or all strings")
-        if sum is not None and sum != total:
-            raise ValueError(f"declared sum {sum} != sum of the values {total}")
+        if self.sum is not None and self.sum != total:
+            raise ValueError(f"declared sum {self.sum} != sum of the values {total}")
         keyfn = (lambda kv: lenlex_key(kv[0])) if kinds == {str} else (lambda kv: kv[0])
         cleaned.sort(key=keyfn)
-        self.entries = tuple(cleaned)
+        self.values = tuple(cleaned)
         self.sum = total
 
-    values = property(lambda self: self.entries)
+    entries = property(lambda self: self.values)
 
     def __call__(self, key) -> Fraction:
-        for k, v in self.entries:
+        for k, v in self.values:
             if k == key:
                 return v
         return ZERO
 
     def support(self):
-        return [k for k, _ in self.entries]
+        return [k for k, _ in self.values]
 
     def __len__(self):
-        return len(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, DyadicFunction) and self.entries == other.entries
+        return len(self.values)
 
     def __repr__(self):
-        return f"DyadicFunction({dict(self.entries)!r})"
+        return f"DyadicFunction({dict(self.values)!r})"
 
 
 def machine_to_f(m: Machine) -> tuple[DyadicFunction, Report]:

@@ -86,7 +86,7 @@ class BettingStrategy:
     wire record's takes: each constructor argument, in order, with its wire
     type as serialize.parse_field reads it (a class; str for a bit string;
     space.Natural for an integer >= 0; [T] for a list of T; (A, B) for a
-    pair); its __init__ is its own, not space.record's.  Argument, attribute
+    pair), from which space.record makes its __init__.  Argument, attribute
     and document key share the name, and defining the subclass registers it
     in `kinds` under its kind.
     """
@@ -100,7 +100,7 @@ class BettingStrategy:
         if "kind" in cls.__dict__:
             BettingStrategy.kinds[cls.kind] = cls
 
-    def __init__(self):
+    def __post_init__(self):
         self._cache: dict[str, tuple[int, int]] = {}
 
     def value(self, sigma: str) -> Fraction:
@@ -138,11 +138,13 @@ class LinearStrategy(BettingStrategy):
     monotone when each base's is: a base flat beyond rho sigma is flat
     beyond rho sigma b, and if all are, every term, hence D, is constant
     below sigma.  A zero-weight term is still evaluated and asked; a kind
-    that must skip one omits it.
+    that must skip one omits it.  A kind's _linear checks and normalizes
+    its fields and returns (terms, c).
     """
 
-    def __init__(self, terms: tuple, const: Fraction = ZERO):
-        super().__init__()
+    def __post_init__(self):
+        super().__post_init__()
+        terms, const = self._linear()
         # Each weight as its (numerator, denominator) pair, read once.
         self._terms = tuple((w.numerator, w.denominator, base, rho)
                             for w, base, rho in terms)
@@ -163,26 +165,24 @@ class LinearStrategy(BettingStrategy):
         return all(base.flat_beyond(rho + sigma) for _, _, base, rho in self._terms)
 
 
+@record(eq=False, repr=False)
 class ConstantStrategy(LinearStrategy):
     kind = "constant"
     fields = {"c": Fraction}
 
-    def __init__(self, c: Fraction | int = 1):
-        self.c = Fraction(c)
+    def _linear(self):
+        self.c = Fraction(self.c)
         if self.c < 0:
             raise ValueError("negative constant")
-        super().__init__((), self.c)
+        return (), self.c
 
 
+@record(eq=False, repr=False)
 class TableStrategy(BettingStrategy):
     """Tabulated martingale, extended by constancy past its depth."""
 
     kind = "tabulated"
     fields = {"table": MartingaleTable}
-
-    def __init__(self, table: MartingaleTable):
-        super().__init__()
-        self.table = table
 
     def _compute(self, sigma: str) -> tuple[int, int]:
         return self.table[sigma[: self.table.depth]].as_integer_ratio()
@@ -191,6 +191,7 @@ class TableStrategy(BettingStrategy):
         return len(sigma) >= self.table.depth
 
 
+@record(eq=False, repr=False)
 class PointDoubler(BettingStrategy):
     """Bets everything on following a fixed point: 2^n along it, dead off it.
 
@@ -201,10 +202,6 @@ class PointDoubler(BettingStrategy):
     kind = "point-doubler"
     fields = {"point": PeriodicPoint}
 
-    def __init__(self, point: PeriodicPoint):
-        super().__init__()
-        self.point = point
-
     def _compute(self, sigma: str) -> tuple[int, int]:
         if self.point.prefix(len(sigma)) == sigma:
             return 1 << len(sigma), 1
@@ -214,32 +211,33 @@ class PointDoubler(BettingStrategy):
         return self._at(sigma)[0] == 0
 
 
+@record(eq=False, repr=False)
 class TranslateStrategy(LinearStrategy):
     """tau -> base(sigma tau): capital seen after entering [sigma]."""
 
     kind = "translated"
     fields = {"base": BettingStrategy, "sigma": str}
 
-    def __init__(self, base: BettingStrategy, sigma: str):
-        self.base = base
-        self.sigma = check_bits(sigma)
-        super().__init__(((ONE, base, self.sigma),))
+    def _linear(self):
+        self.sigma = check_bits(self.sigma)
+        return ((ONE, self.base, self.sigma),), ZERO
 
 
+@record(eq=False, repr=False)
 class ScaledStrategy(LinearStrategy):
     """Positive rescaling; fairness is preserved by linearity."""
 
     kind = "scaled"
     fields = {"base": BettingStrategy, "factor": Fraction}
 
-    def __init__(self, base: BettingStrategy, factor: Fraction):
-        if factor <= 0:
+    def _linear(self):
+        if self.factor <= 0:
             raise ValueError("scale factor must be positive")
-        self.base = base
-        self.factor = Fraction(factor)
-        super().__init__(((self.factor, base, ""),))
+        self.factor = Fraction(self.factor)
+        return ((self.factor, self.base, ""),), ZERO
 
 
+@record(eq=False, repr=False)
 class BlendStrategy(LinearStrategy):
     """Nonnegative-weight combination of strategies (constant 1 included via
     ConstantStrategy); the workhorse behind shifts and averages."""
@@ -247,12 +245,12 @@ class BlendStrategy(LinearStrategy):
     kind = "blend"
     fields = {"terms": [(Fraction, BettingStrategy)]}
 
-    def __init__(self, terms: list[tuple[Fraction, BettingStrategy]]):
-        self.terms = tuple((Fraction(w), s) for w, s in terms)
+    def _linear(self):
+        self.terms = tuple((Fraction(w), s) for w, s in self.terms)
         if any(w < 0 for w, _ in self.terms):
             raise ValueError("blend weights must be nonnegative")
         # A zero-weight term is never evaluated, nor asked for flatness.
-        super().__init__(tuple((w, s, "") for w, s in self.terms if w != 0))
+        return tuple((w, s, "") for w, s in self.terms if w != 0), ZERO
 
 
 def positive_shift(d: BettingStrategy) -> BettingStrategy:
@@ -260,22 +258,21 @@ def positive_shift(d: BettingStrategy) -> BettingStrategy:
     return BlendStrategy([(Fraction(1, 2), d), (Fraction(1, 2), ConstantStrategy(1))])
 
 
+@record(eq=False, repr=False)
 class MixtureStrategy(LinearStrategy):
     """D = (1 - 2^(-n_e+1)) d + 2^(-n_e+1) d_e, the closure-step mixture."""
 
     kind = "mixture"
     fields = {"d": BettingStrategy, "d_e": BettingStrategy, "n_e": int}
 
-    def __init__(self, d: BettingStrategy, d_e: BettingStrategy, n_e: int):
-        if n_e < 1:
+    def _linear(self):
+        if self.n_e < 1:
             raise ValueError("n_e must be >= 1")
-        self.d = d
-        self.d_e = d_e
-        self.n_e = n_e
-        weight = Fraction(1, 2 ** (n_e - 1))
-        super().__init__(((1 - weight, d, ""), (weight, d_e, "")))
+        weight = Fraction(1, 2 ** (self.n_e - 1))
+        return ((1 - weight, self.d, ""), (weight, self.d_e, "")), ZERO
 
 
+@record(eq=False, repr=False)
 class AverageStrategy(LinearStrategy):
     """Truncated average of normalized translates plus the residual weight.
 
@@ -288,18 +285,15 @@ class AverageStrategy(LinearStrategy):
     kind = "averaged"
     fields = {"base": BettingStrategy, "level": int}
 
-    def __init__(self, base: BettingStrategy, level: int):
-        if level < 0:
+    def _linear(self):
+        if self.level < 0:
             raise ValueError("negative truncation level")
-        self.base = base
-        self.level = level
-        roots = {s: base._at(s) for s in strings_to_depth(level)}
+        roots = {s: self.base._at(s) for s in strings_to_depth(self.level)}
         if any(vn == 0 for vn, _ in roots.values()):
             raise ZeroPrefix("base has zero capital at some string of length <= L")
-        super().__init__(
-            tuple((Fraction(vd, vn << (2 * len(s) + 1)), base, s)
-                  for s, (vn, vd) in roots.items()),
-            Fraction(1, 2 ** (level + 1)))
+        return (tuple((Fraction(vd, vn << (2 * len(s) + 1)), self.base, s)
+                      for s, (vn, vd) in roots.items()),
+                Fraction(1, 2 ** (self.level + 1)))
 
 
 def translate(d: BettingStrategy, sigma: str) -> BettingStrategy:
@@ -324,6 +318,7 @@ def average_truncated(d: BettingStrategy, level: int, shift: bool = True) -> Bet
         return AverageStrategy(positive_shift(d), level)
 
 
+@record(eq=False, repr=False)
 class ResetStrategy(BettingStrategy):
     """Simulates the base martingale and restarts after each completed block.
 
@@ -340,12 +335,10 @@ class ResetStrategy(BettingStrategy):
     kind = "reset"
     fields = {"base": BettingStrategy, "q": Fraction, "blocks": PrefixFreeSet}
 
-    def __init__(self, base: BettingStrategy, q: Fraction, blocks: PrefixFreeSet):
-        super().__init__()
-        self.base = base
-        self.q = Fraction(q)
-        self.blocks = blocks
-        self._block_set = set(blocks.elements)
+    def __post_init__(self):
+        super().__post_init__()
+        self.q = Fraction(self.q)
+        self._block_set = set(self.blocks.elements)
         self._states: dict[str, tuple[int, int, int]] = {"": (1, 1, 0)}
 
     def _compute(self, sigma: str) -> tuple[int, int]:

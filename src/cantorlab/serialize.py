@@ -6,7 +6,7 @@ martingale tables as {"depth": D, "values": {...}}, strategies as tagged
 records naming their kind.  Each record class declares its document once,
 in its `fields`: every key with the wire type parse_field reads it by, a
 trailing "?" marking a key that may be left out; space.record makes the
-dataclass fields of all but PrefixFreeSet and DyadicFunction from it.
+dataclass fields of every record but PrefixFreeSet, strategies included.
 to_doc and dumps write a record from that declaration, and parse_field
 reads one back through it, key by key, as it reads a job's fields.
 """
@@ -25,7 +25,7 @@ from . import martingales as mg
 from .covers import TestFamily
 from .errors import ParseError
 from .reports import Check, Report
-from .space import Natural, PrefixFreeSet
+from .space import Natural, PrefixFreeSet, field_keys
 
 
 def parse_fraction(doc: Any) -> Fraction:
@@ -56,14 +56,13 @@ def parse_bool(doc: Any) -> bool:
 
 @cache
 def _declared(cls: type) -> tuple | None:
-    """A record class's document keys, as (name, wire type, optional) from
-    its fields; None for a class that declares none, or for a strategy
-    class whose kind is not registered."""
+    """A record class's document keys, space.field_keys of its fields; None
+    for a class that declares none, or for an unregistered strategy class."""
     decl = getattr(cls, "fields", None)
     if not isinstance(decl, dict) or (issubclass(cls, mg.BettingStrategy)
                                       and cls.kind not in mg.BettingStrategy.kinds):
         return None
-    return tuple((key.rstrip("?"), wire, key.endswith("?")) for key, wire in decl.items())
+    return field_keys(decl)
 
 
 def _shape(obj: Any, frac: Callable[[Fraction], Any] = str) -> Any:

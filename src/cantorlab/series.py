@@ -42,6 +42,7 @@ from .space import (
     PrefixFreeSet,
     StagedOpenSet,
     measure,
+    record,
 )
 
 # Coordinate n reads its digit j at bit position cantor_pair(n, j).
@@ -232,54 +233,45 @@ def _exponents(exponents: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
+@record(eq=False, repr=False)
 class BlockDoubler(BettingStrategy):
     """Reserves q 2^-a_i per index and doubles it on zeros across block i.
 
-    On the interval assigned to (i, a_i) the reserved amount rides
-    double-or-nothing on the bit being 0; one wrong bit forfeits exactly the
-    reserve.  Elsewhere the strategy does not bet.  Reserves total q times
-    the series sum < 1, so the capital stays positive.
+    On the interval assigned to (i, a_i) the reserve r rides
+    double-or-nothing on each bit being 0: after k zeros it has grown to
+    r 2^k, and a one forfeits exactly r.  Elsewhere the strategy does not
+    bet.  So the capital is 1 plus, over the blocks sigma reaches, -r if a 1
+    is among their bits seen, else r (2^k - 1).  Reserves total q times the
+    series sum, at most 1, so the capital stays nonnegative.
     """
 
     kind = "block-doubler"
     fields = {"exponents": [Natural], "q": Fraction}
 
-    def __init__(self, exponents: Sequence[int], q: Fraction):
-        super().__init__()
-        self.exponents = _exponents(exponents)
-        self.q = Fraction(q)
-        reserved = sum((self.q * Fraction(1, 2 ** a) for a in self.exponents),
-                       start=ZERO)
-        if reserved > 1:
-            raise WeightTooLarge(
-                f"reserves {reserved} exceed the unit starting capital")
-        self._bets: dict[int, tuple[int, Fraction]] = {}
-        for i, a in enumerate(self.exponents):
-            for p in PARTITION.block(i, a):
-                self._bets[p] = (i, self.q * Fraction(1, 2 ** a))
-        self._last_bet = max(self._bets, default=-1)
+    def __post_init__(self):
+        super().__post_init__()
+        self.exponents = _exponents(self.exponents)
+        self.q = Fraction(self.q)
+        if self.q < 0:
+            raise ValueError("negative q")
+        reserves = [self.q * Fraction(1, 2 ** a) for a in self.exponents]
+        if (reserved := sum(reserves, start=ZERO)) > 1:
+            raise WeightTooLarge(f"reserves {reserved} exceed the unit starting capital")
+        # (start, stop, reserve) per block, in position order.
+        blocks = map(PARTITION.block, range(len(reserves)), self.exponents)
+        self._blocks = sorted((b.start, b.stop, r) for b, r in zip(blocks, reserves))
 
     def _compute(self, sigma: str) -> tuple[int, int]:
         capital = ONE
-        stakes: dict[int, Fraction] = {}
-        for pos, bit in enumerate(sigma):
-            bet = self._bets.get(pos)
-            if bet is None:
-                continue
-            i, reserve = bet
-            stake = stakes.setdefault(i, reserve)
-            if stake == 0:
-                continue
-            if bit == "0":
-                capital += stake
-                stakes[i] = 2 * stake
-            else:
-                capital -= stake
-                stakes[i] = ZERO
+        for start, stop, r in self._blocks:
+            if start >= len(sigma):
+                break
+            seen = sigma[start:stop]
+            capital += -r if "1" in seen else r * ((1 << len(seen)) - 1)
         return capital.as_integer_ratio()
 
     def flat_beyond(self, sigma: str) -> bool:
-        return len(sigma) > self._last_bet
+        return not self._blocks or len(sigma) >= self._blocks[-1][1]
 
 
 def encode_series(exponents: Sequence[int], q: Fraction

@@ -51,16 +51,19 @@ class Natural:
     fills it, and it is read as an int."""
 
 
+def field_keys(fields: dict) -> tuple:
+    """Each key of a `fields` as (name, wire type, optional); "?" ends an optional key."""
+    return tuple((key.rstrip("?"), wire, key.endswith("?")) for key, wire in fields.items())
+
+
 def record(**options):
-    """Class decorator for a wire record, whose keys its `fields` declares
-    once: each key, in order and with a trailing "?" stripped, becomes a
-    dataclass field annotated with its wire type, an optional one defaulting
-    to None.  options go to dataclass as they are."""
+    """Class decorator for a wire record: each key its `fields` declares, in
+    order, becomes a dataclass field annotated with its wire type, an
+    optional one defaulting to None.  options go to dataclass as they are."""
     def build(cls: type) -> type:
-        cls.__annotations__ = {key.rstrip("?"): wire for key, wire in cls.fields.items()}
-        for key in cls.fields:
-            if key.endswith("?"):
-                setattr(cls, key[:-1], None)
+        cls.__annotations__ = {name: wire for name, wire, _ in field_keys(cls.fields)}
+        for name in [name for name, _, optional in field_keys(cls.fields) if optional]:
+            setattr(cls, name, None)
         return dataclass(cls, **options)
     return build
 

@@ -215,8 +215,10 @@ REPORT_BYTES_SHA256 = "25d205f3c1e8d394f23d7816bab5613c0752e8cf3658e5815a0b5f0cf
 # trace case is not one of mlr, cr and sr); 9 kc-build runs with a negative
 # length or a bad target now report the operation's ValueError, not a
 # ParseError.  The other 20 are p1 and main-lemma runs whose case is a list
-# or an object.
-MORE_REPORT_BYTES_SHA256 = "db3f67477ced5d9a3364225d229f007cec887b75877b60ffb5eaef0bd23f6ede"
+# or an object.  Re-pinned when a block doubler came to refuse q < 0: one
+# run moved, #4989, a success-capital job with q = -1, which reported
+# negative capitals with exit 0 and is now a ParseError with exit 2.
+MORE_REPORT_BYTES_SHA256 = "9fd6ab119b6deb7171d058a229571d002d49883ce3bdda367703395e14d2ee8b"
 
 
 def report_digest(runs, lines: list | None = None,

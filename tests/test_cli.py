@@ -444,6 +444,10 @@ class TestFrontDoorContract:
          "bad parameter 'trace': field 'case': must be one of mlr, cr, sr"),
         ("p1", {"case": [], "set": {"elements": ["00"]}, "sigma": "0"},
          "bad parameter 'case': must be one of mlr, cr, sr"),
+        ("success-capital", {"strategy": {"kind": "block-doubler", "exponents": [1, 2],
+                                          "q": "-4"},
+                             "point": {"head": "", "period": "0"}, "depth": 4},
+         "negative q"),
     ])
     def test_record_errors_name_parameter_and_field(self, sub, doc, message):
         """A record of the wrong shape is refused naming the job parameter and

@@ -7,7 +7,9 @@ flat_beyond contract (sound and monotone), checked here kind by kind.  A
 reset strategy resumes from its longest known prefix, so its values and its
 DeadCapital messages must match the replay from the root whatever order the
 strings are evaluated in.  Each derived kind evaluates by the one linear
-rule, so its values must match its own closed formula.  That rule sums its
+rule, so its values must match its own closed formula; a block doubler
+evaluates in closed form, so its values and flat_beyond must match the bet
+by bet rule written here as the reference.  The linear rule sums its
 terms over integer numerators and denominators and thresholds are compared
 by cross-multiplication, so every kind nested two or three deep must give
 the values, generators, witnesses, DeadCapital messages and bit-string
@@ -42,7 +44,7 @@ from cantorlab.martingales import (
     verify_ville_kolmogorov,
     winning_set,
 )
-from cantorlab.series import BlockDoubler
+from cantorlab.series import PARTITION, BlockDoubler
 from cantorlab.space import PeriodicPoint, PrefixFreeSet, reduce
 
 from util import (
@@ -205,6 +207,51 @@ class TestLinearRule:
         assume(d.kind == kind)
         for tau in taus:
             assert outcome_at(d.value, tau) == outcome_at(lambda t: closed_form(d, t), tau), tau
+
+
+def stake_rule(exponents, q, sigma):
+    """A block doubler's capital at sigma and its flat_beyond, bet by bet:
+    block i's first position stakes its reserve q 2^-a_i on a 0; a 0 wins
+    the stake and doubles it for the next position, a 1 loses it and ends
+    block i's bets.  Flat past the last position a block holds."""
+    bets = {p: (i, q * Fraction(1, 2 ** a)) for i, a in enumerate(exponents)
+            for p in PARTITION.block(i, a)}
+    capital = Fraction(1)
+    stakes = {}
+    for pos, bit in enumerate(sigma):
+        if pos not in bets:
+            continue
+        i, reserve = bets[pos]
+        stake = stakes.setdefault(i, reserve)
+        if stake == 0:
+            continue
+        if bit == "0":
+            capital += stake
+            stakes[i] = 2 * stake
+        else:
+            capital -= stake
+            stakes[i] = Fraction(0)
+    return capital, len(sigma) > max(bets, default=-1)
+
+
+class TestBlockDoublerClosedForm:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 5), max_size=4), st.data())
+    def test_matches_stake_rule(self, exponents, data):
+        """At every prefix of a string of up to 70 bits, and one bit before,
+        at and after the last block's stop, for reserves totalling at most
+        1, q = 0 included."""
+        weight = sum(Fraction(1, 2 ** a) for a in exponents)
+        top = 1 / weight if weight else Fraction(4)
+        q = data.draw(st.sampled_from([Fraction(0), top])
+                      | st.fractions(0, top, max_denominator=64))
+        d = BlockDoubler(exponents, q)
+        stop = max((PARTITION.block(i, a).stop for i, a in enumerate(exponents)), default=0)
+        sigma = data.draw(st.text(alphabet="01", max_size=70))
+        tail = data.draw(st.text(alphabet="01", min_size=stop + 1, max_size=stop + 1))
+        for s in [sigma[:n] for n in range(len(sigma) + 1)] + \
+                [tail[:n] for n in (max(stop - 1, 0), stop, stop + 1)]:
+            assert (d.value(s), d.flat_beyond(s)) == stake_rule(exponents, q, s), s
 
 
 def evaluated(r, order):

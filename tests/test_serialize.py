@@ -230,20 +230,25 @@ def test_records_write_their_declared_fields():
 
 # The classes with no wire form whose fields a dataclass declares once.
 DATACLASS_CLASSES = {"TrieNode", "ProviderState", "ExtractionResult"}
-# The records that store what they write differently, by hand.
-HAND_WRITTEN_RECORDS = {"PrefixFreeSet", "DyadicFunction"}
+# The record that stores what it writes differently, by hand.
+HAND_WRITTEN_RECORDS = {"PrefixFreeSet"}
 SRC = Path(__file__).resolve().parent.parent / "src" / "cantorlab"
 
 
 def test_one_record_mechanism():
     """No class but PrefixFreeSet, whose caches fill lazily, defines
-    __setattr__.  Every wire record but the hand-written two is made by a
-    call to record, which reads its keys from its fields: its body
-    annotates nothing, so it writes each key once.  Those records and the
-    dataclasses with no wire form do not restate the __init__, __eq__ or
-    __hash__ their decorator writes, and only the modules that define
-    those dataclasses import dataclasses."""
-    records = {cls.__name__ for cls in wire_records()} - HAND_WRITTEN_RECORDS
+    __setattr__.  Every wire record but PrefixFreeSet, DyadicFunction and
+    each registered strategy kind among them, is made by a call to record,
+    which reads its keys from its fields: its body annotates nothing, so it
+    writes each key once.  Those records, the strategy classes they derive
+    from and the dataclasses with no wire form do not restate the __init__,
+    __eq__ or __hash__ their decorator writes, and only the modules that
+    define those dataclasses import dataclasses."""
+    kinds = set(BettingStrategy.kinds.values())
+    assert kinds and DyadicFunction in wire_records()
+    records = {cls.__name__ for cls in wire_records() | kinds} - HAND_WRITTEN_RECORDS
+    bases = {base.__name__ for cls in kinds for base in cls.__mro__[1:-1]}
+    assert bases == {"BettingStrategy", "LinearStrategy"}, bases
     found = []
     decorated = {"record": set(), "dataclass": set()}
     importers = set()
@@ -259,7 +264,7 @@ def test_one_record_mechanism():
                     decorated[d.func.id].add(node.name)
             defined = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
             banned = {"__init__", "__eq__", "__hash__"} \
-                if node.name in records | DATACLASS_CLASSES else set()
+                if node.name in records | bases | DATACLASS_CLASSES else set()
             if node.name != "PrefixFreeSet":
                 banned.add("__setattr__")
             found += [f"{path.name}: {node.name} defines {name}"
@@ -270,7 +275,7 @@ def test_one_record_mechanism():
     assert not found, found
     assert decorated["record"] == records, decorated["record"] ^ records
     assert DATACLASS_CLASSES <= decorated["dataclass"], DATACLASS_CLASSES - decorated["dataclass"]
-    assert all(dataclasses.is_dataclass(cls) for cls in wire_records()
+    assert all(dataclasses.is_dataclass(cls) for cls in wire_records() | kinds
                if cls.__name__ in records)
     assert importers == {"space.py", "closure.py", "series.py"}, importers
 

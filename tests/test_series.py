@@ -380,6 +380,16 @@ class TestEncodeSeries:
         with pytest.raises(WeightTooLarge):
             BlockDoubler([2, 1], Fraction(3, 2))
 
+    def test_block_doubler_refuses_negative_q(self):
+        """A negative q would reserve negative amounts and report negative
+        capital; it is refused as a negative constant is.  q = 0 is the
+        constant 1."""
+        for q in (Fraction(-4), Fraction(-1, 8)):
+            with pytest.raises(ValueError, match="^negative q$"):
+                BlockDoubler([1, 2], q)
+        d = BlockDoubler([1, 2], Fraction(0))
+        assert {d.value(format(m, "06b")) for m in range(2 ** 6)} == {1}
+
     def test_block_doubler_stays_nonnegative(self):
         d = BlockDoubler([2, 1], Fraction(5, 4))
         for m in range(2 ** 6):
